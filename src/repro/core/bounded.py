@@ -19,17 +19,23 @@ Two roles:
 from __future__ import annotations
 
 import itertools
-from contextlib import nullcontext
 from typing import Any, Iterable, Sequence
 
 from repro.constraints.containment import (ContainmentConstraint,
                                            satisfies_all,
                                            satisfies_all_extension)
-from repro.core.rcdp import (_extend_unvalidated, decide_rcdp,
+from repro.core.rcdp import (_extend_unvalidated, _extension_satisfies,
+                             assert_decidable_configuration, decide_rcdp,
                              ensure_partially_closed, resolve_context)
 from repro.core.results import (IncompletenessCertificate, RCDPResult,
                                 RCDPStatus, RCQPResult, RCQPStatus,
                                 SearchStatistics)
+from repro.core.search import (SearchRun, ShardOutcome, best_witness,
+                               exhausted_result, first_exhausted,
+                               fresh_shards, owned, resolve_workers,
+                               resume_point, resume_shards, run_inline,
+                               search_checkpoint, subsets,
+                               total_statistics)
 from repro.engine import EvaluationContext, decision_key
 from repro.errors import ExecutionInterrupted, UndecidableConfigurationError
 from repro.obs import obs_of, obs_span, traced
@@ -124,6 +130,57 @@ def resolve_value_pool(query: Any,
         pin=(*instances, query, *constraints))
 
 
+def _brute_rcdp_kernel(run: SearchRun, payload: dict[str, Any],
+                       ) -> ShardOutcome:
+    """One shard of the extension-set enumeration: stop at the first
+    ``Δ`` that keeps ``V`` satisfied and changes ``Q(D)``.  Ranks are
+    ``(position,)`` in the flat smallest-first stream."""
+    query, database = payload["query"], payload["database"]
+    master, constraints = payload["master"], payload["constraints"]
+    context, governor = run.context, run.governor
+    obs = obs_of(governor)
+    with obs_span(obs, "evaluate_Q"):
+        baseline = (context.evaluate(query, database)
+                    if context is not None else query.evaluate(database))
+    beacon, beat = run.beacon, run.beat
+    try:
+        with run.governed(), obs_span(obs, "enumerate_extensions"):
+            for position, combo in owned(run.shard, subsets(
+                    payload["pool"], 1, payload["max_extra_facts"])):
+                if beat is not None and beat.due:
+                    run.heartbeat()
+                if beacon is not None and beacon.superseded((position,)):
+                    return run.outcome("superseded")
+                if governor is not None:
+                    governor.tick("extensions")
+                run.examined += 1
+                delta = list(combo)
+                run.checks += 1
+                # Evaluate Q(D ∪ Δ) at most once per candidate; the !=
+                # test (not ⊋) also catches FO answer *loss*.
+                if context is not None:
+                    compatible = satisfies_all_extension(
+                        database, delta, master, constraints,
+                        context=context)
+                    extended_answers = (
+                        context.evaluate_extension(query, database, delta)
+                        if compatible else None)
+                else:
+                    extended = _extend_unvalidated(database, delta)
+                    compatible = satisfies_all(extended, master,
+                                               constraints)
+                    extended_answers = (query.evaluate(extended)
+                                        if compatible else None)
+                if compatible and extended_answers != baseline:
+                    new_answers = extended_answers - baseline
+                    answer = next(iter(new_answers)) if new_answers else ()
+                    return run.witness((position,), (combo, answer))
+                run.consumed += 1
+    except ExecutionInterrupted as interrupt:
+        return run.outcome("exhausted", reason=interrupt.reason)
+    return run.outcome("complete")
+
+
 @traced("brute_force_rcdp")
 def brute_force_rcdp(query: Any, database: Instance, master: Instance,
                      constraints: Sequence[ContainmentConstraint],
@@ -152,25 +209,13 @@ def brute_force_rcdp(query: Any, database: Instance, master: Instance,
     and FP, where this is the only procedure available.
 
     Governed like the exact deciders (``"extensions"`` ticks, one per
-    candidate ``Δ``); the checkpoint cursor is the flat count of extension
-    sets already examined, in deterministic smallest-first order.
-    *workers* shards the enumeration across processes
-    (``docs/PARALLEL.md``); the verdict is worker-count invariant.
+    candidate ``Δ``); the checkpoint cursor is ``(workers,)``, with each
+    shard's count of extension sets already examined, in deterministic
+    smallest-first order, in its payload.  *workers* shards the
+    enumeration across processes (``docs/PARALLEL.md``); the verdict is
+    worker-count invariant.
     """
-    from repro.parallel.partition import resolve_workers
-
     count = resolve_workers(workers)
-    if count > 1:
-        from repro.parallel.api import brute_force_rcdp_parallel
-
-        return brute_force_rcdp_parallel(
-            query, database, master, constraints, workers=count,
-            max_extra_facts=max_extra_facts, values=values,
-            relations=relations,
-            check_partially_closed=check_partially_closed, budget=budget,
-            governor=governor, on_exhausted=on_exhausted,
-            resume_from=resume_from, use_engine=use_engine,
-            context=context, backend=backend)
     validate_exhaustion_mode(on_exhausted)
     governor = resolve_governor(governor, budget)
     obs = obs_of(governor)
@@ -182,102 +227,116 @@ def brute_force_rcdp(query: Any, database: Instance, master: Instance,
             ensure_partially_closed(database, master, constraints, context)
     values = resolve_value_pool(query, constraints, database.schema,
                                 (database, master), values, context)
-    with obs_span(obs, "evaluate_Q"):
-        baseline = (context.evaluate(query, database)
-                    if context is not None else query.evaluate(database))
     existing = set(database.facts())
-    pool = [fact for fact in candidate_fact_pool(database.schema, values,
-                                                 relations=relations)
-            if fact not in existing]
+    pool = tuple(fact for fact in candidate_fact_pool(
+        database.schema, values, relations=relations)
+        if fact not in existing)
 
-    base_stats = SearchStatistics()
-    to_skip = 0
+    stats = SearchStatistics()
+    shards = fresh_shards(count)
     if resume_from is not None:
-        resume_from.require("brute-rcdp")
-        (to_skip,) = resume_from.cursor
-        base_stats = resume_from.base_statistics()
-    position = to_skip
-    examined = 0
-    checks = 0
+        _, shards, _ = resume_point(resume_from, "brute-rcdp", count)
+        stats = resume_from.base_statistics()
+    payload = dict(query=query, database=database, master=master,
+                   constraints=tuple(constraints),
+                   max_extra_facts=max_extra_facts, pool=pool)
+    if count == 1:
+        outcomes = [run_inline(_brute_rcdp_kernel, payload, shards[0],
+                               governor, context)]
+    else:
+        from repro.parallel.api import brute_force_rcdp_parallel
 
-    def _stats() -> SearchStatistics:
-        stats = base_stats.merged(SearchStatistics(
-            valuations_examined=examined, constraint_checks=checks))
-        if engine_base is not None:
-            stats = stats.merged(context.statistics.since(engine_base))
-        return stats
+        outcomes = brute_force_rcdp_parallel(
+            "brute-rcdp", _brute_rcdp_kernel, payload, shards,
+            governor=governor, context=context)
+    stats = stats.merged(total_statistics(outcomes))
+    if context is not None:
+        stats = stats.merged(context.statistics.since(engine_base))
 
-    governed = (context.governed(governor) if context is not None
-                else nullcontext())
-    try:
-        skip = to_skip
-        with governed, obs_span(obs, "enumerate_extensions"):
-            for size in range(1, max_extra_facts + 1):
-                for combo in itertools.combinations(pool, size):
-                    if skip > 0:
-                        skip -= 1
-                        continue
-                    if governor is not None:
-                        governor.tick("extensions")
-                    examined += 1
-                    delta = list(combo)
-                    checks += 1
-                    # Evaluate Q(D ∪ Δ) at most once per candidate; the
-                    # != test (not ⊋) also catches FO answer *loss*.
-                    if context is not None:
-                        compatible = satisfies_all_extension(
-                            database, delta, master, constraints,
-                            context=context)
-                        extended_answers = (
-                            context.evaluate_extension(query, database, delta)
-                            if compatible else None)
-                    else:
-                        extended = _extend_unvalidated(database, delta)
-                        compatible = satisfies_all(extended, master,
-                                                   constraints)
-                        extended_answers = (query.evaluate(extended)
-                                            if compatible else None)
-                    if compatible and extended_answers != baseline:
-                        new_answers = extended_answers - baseline
-                        answer = (next(iter(new_answers)) if new_answers
-                                  else ())
-                        return RCDPResult(
-                            status=RCDPStatus.INCOMPLETE,
-                            certificate=IncompletenessCertificate(
-                                extension_facts=tuple(combo),
-                                new_answer=answer),
-                            explanation=(
-                                f"brute force found a {size}-fact "
-                                f"consistent extension changing the answer"),
-                            statistics=_stats(),
-                            bound=max_extra_facts)
-                    position += 1
-    except ExecutionInterrupted as interrupt:
-        checkpoint = SearchCheckpoint(
-            procedure="brute-rcdp", cursor=(position,),
-            statistics=_stats())
-        partial = RCDPResult(
+    best = best_witness(outcomes)
+    if best is not None:
+        combo, answer = best.data
+        return RCDPResult(
+            status=RCDPStatus.INCOMPLETE,
+            certificate=IncompletenessCertificate(
+                extension_facts=tuple(combo), new_answer=answer),
+            explanation=(
+                f"brute force found a {len(combo)}-fact consistent "
+                f"extension changing the answer"),
+            statistics=stats, bound=max_extra_facts)
+
+    exhausted = first_exhausted(outcomes)
+    if exhausted is not None:
+        shards = resume_shards(outcomes)
+        return exhausted_result(RCDPResult(
             status=RCDPStatus.EXHAUSTED,
             explanation=(
-                f"brute-force search interrupted ({interrupt.reason}) "
-                f"after {position} extension set(s); resume from the "
-                f"checkpoint to continue"),
-            statistics=_stats(), checkpoint=checkpoint,
-            interrupted=interrupt.reason, bound=max_extra_facts)
-        if on_exhausted == "error":
-            interrupt.statistics = partial.statistics
-            interrupt.partial_result = partial
-            interrupt.checkpoint = checkpoint
-            raise
-        return partial
+                f"brute-force search interrupted ({exhausted.reason}) "
+                f"after {sum(s.skip for s in shards)} extension set(s); "
+                f"resume from the checkpoint to continue"),
+            statistics=stats,
+            checkpoint=search_checkpoint("brute-rcdp", shards, stats),
+            interrupted=exhausted.reason, bound=max_extra_facts),
+            on_exhausted)
     return RCDPResult(
         status=RCDPStatus.COMPLETE_UP_TO_BOUND,
         explanation=(
             f"no consistent answer-changing extension of ≤ "
             f"{max_extra_facts} fact(s) over a pool of {len(pool)} "
             f"candidates"),
-        statistics=_stats(),
+        statistics=stats,
         bound=max_extra_facts)
+
+
+def _brute_rcqp_kernel(run: SearchRun, payload: dict[str, Any],
+                       ) -> ShardOutcome:
+    """One shard of the candidate-database enumeration: stop at the
+    first partially closed candidate the completeness test accepts.
+    Ranks are ``(position,)`` in the flat smallest-first stream."""
+    query, master = payload["query"], payload["master"]
+    constraints = payload["constraints"]
+    empty = Instance.empty(payload["schema"])
+    context, governor = run.context, run.governor
+    beacon, beat = run.beacon, run.beat
+    run.examined_as = "candidate_sets_examined"
+    try:
+        with run.governed(), obs_span(obs_of(governor),
+                                      "enumerate_candidates"):
+            for position, combo in owned(run.shard, subsets(
+                    payload["pool"], 0, payload["max_database_size"])):
+                if beat is not None and beat.due:
+                    run.heartbeat()
+                if beacon is not None and beacon.superseded((position,)):
+                    return run.outcome("superseded")
+                if governor is not None:
+                    governor.tick("candidates")
+                run.examined += 1
+                facts = list(combo)
+                if not _extension_satisfies(empty, facts, master,
+                                            constraints, context):
+                    run.consumed += 1
+                    continue
+                candidate = _extend_unvalidated(empty, facts)
+                if payload["decidable"]:
+                    verdict = decide_rcdp(
+                        query, candidate, master, constraints,
+                        check_partially_closed=False, governor=governor,
+                        context=context, use_engine=context is not None)
+                    sound = verdict.status is RCDPStatus.COMPLETE
+                else:
+                    verdict = brute_force_rcdp(
+                        query, candidate, master, constraints,
+                        max_extra_facts=payload["completeness_bound"],
+                        values=payload["values"],
+                        check_partially_closed=False, governor=governor,
+                        context=context, use_engine=context is not None)
+                    sound = verdict.status is RCDPStatus.COMPLETE_UP_TO_BOUND
+                if sound:
+                    return run.witness((position,), candidate)
+                run.consumed += 1
+    except ExecutionInterrupted as interrupt:
+        return run.outcome("exhausted", reason=interrupt.reason)
+    return run.outcome("complete")
 
 
 @traced("brute_force_rcqp")
@@ -314,38 +373,23 @@ def brute_force_rcqp(query: Any, master: Instance,
 
     Governed (``"candidates"`` ticks, one per candidate database, with the
     nested completeness checks charging the same governor); the checkpoint
-    cursor is the flat count of candidate databases fully processed.
-    *workers* shards the candidate enumeration across processes
-    (``docs/PARALLEL.md``); the verdict is worker-count invariant.
+    cursor is ``(workers,)``, with each shard's count of candidate
+    databases fully processed in its payload.  *workers* shards the
+    candidate enumeration across processes (``docs/PARALLEL.md``); the
+    verdict is worker-count invariant.
     """
-    from repro.parallel.partition import resolve_workers
-
     count = resolve_workers(workers)
-    if count > 1:
-        from repro.parallel.api import brute_force_rcqp_parallel
-
-        return brute_force_rcqp_parallel(
-            query, master, constraints, schema, workers=count,
-            max_database_size=max_database_size, values=values,
-            completeness_bound=completeness_bound, budget=budget,
-            governor=governor, on_exhausted=on_exhausted,
-            resume_from=resume_from, use_engine=use_engine,
-            context=context, backend=backend)
     validate_exhaustion_mode(on_exhausted)
     governor = resolve_governor(governor, budget)
-    obs = obs_of(governor)
     context = resolve_context(context, use_engine, backend)
     engine_base = (context.statistics.copy() if context is not None
                    else None)
     values = resolve_value_pool(query, constraints, schema, (master,),
                                 values, context)
-    pool = candidate_fact_pool(schema, values)
-    empty = Instance.empty(schema)
+    pool = tuple(candidate_fact_pool(schema, values))
 
     decidable = True
     try:
-        from repro.core.rcdp import assert_decidable_configuration
-
         assert_decidable_configuration(query, constraints)
     except UndecidableConfigurationError as exc:
         decidable = False
@@ -354,100 +398,58 @@ def brute_force_rcqp(query: Any, master: Instance,
                 "brute_force_rcqp on an undecidable configuration needs "
                 "an explicit completeness_bound") from exc
 
-    base_stats = SearchStatistics()
-    to_skip = 0
+    stats = SearchStatistics()
+    shards = fresh_shards(count)
     if resume_from is not None:
-        resume_from.require("brute-rcqp")
-        (to_skip,) = resume_from.cursor
-        base_stats = resume_from.base_statistics()
-    position = to_skip
-    examined = 0
+        _, shards, _ = resume_point(resume_from, "brute-rcqp", count)
+        stats = resume_from.base_statistics()
+    payload = dict(query=query, master=master,
+                   constraints=tuple(constraints), schema=schema,
+                   max_database_size=max_database_size, pool=pool,
+                   values=tuple(values),
+                   completeness_bound=completeness_bound,
+                   decidable=decidable)
+    if count == 1:
+        outcomes = [run_inline(_brute_rcqp_kernel, payload, shards[0],
+                               governor, context)]
+    else:
+        from repro.parallel.api import brute_force_rcqp_parallel
 
-    def _stats() -> SearchStatistics:
-        stats = base_stats.merged(SearchStatistics(
-            candidate_sets_examined=examined))
-        if engine_base is not None:
-            stats = stats.merged(context.statistics.since(engine_base))
-        return stats
+        outcomes = brute_force_rcqp_parallel(
+            "brute-rcqp", _brute_rcqp_kernel, payload, shards,
+            governor=governor, context=context)
+    stats = stats.merged(total_statistics(outcomes))
+    if context is not None:
+        stats = stats.merged(context.statistics.since(engine_base))
 
-    governed = (context.governed(governor) if context is not None
-                else nullcontext())
-    try:
-        skip = to_skip
-        with governed, obs_span(obs, "enumerate_candidates"):
-            for size in range(0, max_database_size + 1):
-                for combo in itertools.combinations(pool, size):
-                    if skip > 0:
-                        skip -= 1
-                        continue
-                    if governor is not None:
-                        governor.tick("candidates")
-                    examined += 1
-                    combo_facts = list(combo)
-                    if context is not None:
-                        compatible = satisfies_all_extension(
-                            empty, combo_facts, master, constraints,
-                            context=context)
-                    else:
-                        candidate = _extend_unvalidated(empty, combo_facts)
-                        compatible = satisfies_all(candidate, master,
-                                                   constraints)
-                    if not compatible:
-                        position += 1
-                        continue
-                    if context is not None:
-                        candidate = _extend_unvalidated(empty, combo_facts)
-                    if decidable:
-                        verdict = decide_rcdp(
-                            query, candidate, master, constraints,
-                            check_partially_closed=False,
-                            governor=governor, context=context,
-                            use_engine=context is not None)
-                        sound = verdict.status is RCDPStatus.COMPLETE
-                    else:
-                        verdict = brute_force_rcdp(
-                            query, candidate, master, constraints,
-                            max_extra_facts=completeness_bound,
-                            values=values, check_partially_closed=False,
-                            governor=governor, context=context,
-                            use_engine=context is not None)
-                        sound = (verdict.status
-                                 is RCDPStatus.COMPLETE_UP_TO_BOUND)
-                    if sound:
-                        note = ("witness verified by the exact RCDP decider"
-                                if decidable else
-                                f"witness only checked up to extensions of "
-                                f"{completeness_bound} fact(s) — "
-                                f"configuration is undecidable")
-                        return RCQPResult(
-                            status=RCQPStatus.NONEMPTY,
-                            witness=candidate,
-                            explanation=note,
-                            statistics=_stats(),
-                            bound=max_database_size)
-                    position += 1
-    except ExecutionInterrupted as interrupt:
-        checkpoint = SearchCheckpoint(
-            procedure="brute-rcqp", cursor=(position,),
-            statistics=_stats())
-        partial = RCQPResult(
+    best = best_witness(outcomes)
+    if best is not None:
+        note = ("witness verified by the exact RCDP decider"
+                if decidable else
+                f"witness only checked up to extensions of "
+                f"{completeness_bound} fact(s) — configuration is "
+                f"undecidable")
+        return RCQPResult(status=RCQPStatus.NONEMPTY, witness=best.data,
+                          explanation=note, statistics=stats,
+                          bound=max_database_size)
+
+    exhausted = first_exhausted(outcomes)
+    if exhausted is not None:
+        shards = resume_shards(outcomes)
+        return exhausted_result(RCQPResult(
             status=RCQPStatus.EXHAUSTED,
             explanation=(
-                f"brute-force search interrupted ({interrupt.reason}) "
-                f"after {position} candidate database(s); resume from "
-                f"the checkpoint to continue"),
-            statistics=_stats(), checkpoint=checkpoint,
-            interrupted=interrupt.reason, bound=max_database_size)
-        if on_exhausted == "error":
-            interrupt.statistics = partial.statistics
-            interrupt.partial_result = partial
-            interrupt.checkpoint = checkpoint
-            raise
-        return partial
+                f"brute-force search interrupted ({exhausted.reason}) "
+                f"after {sum(s.skip for s in shards)} candidate "
+                f"database(s); resume from the checkpoint to continue"),
+            statistics=stats,
+            checkpoint=search_checkpoint("brute-rcqp", shards, stats),
+            interrupted=exhausted.reason, bound=max_database_size),
+            on_exhausted)
     return RCQPResult(
         status=RCQPStatus.EMPTY_UP_TO_BOUND,
         explanation=(
             f"no relatively complete database of ≤ {max_database_size} "
             f"fact(s) over a pool of {len(pool)} candidate facts"),
-        statistics=_stats(),
+        statistics=stats,
         bound=max_database_size)

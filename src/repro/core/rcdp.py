@@ -18,6 +18,10 @@ CQ), Corollary 3.4 (C3 for INDs), and Corollary 3.5 (C4 for UCQ):
    instantiated tableau is returned as a certificate.  If no guess survives,
    ``D`` is COMPLETE.
 
+Steps 1–5 are one search kernel (:func:`_rcdp_kernel`), run in-process as
+shard 0 of 1 or, with ``workers > 1``, once per shard across a worker pool
+(:mod:`repro.core.search`, ``docs/PARALLEL.md``).
+
 The enumeration is *governed* (:mod:`repro.runtime`): a budget, deadline,
 cancellation token, or injected fault can interrupt it at any valuation
 boundary.  Under ``on_exhausted="partial"`` the decider then degrades
@@ -34,7 +38,6 @@ FO / FP queries or constraints raise
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Any, Callable, Sequence
 
 from repro.analysis.diagnostics import Report
@@ -46,6 +49,11 @@ from repro.constraints.containment import (ContainmentConstraint,
 from repro.core.results import (IncompletenessCertificate,
                                 MissingAnswersReport, RCDPResult,
                                 RCDPStatus, SearchStatistics)
+from repro.core.search import (SearchRun, ShardOutcome, best_witness,
+                               exhausted_result, first_exhausted,
+                               fresh_shards, merged_finds, resolve_workers,
+                               resume_point, resume_shards, run_inline,
+                               search_checkpoint, total_statistics)
 from repro.core.valuations import ActiveDomain, iter_valid_valuations
 from repro.engine import EvaluationContext, decision_key
 from repro.errors import (ExecutionInterrupted, NotPartiallyClosedError,
@@ -148,6 +156,19 @@ def ensure_partially_closed(
 _extend_unvalidated = extend_unvalidated
 
 
+def _extension_satisfies(database: Instance, delta: Sequence[Any],
+                         master: Instance,
+                         constraints: Sequence[ContainmentConstraint],
+                         context: EvaluationContext | None) -> bool:
+    """``(D ∪ Δ, Dm) ⊨ V`` — on the engine's delta path with a context,
+    by materializing ``D ∪ Δ`` without one."""
+    if context is not None:
+        return satisfies_all_extension(database, delta, master,
+                                       constraints, context=context)
+    return satisfies_all(extend_unvalidated(database, delta), master,
+                         constraints)
+
+
 def split_ind_constraints(
         constraints: Sequence[ContainmentConstraint], master: Instance,
         *, use_ind_pruning: bool = True,
@@ -214,6 +235,139 @@ def _prepare_search(query: Any, database: Instance, master: Instance,
                         pin=(query, database, master, *constraints))
 
 
+def _prepare_kernel(run: SearchRun, payload: dict[str, Any],
+                    use_ind_pruning: bool = True) -> tuple:
+    """The C1–C4 search space: ``(tableaux, adom, Q(D), row_filter,
+    non-IND constraints)``, built on the run's context."""
+    query, database = payload["query"], payload["database"]
+    master, constraints = payload["master"], payload["constraints"]
+    context = run.context
+    obs = obs_of(run.governor)
+    with obs_span(obs, "compile_plans"):
+        tableaux, adom = _prepare_search(query, database, master,
+                                         constraints, context)
+    with obs_span(obs, "evaluate_Q"):
+        answers = (context.evaluate(query, database)
+                   if context is not None else query.evaluate(database))
+    row_filter, other_constraints = split_ind_constraints(
+        constraints, master, use_ind_pruning=use_ind_pruning,
+        context=context)
+    return tableaux, adom, answers, row_filter, other_constraints
+
+
+def _rcdp_kernel(run: SearchRun, payload: dict[str, Any]) -> ShardOutcome:
+    """Steps 1–5 over one shard: stop at the first valuation whose
+    instantiation adds an answer while keeping ``V`` satisfied.  Ranks
+    are ``(tableau_index, prefix_index, position)``."""
+    tableaux, adom, answers, row_filter, other_constraints = \
+        _prepare_kernel(run, payload, payload["use_ind_pruning"])
+    database, master = payload["database"], payload["master"]
+    context, governor = run.context, run.governor
+    beacon, beat, skip = run.beacon, run.beat, run.shard.skip
+    try:
+        with run.governed(), obs_span(obs_of(governor),
+                                      "enumerate_valuations"):
+            for tableau_index, tableau in enumerate(tableaux):
+                if not tableau.satisfiable:
+                    continue
+                for prefix, position, valuation in iter_valid_valuations(
+                        tableau, adom, fresh="own", row_filter=row_filter,
+                        shard=run.shard):
+                    if skip:
+                        skip -= 1
+                        continue
+                    if beat is not None and beat.due:
+                        run.heartbeat()
+                    rank = (tableau_index, prefix, position)
+                    if beacon is not None and beacon.superseded(rank):
+                        return run.outcome("superseded")
+                    if governor is not None:
+                        governor.tick("valuations")
+                    run.examined += 1
+                    summary = tableau.summary_under(valuation)
+                    if summary in answers:
+                        run.consumed += 1
+                        continue
+                    delta = tableau.instantiate(valuation)
+                    run.checks += 1
+                    if not other_constraints or _extension_satisfies(
+                            database, delta, master, other_constraints,
+                            context):
+                        return run.witness(rank, (tuple(delta), summary,
+                                                  tableau.query.name))
+                    run.consumed += 1
+    except ExecutionInterrupted as interrupt:
+        return run.outcome("exhausted", reason=interrupt.reason)
+    return run.outcome("complete")
+
+
+def _missing_kernel(run: SearchRun, payload: dict[str, Any],
+                    ) -> ShardOutcome:
+    """The C1–C4 enumeration over one shard without the early exit:
+    every constraint-consistent new answer, keyed to the rank of its
+    first occurrence in :attr:`SearchRun.found`."""
+    tableaux, adom, answers, row_filter, other_constraints = \
+        _prepare_kernel(run, payload)
+    database, master = payload["database"], payload["master"]
+    limit = payload["limit"]
+    context, governor = run.context, run.governor
+    beat, skip, found = run.beat, run.shard.skip, run.found
+    try:
+        with run.governed(), obs_span(obs_of(governor),
+                                      "enumerate_valuations"):
+            for tableau_index, tableau in enumerate(tableaux):
+                if not tableau.satisfiable:
+                    continue
+                for prefix, position, valuation in iter_valid_valuations(
+                        tableau, adom, fresh="own", row_filter=row_filter,
+                        shard=run.shard):
+                    if skip:
+                        skip -= 1
+                        continue
+                    if beat is not None and beat.due:
+                        run.heartbeat()
+                    if governor is not None:
+                        governor.tick("valuations")
+                    run.examined += 1
+                    run.consumed += 1
+                    summary = tableau.summary_under(valuation)
+                    if summary in answers or summary in found:
+                        continue
+                    if other_constraints:
+                        run.checks += 1
+                        if not _extension_satisfies(
+                                database, tableau.instantiate(valuation),
+                                master, other_constraints, context):
+                            continue
+                    found[summary] = ((tableau_index, prefix, position),
+                                      summary)
+                    if limit is not None and len(found) >= limit:
+                        # Any later find in this slice ranks after all of
+                        # these, so none can enter the rank-ordered
+                        # first `limit` answers.
+                        return run.outcome("complete")
+    except ExecutionInterrupted as interrupt:
+        return run.outcome("exhausted", reason=interrupt.reason)
+    return run.outcome("complete")
+
+
+def _validate_rcdp(query: Any, database: Instance, master: Instance,
+                   constraints: Sequence[ContainmentConstraint], obs: Any,
+                   context: EvaluationContext | None,
+                   check_partially_closed: bool, analysis: Report | None,
+                   analyze: bool) -> Report | None:
+    """The checks every RCDP-style decision makes before it searches."""
+    assert_decidable_configuration(query, constraints)
+    with obs_span(obs, "analyze"):
+        analysis = resolve_analysis(query, constraints, database, master,
+                                    analysis, analyze)
+    query.validate(database.schema)
+    if check_partially_closed:
+        with obs_span(obs, "check_ccs"):
+            ensure_partially_closed(database, master, constraints, context)
+    return analysis
+
+
 @traced("decide_rcdp")
 def decide_rcdp(query: Any, database: Instance, master: Instance,
                 constraints: Sequence[ContainmentConstraint],
@@ -264,9 +418,10 @@ def decide_rcdp(query: Any, database: Instance, master: Instance,
         decider returns an ``EXHAUSTED`` result instead.
     resume_from:
         A checkpoint from a previous interrupted ``decide_rcdp`` run *on
-        the same inputs*; the enumeration fast-forwards past the already-
-        examined (and rejected) prefix without charging the governor, and
-        statistics are reported cumulatively.
+        the same inputs* and with the same worker count; the enumeration
+        fast-forwards past the already-examined (and rejected) prefix
+        without charging the governor, and statistics are reported
+        cumulatively.
     use_engine:
         When True (default), evaluation runs on the
         :mod:`repro.engine` — compiled plans, hash-indexed joins, and
@@ -301,10 +456,9 @@ def decide_rcdp(query: Any, database: Instance, master: Instance,
         analyze once and share).
     workers:
         Shard the valuation search across this many worker processes
-        (``1`` = serial, ``0`` = all cores; see ``docs/PARALLEL.md``).
-        The verdict — including which witness is reported — is identical
-        for every worker count.  Parallel checkpoints record the worker
-        count and must be resumed with the same one.
+        (``1`` = in-process, ``0`` = all cores; see
+        ``docs/PARALLEL.md``).  The verdict — including which witness is
+        reported — is identical for every worker count.
 
     Returns
     -------
@@ -312,44 +466,27 @@ def decide_rcdp(query: Any, database: Instance, master: Instance,
         COMPLETE, INCOMPLETE with an
         :class:`~repro.core.results.IncompletenessCertificate`, or
         EXHAUSTED (only under ``on_exhausted="partial"``) with a
-        checkpoint.  The checkpoint cursor is ``(tableau_index,
-        valuations_consumed_in_that_tableau)``.
+        checkpoint.  The checkpoint cursor is ``(workers,)``; its payload
+        holds each shard's resume point (valuations consumed, slice
+        done).
     """
-    from repro.parallel.partition import resolve_workers
-
     count = resolve_workers(workers)
-    if count > 1:
-        from repro.parallel.api import decide_rcdp_parallel
-
-        return decide_rcdp_parallel(
-            query, database, master, constraints, workers=count,
-            check_partially_closed=check_partially_closed, budget=budget,
-            use_ind_pruning=use_ind_pruning, governor=governor,
-            on_exhausted=on_exhausted, resume_from=resume_from,
-            use_engine=use_engine, context=context, backend=backend,
-            analyze=analyze, analysis=analysis)
     validate_exhaustion_mode(on_exhausted)
     governor = resolve_governor(governor, budget)
     obs = obs_of(governor)
     context = resolve_context(context, use_engine, backend)
     engine_base = (context.statistics.copy() if context is not None
                    else None)
-    assert_decidable_configuration(query, constraints)
-    with obs_span(obs, "analyze"):
-        analysis = resolve_analysis(query, constraints, database, master,
-                                    analysis, analyze)
+    analysis = _validate_rcdp(query, database, master, constraints, obs,
+                              context, check_partially_closed, analysis,
+                              analyze)
     # Resumed searches already counted the warnings in the checkpoint's
     # base statistics; recounting would double them.
-    fresh_warnings = (len(analysis.warnings)
-                      if analysis is not None and resume_from is None
-                      else 0)
-    query.validate(database.schema)
-    if check_partially_closed:
-        with obs_span(obs, "check_ccs"):
-            ensure_partially_closed(database, master, constraints, context)
+    stats = SearchStatistics(analysis_warnings=(
+        len(analysis.warnings)
+        if analysis is not None and resume_from is None else 0))
 
     if analysis is not None and analysis.facts.query_provably_empty:
-        stats = SearchStatistics(analysis_warnings=fresh_warnings)
         if context is not None:
             stats = stats.merged(context.statistics.since(engine_base))
         return RCDPResult(
@@ -361,105 +498,51 @@ def decide_rcdp(query: Any, database: Instance, master: Instance,
                 "relatively complete"),
             statistics=stats)
 
-    with obs_span(obs, "compile_plans"):
-        tableaux, adom = _prepare_search(query, database, master,
-                                         constraints, context)
-    with obs_span(obs, "evaluate_Q"):
-        answers = (context.evaluate(query, database)
-                   if context is not None else query.evaluate(database))
-
-    row_filter, other_constraints = split_ind_constraints(
-        constraints, master, use_ind_pruning=use_ind_pruning,
-        context=context)
-
-    start_tableau, start_position = 0, 0
-    base_stats = SearchStatistics()
+    shards = fresh_shards(count)
     if resume_from is not None:
-        resume_from.require("rcdp")
-        start_tableau, start_position = resume_from.cursor
-        base_stats = resume_from.base_statistics()
+        _, shards, _ = resume_point(resume_from, "rcdp", count)
+        stats = stats.merged(resume_from.base_statistics())
+    payload = dict(query=query, database=database, master=master,
+                   constraints=tuple(constraints),
+                   use_ind_pruning=use_ind_pruning)
+    if count == 1:
+        outcomes = [run_inline(_rcdp_kernel, payload, shards[0], governor,
+                               context)]
+    else:
+        from repro.parallel.api import decide_rcdp_parallel
 
-    def _stats() -> SearchStatistics:
-        stats = base_stats.merged(SearchStatistics(
-            valuations_examined=examined,
-            constraint_checks=constraint_checks,
-            analysis_warnings=fresh_warnings))
-        if context is not None:
-            stats = stats.merged(context.statistics.since(engine_base))
-        return stats
+        outcomes = decide_rcdp_parallel(
+            "rcdp", _rcdp_kernel, payload, shards, governor=governor,
+            context=context)
+    stats = stats.merged(total_statistics(outcomes))
+    if context is not None:
+        stats = stats.merged(context.statistics.since(engine_base))
 
-    examined = 0
-    constraint_checks = 0
-    tableau_index = start_tableau
-    position = start_position
-    governed = (context.governed(governor) if context is not None
-                else nullcontext())
-    try:
-        with governed, obs_span(obs, "enumerate_valuations"):
-            for tableau_index, tableau in enumerate(tableaux):
-                if tableau_index < start_tableau or not tableau.satisfiable:
-                    continue
-                to_skip = (start_position if tableau_index == start_tableau
-                           else 0)
-                position = to_skip
-                for valuation in iter_valid_valuations(
-                        tableau, adom, fresh="own", row_filter=row_filter):
-                    if to_skip > 0:
-                        to_skip -= 1
-                        continue
-                    if governor is not None:
-                        governor.tick("valuations")
-                    examined += 1
-                    summary = tableau.summary_under(valuation)
-                    if summary in answers:
-                        position += 1
-                        continue
-                    delta = tableau.instantiate(valuation)
-                    constraint_checks += 1
-                    if not other_constraints:
-                        satisfied = True
-                    elif context is not None:
-                        satisfied = satisfies_all_extension(
-                            database, delta, master, other_constraints,
-                            context=context)
-                    else:
-                        candidate = _extend_unvalidated(database, delta)
-                        satisfied = satisfies_all(candidate, master,
-                                                  other_constraints)
-                    if satisfied:
-                        certificate = IncompletenessCertificate(
-                            extension_facts=tuple(delta),
-                            new_answer=summary,
-                            disjunct_name=tableau.query.name)
-                        return RCDPResult(
-                            status=RCDPStatus.INCOMPLETE,
-                            certificate=certificate,
-                            explanation=(
-                                f"adding {len(delta)} fact(s) keeps V "
-                                f"satisfied but produces the new answer "
-                                f"{summary!r}"),
-                            statistics=_stats())
-                    position += 1
-    except ExecutionInterrupted as interrupt:
-        stats = _stats()
-        checkpoint = SearchCheckpoint(
-            procedure="rcdp", cursor=(tableau_index, position),
+    best = best_witness(outcomes)
+    if best is not None:
+        delta, summary, disjunct_name = best.data
+        return RCDPResult(
+            status=RCDPStatus.INCOMPLETE,
+            certificate=IncompletenessCertificate(
+                extension_facts=delta, new_answer=summary,
+                disjunct_name=disjunct_name),
+            explanation=(
+                f"adding {len(delta)} fact(s) keeps V satisfied but "
+                f"produces the new answer {summary!r}"),
             statistics=stats)
-        partial = RCDPResult(
+
+    exhausted = first_exhausted(outcomes)
+    if exhausted is not None:
+        return exhausted_result(RCDPResult(
             status=RCDPStatus.EXHAUSTED,
             explanation=(
-                f"search interrupted ({interrupt.reason}) after "
+                f"search interrupted ({exhausted.reason}) after "
                 f"{stats.valuations_examined} valuation(s); resume from "
                 f"the checkpoint to continue"),
             statistics=stats,
-            checkpoint=checkpoint,
-            interrupted=interrupt.reason)
-        if on_exhausted == "error":
-            interrupt.statistics = stats
-            interrupt.partial_result = partial
-            interrupt.checkpoint = checkpoint
-            raise
-        return partial
+            checkpoint=search_checkpoint("rcdp", resume_shards(outcomes),
+                                         stats),
+            interrupted=exhausted.reason), on_exhausted)
 
     return RCDPResult(
         status=RCDPStatus.COMPLETE,
@@ -467,7 +550,7 @@ def decide_rcdp(query: Any, database: Instance, master: Instance,
             "no valid valuation over the active domain extends D "
             "consistently with V while changing Q(D) "
             "(conditions C1/C2 hold)"),
-        statistics=_stats())
+        statistics=stats)
 
 
 @traced("missing_answers_report")
@@ -501,140 +584,72 @@ def missing_answers_report(query: Any, database: Instance,
     *limit* truncates the enumeration once that many missing answers have
     been found; a *budget*/*governor* interrupts it mid-search.  In both
     cases ``exhaustive`` is False and the answer set is a lower bound; an
-    interrupted report additionally carries a resumable checkpoint whose
-    payload preserves the answers already found (cursor layout:
-    ``(tableau_index, valuations_consumed)``).  *on_exhausted* defaults
-    to ``"partial"`` here — a truncated margin is still useful — but
-    ``"error"`` gives strict-mode callers the historical raising behavior
-    with the partial report attached to the exception.
+    interrupted report additionally carries a resumable checkpoint (cursor
+    ``(workers,)``) whose per-shard resume points preserve the answers
+    already found.  *on_exhausted* defaults to ``"partial"`` here — a
+    truncated margin is still useful — but ``"error"`` gives strict-mode
+    callers the historical raising behavior with the partial report
+    attached to the exception.  *workers* shards the enumeration like
+    :func:`decide_rcdp`'s.
     """
-    from repro.parallel.partition import resolve_workers
-
     count = resolve_workers(workers)
-    if count > 1:
-        from repro.parallel.api import missing_answers_parallel
-
-        return missing_answers_parallel(
-            query, database, master, constraints, workers=count,
-            limit=limit, check_partially_closed=check_partially_closed,
-            budget=budget, governor=governor, on_exhausted=on_exhausted,
-            resume_from=resume_from, use_engine=use_engine,
-            context=context, backend=backend, analyze=analyze,
-            analysis=analysis)
     validate_exhaustion_mode(on_exhausted)
     governor = resolve_governor(governor, budget)
     obs = obs_of(governor)
     context = resolve_context(context, use_engine, backend)
     engine_base = (context.statistics.copy() if context is not None
                    else None)
-    assert_decidable_configuration(query, constraints)
-    with obs_span(obs, "analyze"):
-        analysis = resolve_analysis(query, constraints, database, master,
-                                    analysis, analyze)
-    fresh_warnings = (len(analysis.warnings)
-                      if analysis is not None and resume_from is None
-                      else 0)
-    query.validate(database.schema)
-    if check_partially_closed:
-        with obs_span(obs, "check_ccs"):
-            ensure_partially_closed(database, master, constraints, context)
+    analysis = _validate_rcdp(query, database, master, constraints, obs,
+                              context, check_partially_closed, analysis,
+                              analyze)
+    stats = SearchStatistics(analysis_warnings=(
+        len(analysis.warnings)
+        if analysis is not None and resume_from is None else 0))
 
     if analysis is not None and analysis.facts.query_provably_empty:
-        stats = SearchStatistics(analysis_warnings=fresh_warnings)
         if context is not None:
             stats = stats.merged(context.statistics.since(engine_base))
         return MissingAnswersReport(answers=frozenset(),
                                     exhaustive=True, statistics=stats)
 
-    with obs_span(obs, "compile_plans"):
-        tableaux, adom = _prepare_search(query, database, master,
-                                         constraints, context)
-    with obs_span(obs, "evaluate_Q"):
-        answers = (context.evaluate(query, database)
-                   if context is not None else query.evaluate(database))
-
-    row_filter, other_constraints = split_ind_constraints(
-        constraints, master, context=context)
-
-    start_tableau, start_position = 0, 0
-    base_stats = SearchStatistics()
-    missing: set[tuple] = set()
+    shards = fresh_shards(count)
     if resume_from is not None:
-        resume_from.require("missing")
-        start_tableau, start_position = resume_from.cursor
-        base_stats = resume_from.base_statistics()
-        missing.update(resume_from.payload)
+        _, shards, _ = resume_point(resume_from, "missing", count)
+        stats = stats.merged(resume_from.base_statistics())
+    payload = dict(query=query, database=database, master=master,
+                   constraints=tuple(constraints), limit=limit)
+    if count == 1:
+        outcomes = [run_inline(_missing_kernel, payload, shards[0],
+                               governor, context)]
+    else:
+        from repro.parallel.api import missing_answers_parallel
 
-    examined = 0
-    constraint_checks = 0
-    tableau_index = start_tableau
-    position = start_position
-    def _stats() -> SearchStatistics:
-        stats = base_stats.merged(SearchStatistics(
-            valuations_examined=examined,
-            constraint_checks=constraint_checks,
-            analysis_warnings=fresh_warnings))
-        if context is not None:
-            stats = stats.merged(context.statistics.since(engine_base))
-        return stats
+        outcomes = missing_answers_parallel(
+            "missing", _missing_kernel, payload, shards, governor=governor,
+            context=context, use_beacon=False)
+    stats = stats.merged(total_statistics(outcomes))
+    if context is not None:
+        stats = stats.merged(context.statistics.since(engine_base))
+    answers = [summary for _, summary in merged_finds(outcomes)]
 
-    governed = (context.governed(governor) if context is not None
-                else nullcontext())
-    try:
-        with governed, obs_span(obs, "enumerate_valuations"):
-            for tableau_index, tableau in enumerate(tableaux):
-                if tableau_index < start_tableau or not tableau.satisfiable:
-                    continue
-                to_skip = (start_position if tableau_index == start_tableau
-                           else 0)
-                position = to_skip
-                for valuation in iter_valid_valuations(
-                        tableau, adom, fresh="own", row_filter=row_filter):
-                    if to_skip > 0:
-                        to_skip -= 1
-                        continue
-                    if governor is not None:
-                        governor.tick("valuations")
-                    examined += 1
-                    position += 1
-                    summary = tableau.summary_under(valuation)
-                    if summary in answers or summary in missing:
-                        continue
-                    if other_constraints:
-                        constraint_checks += 1
-                        delta = tableau.instantiate(valuation)
-                        if context is not None:
-                            if not satisfies_all_extension(
-                                    database, delta, master,
-                                    other_constraints, context=context):
-                                continue
-                        else:
-                            candidate = _extend_unvalidated(database, delta)
-                            if not satisfies_all(candidate, master,
-                                                 other_constraints):
-                                continue
-                    missing.add(summary)
-                    if limit is not None and len(missing) >= limit:
-                        return MissingAnswersReport(
-                            answers=frozenset(missing), exhaustive=False,
-                            statistics=_stats())
-    except ExecutionInterrupted as interrupt:
-        checkpoint = SearchCheckpoint(
-            procedure="missing", cursor=(tableau_index, position),
-            statistics=_stats(),
-            payload=tuple(sorted(missing, key=repr)))
-        report = MissingAnswersReport(
-            answers=frozenset(missing), exhaustive=False,
-            statistics=_stats(), checkpoint=checkpoint,
-            interrupted=interrupt.reason)
-        if on_exhausted == "error":
-            interrupt.statistics = report.statistics
-            interrupt.partial_result = report
-            interrupt.checkpoint = checkpoint
-            raise
-        return report
-    return MissingAnswersReport(
-        answers=frozenset(missing), exhaustive=True, statistics=_stats())
+    exhausted = first_exhausted(outcomes)
+    if exhausted is not None:
+        return exhausted_result(MissingAnswersReport(
+            answers=frozenset(answers), exhaustive=False, statistics=stats,
+            checkpoint=search_checkpoint("missing",
+                                         resume_shards(outcomes), stats),
+            interrupted=exhausted.reason), on_exhausted,
+            f"missing-answers scan interrupted ({exhausted.reason}); "
+            f"resume from the checkpoint to continue")
+    if limit is not None and len(answers) >= max(limit, 1):
+        # The scan stops as soon as the limit-th distinct answer appears,
+        # so it reports the first finds in stream order (one when
+        # limit == 0: the answer that tripped it).
+        return MissingAnswersReport(
+            answers=frozenset(answers[:max(limit, 1)]), exhaustive=False,
+            statistics=stats)
+    return MissingAnswersReport(answers=frozenset(answers),
+                                exhaustive=True, statistics=stats)
 
 
 def enumerate_missing_answers(query: Any, database: Instance,

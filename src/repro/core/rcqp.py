@@ -24,6 +24,11 @@ per partial valuation); the problem is NEXPTIME-complete, so *some* budget
 is unavoidable.  When the budget covers the whole unit space the EMPTY
 verdict is exact; otherwise it is reported as ``EMPTY_UP_TO_BOUND``.
 
+Each scan is one search kernel (:func:`_inds_scan_kernel`,
+:func:`_inds_build_kernel`, :func:`_rcqp_sets_kernel`), run in-process as
+shard 0 of 1 or, with ``workers > 1``, once per shard across a worker
+pool (:mod:`repro.core.search`, ``docs/PARALLEL.md``).
+
 Both engines are *governed* (:mod:`repro.runtime`): one
 :class:`~repro.runtime.ExecutionGovernor` is threaded through the unit
 enumeration, the candidate-set search, and every nested ``decide_rcdp`` /
@@ -43,11 +48,17 @@ from repro.analysis.driver import validate_for_decision
 from repro.constraints.containment import (ContainmentConstraint,
                                            satisfies_all,
                                            satisfies_all_extension)
-from repro.core.rcdp import (_extend_unvalidated,
+from repro.core.rcdp import (_extend_unvalidated, _extension_satisfies,
                              assert_decidable_configuration, decide_rcdp,
                              resolve_context)
 from repro.core.results import (RCDPStatus, RCQPResult, RCQPStatus,
                                 SearchStatistics)
+from repro.core.search import (SearchRun, ShardOutcome, best_witness,
+                               exhausted_result, first_exhausted,
+                               fresh_shards, merged_finds, owned,
+                               resolve_workers, resume_point, resume_shards,
+                               run_inline, search_checkpoint, subsets,
+                               total_statistics)
 from repro.engine import EvaluationContext
 from repro.core.valuations import ActiveDomain, iter_valid_valuations
 from repro.core.witness import make_complete
@@ -98,6 +109,90 @@ def _ind_covers_variable(tableau: Tableau, variable: Var,
     return False
 
 
+def _inds_search_space(payload: dict[str, Any],
+                       ) -> tuple[Tableau, ActiveDomain]:
+    """The tableau one E3/E4 scan enumerates, and the active domain."""
+    query, constraints = payload["query"], payload["constraints"]
+    tableaux = _query_tableaux(query, payload["schema"])
+    adom = ActiveDomain.build(
+        instances=(payload["master"],),
+        queries=[query] + [c.query for c in constraints],
+        tableaux=tableaux)
+    return tableaux[payload["tableau_index"]], adom
+
+
+def _inds_scan_kernel(run: SearchRun, payload: dict[str, Any],
+                      ) -> ShardOutcome:
+    """E3 relevance over one shard: does the tableau admit a
+    constraint-compatible valid valuation?  Relevance is existential,
+    so the first one found settles it.  Ranks are ``(prefix_index,
+    position)``."""
+    tableau, adom = _inds_search_space(payload)
+    master, constraints = payload["master"], payload["constraints"]
+    empty_base = payload["empty_base"]
+    context, governor = run.context, run.governor
+    beacon, beat, skip = run.beacon, run.beat, run.shard.skip
+    try:
+        with run.governed():
+            for prefix, position, valuation in iter_valid_valuations(
+                    tableau, adom, fresh="own", shard=run.shard):
+                if skip:
+                    skip -= 1
+                    continue
+                if beat is not None and beat.due:
+                    run.heartbeat()
+                rank = (prefix, position)
+                if beacon is not None and beacon.superseded(rank):
+                    return run.outcome("superseded")
+                if governor is not None:
+                    governor.tick("valuations")
+                run.examined += 1
+                if _extension_satisfies(empty_base,
+                                        tableau.instantiate(valuation),
+                                        master, constraints, context):
+                    return run.witness(rank, True)
+                run.consumed += 1
+    except ExecutionInterrupted as interrupt:
+        return run.outcome("exhausted", reason=interrupt.reason)
+    return run.outcome("complete")
+
+
+def _inds_build_kernel(run: SearchRun, payload: dict[str, Any],
+                       ) -> ShardOutcome:
+    """E4 witness construction over one shard: for every output tuple,
+    the first constraint-compatible instantiation of the tableau, kept
+    in :attr:`SearchRun.found` as ``(rank, summary, Δ)``.  A full scan;
+    incompatible occurrences leave their summary open."""
+    tableau, adom = _inds_search_space(payload)
+    master, constraints = payload["master"], payload["constraints"]
+    empty_base = payload["empty_base"]
+    context, governor = run.context, run.governor
+    beat, skip, found = run.beat, run.shard.skip, run.found
+    try:
+        with run.governed():
+            for prefix, position, valuation in iter_valid_valuations(
+                    tableau, adom, fresh="own", shard=run.shard):
+                if skip:
+                    skip -= 1
+                    continue
+                if beat is not None and beat.due:
+                    run.heartbeat()
+                if governor is not None:
+                    governor.tick("valuations")
+                run.examined += 1
+                summary = tableau.summary_under(valuation)
+                if summary not in found:
+                    delta = tableau.instantiate(valuation)
+                    if _extension_satisfies(empty_base, delta, master,
+                                            constraints, context):
+                        found[summary] = ((prefix, position), summary,
+                                          tuple(delta))
+                run.consumed += 1
+    except ExecutionInterrupted as interrupt:
+        return run.outcome("exhausted", reason=interrupt.reason)
+    return run.outcome("complete")
+
+
 @traced("decide_rcqp_with_inds")
 def decide_rcqp_with_inds(query: Any, master: Instance,
                           constraints: Sequence[ContainmentConstraint],
@@ -125,25 +220,15 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
     tableau producing it.
 
     Governed like :func:`decide_rcdp`; the checkpoint cursor is
-    ``(phase, index, consumed)`` where phase 0 is the relevance/
+    ``(workers, phase, index)`` where phase 0 is the relevance/
     boundedness scan (index into the tableau list) and phase 1 the
-    witness construction (index into the relevant-tableau list).
-    *workers* shards both valuation scans across processes
-    (``docs/PARALLEL.md``); the verdict is worker-count invariant.
+    witness construction (index into the relevant-tableau list); its
+    payload holds the current scan's per-shard resume points, the
+    relevant tableaux, and the witness facts built so far.  *workers*
+    shards both valuation scans across processes (``docs/PARALLEL.md``);
+    the verdict is worker-count invariant.
     """
-    from repro.parallel.partition import resolve_workers
-
     count = resolve_workers(workers)
-    if count > 1:
-        from repro.parallel.api import decide_rcqp_with_inds_parallel
-
-        return decide_rcqp_with_inds_parallel(
-            query, master, constraints, schema, workers=count,
-            construct_witness=construct_witness,
-            verify_witness=verify_witness, budget=budget,
-            governor=governor, on_exhausted=on_exhausted,
-            resume_from=resume_from, use_engine=use_engine,
-            context=context, backend=backend)
     validate_exhaustion_mode(on_exhausted)
     governor = resolve_governor(governor, budget)
     obs = obs_of(governor)
@@ -157,45 +242,56 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
                 f"decide_rcqp_with_inds requires IND constraints; "
                 f"{constraint.name!r} is not an IND")
     query.validate(schema)
-
     tableaux = _query_tableaux(query, schema)
-    adom = ActiveDomain.build(
-        instances=(master,),
-        queries=[query] + [c.query for c in constraints],
-        tableaux=tableaux)
-    # All per-valuation Δ-instances extend the one empty base, so with a
-    # context their constraint checks run on the delta path against it.
-    empty_base = Instance.empty(schema)
 
-    phase, start_index, start_consumed = 0, 0, 0
-    base_stats = SearchStatistics()
-    relevant_indices: list[int] = []
+    phase, start, shards = 0, 0, fresh_shards(count)
+    relevant: list[int] = []
     witness_facts: list[Fact] = []
-    covered_seed: tuple = ()
+    base_stats = SearchStatistics()
     if resume_from is not None:
-        resume_from.require("rcqp-inds")
-        phase, start_index, start_consumed = resume_from.cursor
+        (phase, start), shards, (carried_relevant, carried_facts) = \
+            resume_point(resume_from, "rcqp-inds", count)
+        relevant, witness_facts = list(carried_relevant), list(carried_facts)
         base_stats = resume_from.base_statistics()
-        if phase == 0:
-            relevant_indices = list(resume_from.payload[0]) \
-                if resume_from.payload else []
-        else:
-            rel_idx, facts, covered_seed = resume_from.payload
-            relevant_indices = list(rel_idx)
-            witness_facts = list(facts)
+    searched = SearchStatistics()
 
-    examined = 0
     def _stats() -> SearchStatistics:
-        stats = base_stats.merged(
-            SearchStatistics(valuations_examined=examined))
+        stats = base_stats.merged(searched)
         if context is not None:
             stats = stats.merged(context.statistics.since(engine_base))
         return stats
 
-    # Mutable frontier the except-block snapshots into a checkpoint.
-    frontier: dict[str, Any] = {
-        "phase": phase, "index": start_index, "consumed": start_consumed,
-        "covered": set(covered_seed)}
+    def _exhausted(cursor_phase: int, index: int, at: list,
+                   reason: str) -> RCQPResult:
+        stats = _stats()
+        return exhausted_result(RCQPResult(
+            status=RCQPStatus.EXHAUSTED,
+            explanation=(
+                f"search interrupted ({reason}) after "
+                f"{stats.valuations_examined} valuation(s); resume from "
+                f"the checkpoint to continue"),
+            statistics=stats,
+            checkpoint=search_checkpoint(
+                "rcqp-inds", at, stats, position=(cursor_phase, index),
+                extra=(tuple(relevant), tuple(witness_facts))),
+            interrupted=reason), on_exhausted)
+
+    # Every per-valuation Δ extends this one empty base, so with a
+    # context the constraint checks run on the delta path against it.
+    payload = dict(query=query, master=master,
+                   constraints=tuple(constraints), schema=schema,
+                   empty_base=Instance.empty(schema))
+
+    def _scan(kind: str, kernel: Any, tableau_index: int,
+              shards: list, use_beacon: bool) -> list[ShardOutcome]:
+        task = dict(payload, tableau_index=tableau_index)
+        if count == 1:
+            return [run_inline(kernel, task, shards[0], governor, context)]
+        from repro.parallel.api import decide_rcqp_with_inds_parallel
+
+        return decide_rcqp_with_inds_parallel(
+            kind, kernel, task, shards, governor=governor,
+            context=context, use_beacon=use_beacon)
 
     prev_governor = context.governor if context is not None else None
     if context is not None:
@@ -203,41 +299,23 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
     try:
         if phase == 0:
             with obs_span(obs, "enumerate_E3"):
-                for t_index, tableau in enumerate(tableaux):
-                    if t_index < start_index:
-                        continue
-                    to_skip = (start_consumed if t_index == start_index
-                               else 0)
-                    frontier["index"], frontier["consumed"] = \
-                        t_index, to_skip
-                    compatible_exists = False
-                    for valuation in iter_valid_valuations(
-                            tableau, adom, fresh="own"):
-                        if to_skip > 0:
-                            to_skip -= 1
-                            continue
-                        if governor is not None:
-                            governor.tick("valuations")
-                        examined += 1
-                        delta = tableau.instantiate(valuation)
-                        if context is not None:
-                            compatible = satisfies_all_extension(
-                                empty_base, delta, master, constraints,
-                                context=context)
-                        else:
-                            compatible = satisfies_all(
-                                _facts_instance(schema, delta), master,
-                                constraints)
-                        if compatible:
-                            compatible_exists = True
-                            break
-                        frontier["consumed"] += 1
-                    if not compatible_exists:
+                for t_index in range(start, len(tableaux)):
+                    outcomes = _scan("inds-scan", _inds_scan_kernel,
+                                     t_index, shards, True)
+                    shards = fresh_shards(count)
+                    searched = searched.merged(total_statistics(outcomes))
+                    if best_witness(outcomes) is None:
+                        exhausted = first_exhausted(outcomes)
+                        if exhausted is not None:
+                            return _exhausted(0, t_index,
+                                              resume_shards(outcomes),
+                                              exhausted.reason)
                         # The disjunct can never fire in a partially
                         # closed database; it cannot break boundedness
                         # (second case of Prop. 4.3).
                         continue
-                    relevant_indices.append(t_index)
+                    relevant.append(t_index)
+                    tableau = tableaux[t_index]
                     for variable in sorted(tableau.summary_variables(),
                                            key=lambda v: v.name):
                         if tableau.has_finite_domain(variable):
@@ -253,89 +331,39 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
                                     f"covered by any IND (conditions "
                                     f"E3/E4 both fail)"),
                                 statistics=_stats())
-            frontier.update(phase=1, index=0, consumed=0)
-            start_index, start_consumed = 0, 0
-            covered_seed = ()
+            start, shards = 0, fresh_shards(count)
 
         witness = None
         if construct_witness:
-            relevant = [tableaux[i] for i in relevant_indices]
-            frontier["phase"] = 1
             with obs_span(obs, "enumerate_E4"):
-                for r_pos, tableau in enumerate(relevant):
-                    if r_pos < start_index:
-                        continue
-                    to_skip = (start_consumed if r_pos == start_index
-                               else 0)
-                    covered: set[tuple] = (
-                        set(covered_seed) if r_pos == start_index
-                        else set())
-                    frontier.update(index=r_pos, consumed=to_skip,
-                                    covered=covered)
-                    for valuation in iter_valid_valuations(
-                            tableau, adom, fresh="own"):
-                        if to_skip > 0:
-                            to_skip -= 1
-                            continue
-                        if governor is not None:
-                            governor.tick("valuations")
-                        examined += 1
-                        summary = tableau.summary_under(valuation)
-                        if summary not in covered:
-                            delta = tableau.instantiate(valuation)
-                            if context is not None:
-                                compatible = satisfies_all_extension(
-                                    empty_base, delta, master,
-                                    constraints, context=context)
-                            else:
-                                compatible = satisfies_all(
-                                    _facts_instance(schema, delta),
-                                    master, constraints)
-                            if compatible:
-                                covered.add(summary)
-                                witness_facts.extend(delta)
-                        frontier["consumed"] += 1
-            # Verification restarts from scratch on resume: mark the
-            # frontier past the whole build so a resumed run re-enters
-            # here directly with the payload facts.
-            frontier.update(index=len(relevant), consumed=0,
-                            covered=set())
+                for r_pos in range(start, len(relevant)):
+                    outcomes = _scan("inds-build", _inds_build_kernel,
+                                     relevant[r_pos], shards, False)
+                    shards = fresh_shards(count)
+                    searched = searched.merged(total_statistics(outcomes))
+                    exhausted = first_exhausted(outcomes)
+                    if exhausted is not None:
+                        return _exhausted(1, r_pos, resume_shards(outcomes),
+                                          exhausted.reason)
+                    for _, _, delta in merged_finds(outcomes):
+                        witness_facts.extend(delta)
             witness = _facts_instance(schema, witness_facts)
             if verify_witness:
-                with obs_span(obs, "verify_witness"):
-                    verdict = decide_rcdp(
-                        query, witness, master, constraints,
-                        governor=governor, context=context,
-                        use_engine=context is not None)
+                try:
+                    with obs_span(obs, "verify_witness"):
+                        verdict = decide_rcdp(
+                            query, witness, master, constraints,
+                            governor=governor, context=context,
+                            use_engine=context is not None, workers=count)
+                except ExecutionInterrupted as interrupt:
+                    # Verification restarts from scratch on resume: the
+                    # cursor points past the whole build.
+                    return _exhausted(1, len(relevant), fresh_shards(count),
+                                      interrupt.reason)
                 if verdict.status is not RCDPStatus.COMPLETE:
                     raise ReproError(
                         "internal error: Proposition 4.3 witness failed "
                         "RCDP verification — please report this as a bug")
-    except ExecutionInterrupted as interrupt:
-        if frontier["phase"] == 0:
-            payload: tuple = (tuple(relevant_indices),)
-        else:
-            payload = (tuple(relevant_indices), tuple(witness_facts),
-                       tuple(sorted(frontier["covered"], key=repr)))
-        checkpoint = SearchCheckpoint(
-            procedure="rcqp-inds",
-            cursor=(frontier["phase"], frontier["index"],
-                    frontier["consumed"]),
-            statistics=_stats(), payload=payload)
-        partial = RCQPResult(
-            status=RCQPStatus.EXHAUSTED,
-            explanation=(
-                f"search interrupted ({interrupt.reason}) after "
-                f"{_stats().valuations_examined} valuation(s); resume "
-                f"from the checkpoint to continue"),
-            statistics=_stats(), checkpoint=checkpoint,
-            interrupted=interrupt.reason)
-        if on_exhausted == "error":
-            interrupt.statistics = _stats()
-            interrupt.partial_result = partial
-            interrupt.checkpoint = checkpoint
-            raise
-        return partial
     finally:
         if context is not None:
             context.governor = prev_governor
@@ -488,6 +516,99 @@ def _candidate_is_bounding(schema: DatabaseSchema, master: Instance,
     return True
 
 
+def _rcqp_search_space(query: Any, master: Instance,
+                       constraints: Sequence[ContainmentConstraint],
+                       schema: DatabaseSchema,
+                       ) -> tuple[list[Tableau], list[Tableau], ActiveDomain]:
+    """``(query tableaux, constraint tableaux, Adom)`` of the general
+    search.  The construction is deterministic, so a kernel rebuilding it
+    in a worker reproduces the decider's fresh-value labels and pickled
+    :class:`ValuationUnit` facts compare equal to its own valuations."""
+    q_tableaux = _query_tableaux(query, schema)
+    cc_tableaux = _constraint_tableaux(constraints, schema)
+    adom = ActiveDomain.build(
+        instances=(master,),
+        queries=[query] + [c.query for c in constraints],
+        tableaux=list(q_tableaux) + cc_tableaux)
+    return q_tableaux, cc_tableaux, adom
+
+
+def _verified_witness(payload: dict[str, Any], combo: Sequence[ValuationUnit],
+                      q_tableaux: Sequence[Tableau], adom: ActiveDomain,
+                      ground_rows: list[Fact], governor: Any,
+                      context: EvaluationContext | None, obs: Any,
+                      ) -> Instance | None:
+    """The witness database of one candidate set, or None: ``D_V`` must
+    bound the query (E2/E6) and satisfy ``V`` with the ground tableau
+    rows added, close under certificate completion, and (with
+    ``verify_witness``) pass the exact RCDP decider."""
+    query, master = payload["query"], payload["master"]
+    constraints, schema = payload["constraints"], payload["schema"]
+    dv_facts = frozenset().union(*(unit.facts for unit in combo))
+    bound_values = frozenset().union(*(unit.summary_values
+                                       for unit in combo))
+    if not _candidate_is_bounding(schema, master, constraints, q_tableaux,
+                                  adom, dv_facts, bound_values,
+                                  governor=governor, context=context):
+        return None
+    witness = _facts_instance(schema, list(dv_facts) + ground_rows)
+    if not satisfies_all(witness, master, constraints, context=context):
+        return None
+    outcome = make_complete(
+        query, witness, master, constraints,
+        max_rounds=payload["max_completion_rounds"], governor=governor,
+        on_exhausted="error", context=context,
+        use_engine=context is not None)
+    if not outcome.complete:
+        return None
+    if payload["verify_witness"]:
+        with obs_span(obs, "verify_witness"):
+            verdict = decide_rcdp(query, outcome.database, master,
+                                  constraints, governor=governor,
+                                  context=context,
+                                  use_engine=context is not None)
+        if verdict.status is not RCDPStatus.COMPLETE:
+            return None  # conservative: keep searching
+    return outcome.database
+
+
+def _rcqp_sets_kernel(run: SearchRun, payload: dict[str, Any],
+                      ) -> ShardOutcome:
+    """E2/E6 over one shard of the candidate sets (smallest first): stop
+    at the first bounding set whose completed witness verifies.  Ranks
+    are ``(position,)`` in the flat candidate-set stream."""
+    q_tableaux, _, adom = _rcqp_search_space(
+        payload["query"], payload["master"], payload["constraints"],
+        payload["schema"])
+    ground_rows: list[Fact] = [
+        (row.relation, row.instantiate({}))
+        for tableau in q_tableaux for row in tableau.ground_rows()]
+    context, governor = run.context, run.governor
+    obs = obs_of(governor)
+    beacon, beat = run.beacon, run.beat
+    run.examined_as = "candidate_sets_examined"
+    try:
+        with run.governed(), obs_span(obs, "enumerate_candidate_sets"):
+            for position, combo in owned(run.shard, subsets(
+                    payload["units"], 0, payload["max_size"])):
+                if beat is not None and beat.due:
+                    run.heartbeat()
+                if beacon is not None and beacon.superseded((position,)):
+                    return run.outcome("superseded")
+                if governor is not None:
+                    governor.tick("candidate_sets")
+                run.examined += 1
+                witness = _verified_witness(payload, combo, q_tableaux,
+                                            adom, ground_rows, governor,
+                                            context, obs)
+                if witness is not None:
+                    return run.witness((position,), (witness, len(combo)))
+                run.consumed += 1
+    except ExecutionInterrupted as interrupt:
+        return run.outcome("exhausted", reason=interrupt.reason)
+    return run.outcome("complete")
+
+
 @traced("decide_rcqp")
 def decide_rcqp(query: Any, master: Instance,
                 constraints: Sequence[ContainmentConstraint],
@@ -531,16 +652,16 @@ def decide_rcqp(query: Any, master: Instance,
     The shared *governor* spans unit enumeration (``"units"`` ticks), the
     candidate-set loop (``"candidate_sets"`` ticks), and every nested
     bounding check, completion, and RCDP verification (``"valuations"``
-    ticks).  The checkpoint cursor is ``(phase, n)``: phase 0 is the unit
-    enumeration (*n* partial valuations built), phase 1 the candidate-set
-    search (*n* candidate sets fully processed).
+    ticks).  The checkpoint cursor is ``(workers, phase, n)``: phase 0 is
+    the unit enumeration (*n* partial valuations built), phase 1 the
+    candidate-set search, whose per-shard resume points (candidate sets
+    fully processed) the payload holds.
 
-    *workers* shards the search across processes (``docs/PARALLEL.md``);
-    the verdict is worker-count invariant, and parallel checkpoints must
-    be resumed with the same worker count.
+    *workers* shards the candidate-set search across processes
+    (``docs/PARALLEL.md``); the unit enumeration stays in this process,
+    since its order defines the candidate-set stream.  The verdict is
+    worker-count invariant.
     """
-    from repro.parallel.partition import resolve_workers
-
     validate_exhaustion_mode(on_exhausted)
     if constraints and all(c.is_ind() for c in constraints):
         return decide_rcqp_with_inds(query, master, constraints, schema,
@@ -552,19 +673,6 @@ def decide_rcqp(query: Any, master: Instance,
                                      context=context, backend=backend,
                                      workers=workers)
     count = resolve_workers(workers)
-    if count > 1:
-        from repro.parallel.api import decide_rcqp_parallel
-
-        return decide_rcqp_parallel(
-            query, master, constraints, schema, workers=count,
-            max_valuation_set_size=max_valuation_set_size,
-            max_rows_per_unit=max_rows_per_unit,
-            max_completion_rounds=max_completion_rounds,
-            verify_witness=verify_witness, budget=budget,
-            governor=governor, on_exhausted=on_exhausted,
-            resume_from=resume_from, use_engine=use_engine,
-            context=context, backend=backend, analyze=analyze,
-            analysis=analysis)
     governor = resolve_governor(governor, budget)
     obs = obs_of(governor)
     context = resolve_context(context, use_engine, backend)
@@ -582,13 +690,8 @@ def decide_rcqp(query: Any, master: Instance,
                       if analysis is not None and resume_from is None
                       else 0)
     query.validate(schema)
-
-    q_tableaux = _query_tableaux(query, schema)
-    cc_tableaux = _constraint_tableaux(constraints, schema)
-    adom = ActiveDomain.build(
-        instances=(master,),
-        queries=[query] + [c.query for c in constraints],
-        tableaux=list(q_tableaux) + cc_tableaux)
+    q_tableaux, cc_tableaux, adom = _rcqp_search_space(
+        query, master, constraints, schema)
 
     if not q_tableaux:
         return RCQPResult(
@@ -599,46 +702,24 @@ def decide_rcqp(query: Any, master: Instance,
             statistics=SearchStatistics(
                 analysis_warnings=fresh_warnings))
 
-    phase, start_n = 0, 0
+    phase, start_units, shards = 0, 0, fresh_shards(count)
     base_stats = SearchStatistics()
     if resume_from is not None:
-        resume_from.require("rcqp")
-        phase, start_n = resume_from.cursor
+        (phase, start_units), shards, _ = resume_point(resume_from, "rcqp",
+                                                       count)
         base_stats = resume_from.base_statistics()
-
-    examined = 0
     new_units = 0
-    frontier: dict[str, Any] = {"phase": phase, "units": start_n,
-                                "sets": start_n if phase == 1 else 0}
+    frontier: dict[str, Any] = {"units": start_units}
+    outcomes: list[ShardOutcome] = []
+
     def _stats() -> SearchStatistics:
         stats = base_stats.merged(SearchStatistics(
-            candidate_sets_examined=examined, units_examined=new_units,
-            analysis_warnings=fresh_warnings))
+            units_examined=new_units,
+            analysis_warnings=fresh_warnings)).merged(
+            total_statistics(outcomes))
         if context is not None:
             stats = stats.merged(context.statistics.since(engine_base))
         return stats
-
-    def _interrupted_result(interrupt: ExecutionInterrupted) -> RCQPResult:
-        if frontier["phase"] == 0:
-            cursor = (0, frontier["units"])
-        else:
-            cursor = (1, frontier["sets"])
-        checkpoint = SearchCheckpoint(
-            procedure="rcqp", cursor=cursor, statistics=_stats())
-        partial = RCQPResult(
-            status=RCQPStatus.EXHAUSTED,
-            explanation=(
-                f"search interrupted ({interrupt.reason}) at "
-                f"{'unit enumeration' if cursor[0] == 0 else 'candidate-set search'}"
-                f" position {cursor[1]}; resume from the checkpoint "
-                f"to continue"),
-            statistics=_stats(), checkpoint=checkpoint,
-            interrupted=interrupt.reason)
-        if on_exhausted == "error":
-            interrupt.statistics = partial.statistics
-            interrupt.partial_result = partial
-            interrupt.checkpoint = checkpoint
-        return partial
 
     prev_governor = context.governor if context is not None else None
     if context is not None:
@@ -652,7 +733,7 @@ def decide_rcqp(query: Any, master: Instance,
                 query, Instance.empty(schema), master, constraints,
                 max_rounds=max_completion_rounds, governor=governor,
                 on_exhausted="error", context=context,
-                use_engine=context is not None)
+                use_engine=context is not None, workers=count)
             if outcome.complete:
                 return RCQPResult(
                     status=RCQPStatus.NONEMPTY,
@@ -665,99 +746,87 @@ def decide_rcqp(query: Any, master: Instance,
                 "internal error: E1/E5 completion did not converge — raise "
                 "max_completion_rounds or report this as a bug")
 
-        # Condition E2/E6: search for a bounding set of partial valuations.
-        if phase == 0:
-            with obs_span(obs, "enumerate_units"):
+        # Condition E2/E6: search for a bounding set of partial
+        # valuations.  The units are enumerated here, in order, since
+        # that order defines the candidate-set stream every shard
+        # indexes into; a resumed phase 1 rebuilds them without charge.
+        with obs_span(obs, "enumerate_units"):
+            if phase == 0:
                 units = _enumerate_units(
                     cc_tableaux, adom, max_rows_per_unit,
-                    governor=governor, skip=start_n, progress=frontier)
-            new_units = max(0, frontier["units"] - start_n)
-            frontier.update(phase=1, sets=0)
-            to_skip = 0
-        else:
-            # Units were fully enumerated (and charged) before the
-            # interruption; rebuild them without re-charging.
-            with obs_span(obs, "enumerate_units"):
+                    governor=governor, skip=start_units, progress=frontier)
+                new_units = max(0, frontier["units"] - start_units)
+            else:
                 units = _enumerate_units(cc_tableaux, adom,
                                          max_rows_per_unit)
-            to_skip = start_n
+        payload = dict(query=query, master=master,
+                       constraints=tuple(constraints), schema=schema,
+                       units=tuple(units),
+                       max_size=min(max_valuation_set_size, len(units)),
+                       max_completion_rounds=max_completion_rounds,
+                       verify_witness=verify_witness)
+        if count == 1:
+            outcomes = [run_inline(_rcqp_sets_kernel, payload, shards[0],
+                                   governor, context)]
+        else:
+            from repro.parallel.api import decide_rcqp_parallel
 
-        ground_rows: list[Fact] = [
-            (row.relation, row.instantiate({}))
-            for tableau in q_tableaux for row in tableau.ground_rows()]
-        max_size = min(max_valuation_set_size, len(units))
-        total_sets = 0
-        with obs_span(obs, "enumerate_candidate_sets"):
-            for size in range(0, max_size + 1):
-                for combo in itertools.combinations(units, size):
-                    total_sets += 1
-                    if total_sets <= to_skip:
-                        continue
-                    if governor is not None:
-                        governor.tick("candidate_sets")
-                    examined += 1
-                    dv_facts = frozenset().union(
-                        *(u.facts for u in combo)) \
-                        if combo else frozenset()
-                    bound_values = frozenset().union(
-                        *(u.summary_values for u in combo)) \
-                        if combo else frozenset()
-                    if not _candidate_is_bounding(
-                            schema, master, constraints, q_tableaux, adom,
-                            dv_facts, bound_values, governor=governor,
-                            context=context):
-                        frontier["sets"] = total_sets
-                        continue
-                    witness = _facts_instance(
-                        schema, list(dv_facts) + ground_rows)
-                    if not satisfies_all(witness, master, constraints,
-                                         context=context):
-                        frontier["sets"] = total_sets
-                        continue
-                    outcome = make_complete(
-                        query, witness, master, constraints,
-                        max_rounds=max_completion_rounds,
-                        governor=governor, on_exhausted="error",
-                        context=context, use_engine=context is not None)
-                    if not outcome.complete:
-                        frontier["sets"] = total_sets
-                        continue
-                    if verify_witness:
-                        with obs_span(obs, "verify_witness"):
-                            verdict = decide_rcdp(
-                                query, outcome.database, master,
-                                constraints, governor=governor,
-                                context=context,
-                                use_engine=context is not None)
-                        if verdict.status is not RCDPStatus.COMPLETE:
-                            frontier["sets"] = total_sets
-                            continue  # conservative: keep searching
-                    return RCQPResult(
-                        status=RCQPStatus.NONEMPTY,
-                        witness=outcome.database,
-                        explanation=(
-                            f"bounding valuation set of size {size} "
-                            f"found (condition E2/E6); witness verified "
-                            f"complete"),
-                        statistics=_stats())
+            outcomes = decide_rcqp_parallel(
+                "rcqp-sets", _rcqp_sets_kernel, payload, shards,
+                governor=governor, context=context)
     except ExecutionInterrupted as interrupt:
-        partial = _interrupted_result(interrupt)
-        if on_exhausted == "error":
-            raise
-        return partial
+        stats = _stats()
+        return exhausted_result(RCQPResult(
+            status=RCQPStatus.EXHAUSTED,
+            explanation=(
+                f"search interrupted ({interrupt.reason}) at unit "
+                f"enumeration position {frontier['units']}; resume from "
+                f"the checkpoint to continue"),
+            statistics=stats,
+            checkpoint=search_checkpoint(
+                "rcqp", fresh_shards(count), stats,
+                position=(0, frontier["units"])),
+            interrupted=interrupt.reason), on_exhausted)
     finally:
         if context is not None:
             context.governor = prev_governor
 
-    exhausted = max_valuation_set_size >= len(units)
-    status = RCQPStatus.EMPTY if exhausted else RCQPStatus.EMPTY_UP_TO_BOUND
-    total_examined = base_stats.candidate_sets_examined + examined
+    stats = _stats()
+    best = best_witness(outcomes)
+    if best is not None:
+        witness_database, size = best.data
+        return RCQPResult(
+            status=RCQPStatus.NONEMPTY,
+            witness=witness_database,
+            explanation=(
+                f"bounding valuation set of size {size} found "
+                f"(condition E2/E6); witness verified complete"),
+            statistics=stats)
+
+    exhausted = first_exhausted(outcomes)
+    if exhausted is not None:
+        shards = resume_shards(outcomes)
+        return exhausted_result(RCQPResult(
+            status=RCQPStatus.EXHAUSTED,
+            explanation=(
+                f"search interrupted ({exhausted.reason}) at "
+                f"candidate-set search position "
+                f"{sum(s.skip for s in shards)}; resume from the "
+                f"checkpoint to continue"),
+            statistics=stats,
+            checkpoint=search_checkpoint("rcqp", shards, stats,
+                                         position=(1, 0)),
+            interrupted=exhausted.reason), on_exhausted)
+
+    space_covered = max_valuation_set_size >= len(units)
     return RCQPResult(
-        status=status,
+        status=(RCQPStatus.EMPTY if space_covered
+                else RCQPStatus.EMPTY_UP_TO_BOUND),
         explanation=(
-            f"no bounding valuation set among {total_examined} candidate "
-            f"set(s) over {len(units)} unit(s)"
-            + ("" if exhausted else
+            f"no bounding valuation set among "
+            f"{stats.candidate_sets_examined} candidate set(s) over "
+            f"{len(units)} unit(s)"
+            + ("" if space_covered else
                f" (search capped at size {max_valuation_set_size})")),
-        statistics=_stats(),
-        bound=None if exhausted else max_valuation_set_size)
+        statistics=stats,
+        bound=None if space_covered else max_valuation_set_size)

@@ -26,7 +26,7 @@ full pool (``fresh="all"``).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.errors import ConstraintError
 from repro.queries.tableau import Tableau
@@ -34,8 +34,10 @@ from repro.queries.terms import Var
 from repro.relational.domain import FreshValue, FreshValueSupply
 from repro.relational.instance import Instance
 
-__all__ = ["ActiveDomain", "iter_valid_valuations",
-           "iter_sharded_valuations"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.search import ShardSpec
+
+__all__ = ["ActiveDomain", "iter_valid_valuations"]
 
 Valuation = dict[Var, Any]
 
@@ -135,17 +137,64 @@ class ActiveDomain:
         return values
 
 
-RowFilter = "Callable[[str, tuple], bool]"
+#: Prefix-space oversubscription of a sharded enumeration: the prefix
+#: depth is grown until the raw prefix space holds at least this many
+#: prefixes per shard, so round-robin ownership stays balanced even when
+#: the top-level candidate lists are tiny (e.g. BOOLEAN columns).
+_OVERSUBSCRIBE = 4
 
 
-def _prepare_enumeration(tableau: Tableau, adom: ActiveDomain,
-                         fresh: str, extra: Iterable[Any], row_filter):
-    """Shared setup of the serial and sharded enumerators.
+def iter_valid_valuations(tableau: Tableau, adom: ActiveDomain,
+                          fresh: str = "own",
+                          extra: Iterable[Any] = (),
+                          row_filter=None,
+                          shard: "ShardSpec | None" = None,
+                          ) -> Iterator[Any]:
+    """Enumerate the *valid* valuations of *tableau* over *adom*.
 
-    Returns ``(variables, candidates, checks_at, rows_at, viable)``;
-    *viable* is False when a ground tableau row already fails the row
-    filter, making the whole enumeration empty.
+    A valuation is valid when every variable takes a value from its
+    candidate list and all residual ``≠`` side conditions hold
+    (equivalently: ``Q(μ(T_Q))`` is nonempty).  The valuations come in
+    depth-first order over :meth:`Tableau.ordered_variables`, each
+    variable's candidates in list order; inequalities are checked as soon
+    as both endpoints are bound, pruning the search tree.
+
+    *row_filter*, when given, is a predicate ``(relation, row) → bool``
+    applied to each tableau row as soon as all its variables are bound;
+    branches producing a rejected row are pruned.  The RCDP decider uses
+    this for IND constraints, whose violation is tuple-local: any single
+    instantiated row whose projection falls outside the master projection
+    can never be part of a constraint-satisfying extension.
+
+    With a *shard* (a :class:`~repro.core.search.ShardSpec`), only that
+    shard's slice is enumerated, as ``(prefix_index, position,
+    valuation)`` triples.  The valuation tree is split at a *prefix
+    depth* ``k``: the raw combinations of the first ``k`` variables'
+    candidates are numbered ``prefix_index = 0, 1, 2, ...`` in
+    lexicographic order (a prefix failing a pruning check keeps its
+    number but yields nothing), shard ``i`` of ``n`` owns the prefixes
+    with ``prefix_index % n == i``, and *position* numbers the valid
+    valuations below one prefix.  Hence:
+
+    * the union of all shards' valuations is the unsharded stream, for
+      every shard count, since ownership is a function of the prefix
+      number alone;
+    * sorting the union by ``(prefix_index, position)`` reproduces the
+      unsharded order exactly, so the minimum rank across shards is the
+      valuation the unsharded enumeration meets first;
+    * each shard's own stream is rank-increasing.
+
+    ``k`` is the smallest depth whose raw prefix space reaches
+    ``n × _OVERSUBSCRIBE`` combinations (capped at the variable count;
+    ``0`` for a single shard): sharding only the top variable would cap
+    the useful parallelism at its candidate-list size, which is 2 for
+    boolean columns.
+
+    Unsatisfiable tableaux yield nothing; a ground tableau yields the
+    empty valuation (from shard 0).
     """
+    if not tableau.satisfiable:
+        return
     variables = tableau.ordered_variables()
     candidates = {
         v: adom.candidates_for(tableau, v, fresh=fresh, extra=extra)
@@ -165,46 +214,16 @@ def _prepare_enumeration(tableau: Tableau, adom: ActiveDomain,
     # Pre-compile row-completion points: each tableau row is checked at the
     # moment its last (per order) variable is bound.
     rows_at: dict[Var, list] = {v: [] for v in variables}
-    viable = True
     if row_filter is not None:
         for row in tableau.rows:
             row_vars = row.variables()
             if not row_vars:
                 if not row_filter(row.relation, row.instantiate({})):
-                    viable = False
+                    return
             else:
                 latest = max(row_vars, key=lambda v: order_index[v])
                 rows_at[latest].append(row)
-    return variables, candidates, checks_at, rows_at, viable
 
-
-def iter_valid_valuations(tableau: Tableau, adom: ActiveDomain,
-                          fresh: str = "own",
-                          extra: Iterable[Any] = (),
-                          row_filter=None,
-                          ) -> Iterator[Valuation]:
-    """Enumerate the *valid* valuations of *tableau* over *adom*.
-
-    A valuation is valid when every variable takes a value from its
-    candidate list and all residual ``≠`` side conditions hold
-    (equivalently: ``Q(μ(T_Q))`` is nonempty).  Inequalities are checked as
-    soon as both endpoints are bound, pruning the search tree.
-
-    *row_filter*, when given, is a predicate ``(relation, row) → bool``
-    applied to each tableau row as soon as all its variables are bound;
-    branches producing a rejected row are pruned.  The RCDP decider uses
-    this for IND constraints, whose violation is tuple-local: any single
-    instantiated row whose projection falls outside the master projection
-    can never be part of a constraint-satisfying extension.
-
-    Unsatisfiable tableaux yield nothing.
-    """
-    if not tableau.satisfiable:
-        return
-    variables, candidates, checks_at, rows_at, viable = \
-        _prepare_enumeration(tableau, adom, fresh, extra, row_filter)
-    if not viable:
-        return
     valuation: Valuation = {}
 
     def value_of(term: Any) -> Any:
@@ -212,139 +231,47 @@ def iter_valid_valuations(tableau: Tableau, adom: ActiveDomain,
             return valuation[term]
         return term.value
 
-    def assign(index: int) -> Iterator[Valuation]:
-        if index == len(variables):
-            yield dict(valuation)
+    def descend(index: int, stop: int) -> Iterator[Valuation]:
+        """The depth-first search: bind ``variables[index:stop]`` through
+        the pruning checks, yielding the live *valuation* at each
+        complete binding."""
+        if index == stop:
+            yield valuation
             return
         variable = variables[index]
+        checks, rows = checks_at[variable], rows_at[variable]
         for candidate in candidates[variable]:
             valuation[variable] = candidate
-            if not all(value_of(left) != value_of(right)
-                       for left, right in checks_at[variable]):
+            if checks and not all(value_of(left) != value_of(right)
+                                  for left, right in checks):
                 continue
-            if row_filter is not None and not all(
+            if rows and not all(
                     row_filter(row.relation, row.instantiate(valuation))
-                    for row in rows_at[variable]):
+                    for row in rows):
                 continue
-            yield from assign(index + 1)
+            yield from descend(index + 1, stop)
         del valuation[variable]
 
-    if not variables:
-        # Ground tableau: the empty valuation, valid iff no ground
-        # inequality failed (already encoded in `satisfiable`).
-        yield {}
-        return
-    yield from assign(0)
-
-#: Prefix-space oversubscription of the sharded enumerator: the prefix
-#: depth is grown until the raw prefix space holds at least this many
-#: prefixes per shard, so round-robin ownership stays balanced even when
-#: the top-level candidate lists are tiny (e.g. BOOLEAN columns).
-_OVERSUBSCRIBE = 4
-
-
-def iter_sharded_valuations(tableau: Tableau, adom: ActiveDomain,
-                            *, shard_index: int, shard_count: int,
-                            fresh: str = "own",
-                            extra: Iterable[Any] = (),
-                            row_filter=None,
-                            ) -> Iterator[tuple[int, int, Valuation]]:
-    """One shard's slice of :func:`iter_valid_valuations`, with ranks.
-
-    The valuation tree is split at a *prefix depth* ``k``: the first
-    ``k`` variables are flattened into a lexicographic product whose raw
-    combinations are numbered ``prefix_index = 0, 1, 2, ...`` (invalid
-    prefixes — failed inequality or row-filter checks — keep their
-    number but yield nothing).  Shard ``i`` of ``n`` owns exactly the
-    prefixes with ``prefix_index % n == i`` and runs the ordinary DFS
-    below each owned prefix, yielding ``(prefix_index, position,
-    valuation)`` where *position* numbers the valid valuations within
-    the prefix.
-
-    Determinism guarantees:
-
-    * The multiset union of all shards' valuations equals the serial
-      stream, for every ``shard_count`` — ownership is a pure function
-      of the prefix number.
-    * Sorting the union by ``(prefix_index, position)`` reproduces the
-      serial order exactly, because the prefix product enumerates the
-      outermost DFS levels in DFS order.  A witness's rank therefore
-      identifies "how early" the serial search would have found it, and
-      the minimum rank across shards *is* the serial-first witness.
-    * Each shard's own stream is rank-increasing, so a shard's first
-      hit is its best.
-
-    ``k`` is chosen as the smallest depth whose raw prefix space
-    reaches ``shard_count × _OVERSUBSCRIBE`` combinations (capped at
-    the variable count): sharding only the top variable would cap the
-    useful parallelism at its candidate-list size, which is 2 for
-    boolean columns.
-    """
-    if not 0 <= shard_index < shard_count:
-        raise ConstraintError(
-            f"shard_index must be in [0, {shard_count}), got {shard_index}")
-    if not tableau.satisfiable:
-        return
-    variables, candidates, checks_at, rows_at, viable = \
-        _prepare_enumeration(tableau, adom, fresh, extra, row_filter)
-    if not viable:
-        return
-
-    if not variables:
-        # Ground tableau: a single empty valuation, owned by shard 0.
-        if shard_index == 0:
-            yield (0, 0, {})
+    if shard is None:
+        yield from map(dict, descend(0, len(variables)))
         return
 
     depth, space = 0, 1
-    target = shard_count * _OVERSUBSCRIBE
+    target = shard.count * _OVERSUBSCRIBE if shard.count > 1 else 1
     while depth < len(variables) and space < target:
         space *= len(candidates[variables[depth]])
         depth += 1
-    prefix_vars = variables[:depth]
-
-    valuation: Valuation = {}
-
-    def value_of(term: Any) -> Any:
-        if isinstance(term, Var):
-            return valuation[term]
-        return term.value
-
-    def admissible(variable: Var) -> bool:
-        """The pruning checks of the serial DFS, for one bound variable."""
-        if not all(value_of(left) != value_of(right)
-                   for left, right in checks_at[variable]):
-            return False
-        if row_filter is not None and not all(
-                row_filter(row.relation, row.instantiate(valuation))
-                for row in rows_at[variable]):
-            return False
-        return True
-
-    def assign(index: int) -> Iterator[Valuation]:
-        if index == len(variables):
-            yield dict(valuation)
-            return
-        variable = variables[index]
-        for candidate in candidates[variable]:
-            valuation[variable] = candidate
-            if admissible(variable):
-                yield from assign(index + 1)
-        del valuation[variable]
-
-    prefix_lists = [candidates[v] for v in prefix_vars]
-    for prefix_index, combo in enumerate(itertools.product(*prefix_lists)):
-        if prefix_index % shard_count != shard_index:
+    # A prefix's number in the raw product: mixed radix, one digit per
+    # prefix variable (its candidate's list position).
+    digits = [{value: i for i, value in enumerate(candidates[v])}
+              for v in variables[:depth]]
+    for _ in descend(0, depth):
+        prefix = 0
+        for variable, digit in zip(variables, digits):
+            prefix = prefix * len(digit) + digit[valuation[variable]]
+        if not shard.owns(prefix):
             continue
-        valid = True
-        for variable, candidate in zip(prefix_vars, combo):
-            valuation[variable] = candidate
-            if not admissible(variable):
-                valid = False
-                break
-        if valid:
-            position = 0
-            for complete in assign(depth):
-                yield (prefix_index, position, complete)
-                position += 1
-        valuation.clear()
+        # (prefix, position, valuation) triples, built without a Python
+        # frame per valuation.
+        yield from zip(itertools.repeat(prefix), itertools.count(),
+                       map(dict, descend(depth, len(variables))))

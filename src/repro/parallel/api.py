@@ -1,1036 +1,98 @@
-"""Parent-side parallel front-ends for the exact search procedures.
+"""The workers > 1 step of every exact search: one kernel per shard.
 
-Each ``*_parallel`` function is the fan-out twin of one serial decider:
-it performs the same validation and setup in the parent process, shards
-the deterministic enumeration across a worker pool
-(:func:`~repro.parallel.pool.run_shards`), and reconciles the outcomes
-into the same result type the serial decider returns.
+A decider in :mod:`repro.core` validates and prepares its search once,
+then runs its kernel (:mod:`repro.core.search`) in-process as shard 0 of
+1 when ``workers`` resolves to 1, or calls its step here otherwise.  The
+step splits the parent governor's remaining allowance across the shards
+(:func:`~repro.parallel.partition.split_governor`), runs one
+:class:`~repro.parallel.worker.ShardTask` per shard under the supervised
+pool (:func:`~repro.parallel.pool.run_shards`), and absorbs the workers'
+tick ledgers and traces into the parent governor.  The decider then
+reconciles the outcomes exactly as it does the in-process one.
 
 Determinism contract (see ``docs/PARALLEL.md``):
 
-* **Verdicts** are identical to the serial decider's for every worker
-  count, including which witness is reported: every candidate has a
-  unique rank in the serial enumeration order, workers report the rank
-  of what they find, and the parent keeps the minimum — the serial-first
-  find.
+* **Verdicts** are identical for every worker count, including which
+  witness is reported: every candidate has a unique rank in the serial
+  enumeration order, shards report the rank of what they find, and the
+  decider keeps the minimum — the serial-first find.
 * **Statistics**: ``valuations_examined`` / ``constraint_checks`` /
   ``candidate_sets_examined`` are exactly the serial counts whenever the
   enumeration runs to completion (COMPLETE / EMPTY / exhaustive
-  verdicts).  On early exits the totals may differ (workers examine
+  verdicts).  On early exits the totals may differ (shards examine
   candidates the serial search never reached before the beacon stops
   them), and per-process engine counters (plans compiled, indexes
   built) scale with the worker count.
 * **Governors**: each worker receives a slice of the remaining budget,
   the shared absolute deadline, and a cancellation adapter; consumed
   ticks are absorbed back into the parent governor, and per-shard resume
-  cursors make interrupted parallel runs resumable — with the same
-  worker count, since shard ownership is a function of it.
+  points make interrupted runs resumable — with the same worker count,
+  since shard ownership is a function of it.
 * **Fault tolerance**: worker death does not change any of the above.
   The pool's :class:`~repro.parallel.supervise.ShardSupervisor` respawns
-  crashed or silent shards from their last progress snapshot (the
-  committed prefix's statistics, ticks, and partial data are folded into
-  the replacement's outcome, so merged totals stay exact), and shards
-  that exhaust their :class:`~repro.runtime.RetryPolicy` budget are
-  quarantined to an in-process serial re-run of the identical slice.
-  Retried shards draw from the same governor ledger — budget shares are
-  reduced by committed ticks and the deadline stays absolute — so
-  exhaustion under faults still yields a resumable checkpoint.
-
-These functions are not called directly in normal use: the serial
-deciders in :mod:`repro.core` grow a ``workers=`` parameter and delegate
-here when it resolves to more than one.
+  crashed or silent shards from their last progress snapshot, and
+  quarantines shards that exhaust their
+  :class:`~repro.runtime.RetryPolicy` budget to an in-process re-run of
+  the identical slice.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.analysis.diagnostics import Report
 from repro.analysis.driver import validate_for_decision
-from repro.constraints.containment import ContainmentConstraint
-from repro.core.rcdp import (assert_decidable_configuration,
-                             ensure_partially_closed, resolve_analysis,
-                             resolve_context)
-from repro.core.results import (IncompletenessCertificate,
-                                MissingAnswersReport, RCDPResult,
-                                RCDPStatus, RCQPResult, RCQPStatus,
-                                SearchStatistics)
+from repro.core.rcdp import ensure_partially_closed
+from repro.core.search import Kernel, ShardOutcome, ShardSpec
 from repro.engine import EvaluationContext
-from repro.errors import (ConstraintError, ExecutionInterrupted,
-                          ReproError, UndecidableConfigurationError)
 from repro.obs import obs_of
-from repro.parallel.partition import (parallel_checkpoint_state,
-                                      split_governor,
-                                      unpack_parallel_state)
+from repro.parallel.partition import split_governor
 from repro.parallel.pool import merged_ticks, run_shards
-from repro.parallel.worker import ShardOutcome, ShardSpec, ShardTask
-from repro.relational.instance import Instance
-from repro.relational.schema import DatabaseSchema
-from repro.runtime import (ExecutionGovernor, SearchCheckpoint,
-                           resolve_governor, validate_exhaustion_mode)
+from repro.parallel.worker import ShardTask
+from repro.runtime import ExecutionGovernor
 
-__all__ = ["decide_rcdp_parallel", "missing_answers_parallel",
+__all__ = ["fan_out", "decide_rcdp_parallel", "missing_answers_parallel",
            "brute_force_rcdp_parallel", "brute_force_rcqp_parallel",
-           "decide_rcqp_parallel", "decide_rcqp_with_inds_parallel"]
-
-Fact = tuple[str, tuple]
-
-
-# ---------------------------------------------------------------------------
-# Shared reconciliation helpers
-# ---------------------------------------------------------------------------
+           "decide_rcqp_parallel", "decide_rcqp_with_inds_parallel",
+           # Re-exported: the benchmark's traced mode (perfbench/layers.py)
+           # patches these names here as well as on repro.core.rcdp.
+           "validate_for_decision", "ensure_partially_closed"]
 
 
-def _make_tasks(kind: str, workers: int,
-                specs: Sequence[Any], consumed: Sequence[int],
-                done: Sequence[bool], use_engine: bool,
-                payload: dict[str, Any], *,
-                backend: str = "python") -> list[ShardTask]:
-    return [ShardTask(kind=kind,
-                      shard=ShardSpec(index=index, count=workers,
-                                      skip=consumed[index],
-                                      done=done[index]),
-                      governor=specs[index], use_engine=use_engine,
-                      payload=payload, backend=backend)
-            for index in range(workers)]
+def fan_out(kind: str, kernel: Kernel, payload: dict[str, Any],
+            shards: Sequence[ShardSpec], *,
+            governor: ExecutionGovernor | None,
+            context: EvaluationContext | None,
+            use_beacon: bool = True) -> list[ShardOutcome]:
+    """Run *kernel* once per shard in a worker pool; one outcome per
+    shard, in shard order.
 
-
-def _task_backend(context: EvaluationContext | None) -> str:
-    """The backend worker contexts should run on: the parent context's
-    (so a ``--backend`` choice reaches every shard) or the default."""
-    return context.backend if context is not None else "python"
-
-
-def _reconcile(outcomes: Sequence[ShardOutcome],
-               governor: ExecutionGovernor | None) -> None:
+    Workers build private evaluation contexts on the parent context's
+    backend (the engine stays off when the parent runs without one).
+    *use_beacon* lets shards stop at candidates ranked after a sibling's
+    witness; full scans (partial-answer kernels) run without it.
+    """
+    specs = split_governor(governor, len(shards),
+                           consumed=[shard.skip for shard in shards],
+                           done=[shard.done for shard in shards])
+    tasks = [ShardTask(kind=kind, kernel=kernel, shard=shard, governor=spec,
+                       use_engine=context is not None, payload=payload,
+                       backend=(context.backend if context is not None
+                                else "python"))
+             for shard, spec in zip(shards, specs)]
+    outcomes = run_shards(tasks, governor=governor, use_beacon=use_beacon)
     if governor is not None:
         governor.absorb(merged_ticks(outcomes))
         observation = obs_of(governor)
         if observation is not None:
             observation.absorb_outcomes(outcomes)
-
-
-def _sum_statistics(outcomes: Sequence[ShardOutcome]) -> SearchStatistics:
-    total = SearchStatistics()
-    for outcome in outcomes:
-        total = total.merged(outcome.statistics)
-    return total
-
-
-def _best_witness(outcomes: Sequence[ShardOutcome]) -> ShardOutcome | None:
-    witnesses = [o for o in outcomes if o.kind == "witness"]
-    if not witnesses:
-        if any(o.kind == "superseded" for o in outcomes):
-            raise ReproError(
-                "internal error: a shard observed a witness beacon but no "
-                "shard reported a witness — please report this as a bug")
-        return None
-    return min(witnesses, key=lambda o: o.rank)
-
-
-def _first_exhausted(outcomes: Sequence[ShardOutcome],
-                     ) -> ShardOutcome | None:
-    for outcome in sorted(outcomes, key=lambda o: o.index):
-        if outcome.kind == "exhausted":
-            return outcome
-    return None
-
-
-def _raise_interrupted(message: str, reason: str,
-                       statistics: SearchStatistics, partial: Any,
-                       checkpoint: SearchCheckpoint) -> None:
-    interrupt = ExecutionInterrupted(message, reason=reason)
-    interrupt.statistics = statistics
-    interrupt.partial_result = partial
-    interrupt.checkpoint = checkpoint
-    raise interrupt
-
-
-# ---------------------------------------------------------------------------
-# RCDP
-# ---------------------------------------------------------------------------
-
-
-def decide_rcdp_parallel(query: Any, database: Instance, master: Instance,
-                         constraints: Sequence[ContainmentConstraint],
-                         *, workers: int,
-                         check_partially_closed: bool = True,
-                         budget: int | None = None,
-                         use_ind_pruning: bool = True,
-                         governor: ExecutionGovernor | None = None,
-                         on_exhausted: str = "error",
-                         resume_from: SearchCheckpoint | None = None,
-                         use_engine: bool = True,
-                         context: EvaluationContext | None = None,
-                         backend: str | None = None,
-                         analyze: bool = True,
-                         analysis: Report | None = None) -> RCDPResult:
-    """``decide_rcdp`` with the valuation search sharded over *workers*."""
-    validate_exhaustion_mode(on_exhausted)
-    governor = resolve_governor(governor, budget)
-    context = resolve_context(context, use_engine, backend)
-    engine_base = (context.statistics.copy() if context is not None
-                   else None)
-    assert_decidable_configuration(query, constraints)
-    analysis = resolve_analysis(query, constraints, database, master,
-                                analysis, analyze)
-    fresh_warnings = (len(analysis.warnings)
-                      if analysis is not None and resume_from is None
-                      else 0)
-    query.validate(database.schema)
-    if check_partially_closed:
-        ensure_partially_closed(database, master, constraints, context)
-
-    def _parent_engine() -> SearchStatistics:
-        if context is None:
-            return SearchStatistics()
-        return context.statistics.since(engine_base)
-
-    if analysis is not None and analysis.facts.query_provably_empty:
-        return RCDPResult(
-            status=RCDPStatus.COMPLETE,
-            explanation=(
-                "static analysis proved the query empty (contradictory "
-                "=/≠ atoms in every disjunct): Q(D') = ∅ for every D', "
-                "so no extension can add an answer and D is trivially "
-                "relatively complete"),
-            statistics=SearchStatistics(
-                analysis_warnings=fresh_warnings).merged(_parent_engine()))
-
-    consumed = [0] * workers
-    done = [False] * workers
-    base_stats = SearchStatistics()
-    if resume_from is not None:
-        consumed, done = unpack_parallel_state(resume_from,
-                                               "rcdp-parallel", workers)
-        base_stats = resume_from.base_statistics()
-
-    specs = split_governor(governor, workers, consumed=consumed, done=done)
-    tasks = _make_tasks(
-        "rcdp", workers, specs, consumed, done, use_engine,
-        dict(query=query, database=database, master=master,
-             constraints=tuple(constraints),
-             use_ind_pruning=use_ind_pruning),
-        backend=_task_backend(context))
-    outcomes = run_shards(tasks, governor=governor)
-    _reconcile(outcomes, governor)
-
-    stats = (base_stats
-             .merged(SearchStatistics(analysis_warnings=fresh_warnings))
-             .merged(_parent_engine())
-             .merged(_sum_statistics(outcomes)))
-
-    best = _best_witness(outcomes)
-    if best is not None:
-        delta, summary, disjunct_name = best.data
-        return RCDPResult(
-            status=RCDPStatus.INCOMPLETE,
-            certificate=IncompletenessCertificate(
-                extension_facts=tuple(delta), new_answer=summary,
-                disjunct_name=disjunct_name),
-            explanation=(
-                f"adding {len(delta)} fact(s) keeps V satisfied but "
-                f"produces the new answer {summary!r}"),
-            statistics=stats)
-
-    exhausted = _first_exhausted(outcomes)
-    if exhausted is not None:
-        checkpoint = SearchCheckpoint(
-            procedure="rcdp-parallel", cursor=(workers,),
-            statistics=stats,
-            payload=parallel_checkpoint_state(outcomes))
-        partial = RCDPResult(
-            status=RCDPStatus.EXHAUSTED,
-            explanation=(
-                f"parallel search interrupted ({exhausted.reason}) after "
-                f"{stats.valuations_examined} valuation(s) across "
-                f"{workers} worker(s); resume from the checkpoint with "
-                f"the same worker count to continue"),
-            statistics=stats, checkpoint=checkpoint,
-            interrupted=exhausted.reason)
-        if on_exhausted == "error":
-            _raise_interrupted(partial.explanation, exhausted.reason,
-                               stats, partial, checkpoint)
-        return partial
-
-    return RCDPResult(
-        status=RCDPStatus.COMPLETE,
-        explanation=(
-            "no valid valuation over the active domain extends D "
-            "consistently with V while changing Q(D) "
-            "(conditions C1/C2 hold)"),
-        statistics=stats)
-
-
-# ---------------------------------------------------------------------------
-# Missing answers
-# ---------------------------------------------------------------------------
-
-
-def missing_answers_parallel(query: Any, database: Instance,
-                             master: Instance,
-                             constraints: Sequence[ContainmentConstraint],
-                             *, workers: int,
-                             limit: int | None = None,
-                             check_partially_closed: bool = True,
-                             budget: int | None = None,
-                             governor: ExecutionGovernor | None = None,
-                             on_exhausted: str = "partial",
-                             resume_from: SearchCheckpoint | None = None,
-                             use_engine: bool = True,
-                             context: EvaluationContext | None = None,
-                             backend: str | None = None,
-                             analyze: bool = True,
-                             analysis: Report | None = None,
-                             ) -> MissingAnswersReport:
-    """``missing_answers_report`` sharded over *workers*.
-
-    Workers report ``(rank, summary)`` pairs for the first occurrences
-    in their shard; the parent merges per-summary rank minima, orders by
-    rank, and truncates at *limit* — which reproduces exactly the set
-    the serial scan returns when its limit trips (each worker's first
-    ``limit`` local finds provably cover the global rank-ordered
-    top-``limit``).
-    """
-    validate_exhaustion_mode(on_exhausted)
-    governor = resolve_governor(governor, budget)
-    context = resolve_context(context, use_engine, backend)
-    engine_base = (context.statistics.copy() if context is not None
-                   else None)
-    assert_decidable_configuration(query, constraints)
-    analysis = resolve_analysis(query, constraints, database, master,
-                                analysis, analyze)
-    fresh_warnings = (len(analysis.warnings)
-                      if analysis is not None and resume_from is None
-                      else 0)
-    query.validate(database.schema)
-    if check_partially_closed:
-        ensure_partially_closed(database, master, constraints, context)
-
-    def _parent_engine() -> SearchStatistics:
-        if context is None:
-            return SearchStatistics()
-        return context.statistics.since(engine_base)
-
-    if analysis is not None and analysis.facts.query_provably_empty:
-        return MissingAnswersReport(
-            answers=frozenset(), exhaustive=True,
-            statistics=SearchStatistics(
-                analysis_warnings=fresh_warnings).merged(_parent_engine()))
-
-    consumed = [0] * workers
-    done = [False] * workers
-    base_stats = SearchStatistics()
-    carried_pairs: list[tuple[tuple[int, ...], tuple]] = []
-    if resume_from is not None:
-        consumed, done = unpack_parallel_state(resume_from,
-                                               "missing-parallel", workers)
-        base_stats = resume_from.base_statistics()
-        carried_pairs = [tuple(pair) for pair in resume_from.payload[2]]
-
-    specs = split_governor(governor, workers, consumed=consumed, done=done)
-    tasks = _make_tasks(
-        "missing", workers, specs, consumed, done, use_engine,
-        dict(query=query, database=database, master=master,
-             constraints=tuple(constraints), limit=limit),
-        backend=_task_backend(context))
-    outcomes = run_shards(tasks, governor=governor, use_beacon=False)
-    _reconcile(outcomes, governor)
-
-    stats = (base_stats
-             .merged(SearchStatistics(analysis_warnings=fresh_warnings))
-             .merged(_parent_engine())
-             .merged(_sum_statistics(outcomes)))
-
-    best: dict[tuple, tuple[int, ...]] = {}
-    for rank, summary in carried_pairs:
-        rank = tuple(rank)
-        if summary not in best or rank < best[summary]:
-            best[summary] = rank
-    for outcome in outcomes:
-        for rank, summary in outcome.data or ():
-            rank = tuple(rank)
-            if summary not in best or rank < best[summary]:
-                best[summary] = rank
-    ordered = sorted(best.items(), key=lambda item: item[1])
-
-    exhausted = _first_exhausted(outcomes)
-    if exhausted is not None:
-        checkpoint = SearchCheckpoint(
-            procedure="missing-parallel", cursor=(workers,),
-            statistics=stats,
-            payload=parallel_checkpoint_state(outcomes) + (
-                tuple((rank, summary) for summary, rank in ordered),))
-        report = MissingAnswersReport(
-            answers=frozenset(summary for summary, _ in ordered),
-            exhaustive=False, statistics=stats, checkpoint=checkpoint,
-            interrupted=exhausted.reason)
-        if on_exhausted == "error":
-            _raise_interrupted(
-                f"parallel missing-answers scan interrupted "
-                f"({exhausted.reason}); resume from the checkpoint with "
-                f"the same worker count to continue",
-                exhausted.reason, stats, report, checkpoint)
-        return report
-
-    if limit is not None and len(ordered) >= max(limit, 1):
-        # The serial scan returns as soon as the limit-th distinct
-        # answer appears, so it reports the rank-ordered first finds
-        # (one extra when limit == 0: the trigger answer itself).
-        cap = max(limit, 1)
-        return MissingAnswersReport(
-            answers=frozenset(summary for summary, _ in ordered[:cap]),
-            exhaustive=False, statistics=stats)
-    return MissingAnswersReport(
-        answers=frozenset(summary for summary, _ in ordered),
-        exhaustive=True, statistics=stats)
-
-
-# ---------------------------------------------------------------------------
-# Bounded brute-force procedures
-# ---------------------------------------------------------------------------
-
-
-def brute_force_rcdp_parallel(query: Any, database: Instance,
-                              master: Instance,
-                              constraints: Sequence[ContainmentConstraint],
-                              *, workers: int,
-                              max_extra_facts: int,
-                              values: Sequence[Any] | None = None,
-                              relations: Any = None,
-                              check_partially_closed: bool = True,
-                              budget: int | None = None,
-                              governor: ExecutionGovernor | None = None,
-                              on_exhausted: str = "error",
-                              resume_from: SearchCheckpoint | None = None,
-                              use_engine: bool = True,
-                              context: EvaluationContext | None = None,
-                              backend: str | None = None,
-                              ) -> RCDPResult:
-    """``brute_force_rcdp`` with the extension-set enumeration sharded."""
-    from repro.core.bounded import candidate_fact_pool, resolve_value_pool
-
-    validate_exhaustion_mode(on_exhausted)
-    governor = resolve_governor(governor, budget)
-    context = resolve_context(context, use_engine, backend)
-    engine_base = (context.statistics.copy() if context is not None
-                   else None)
-    if check_partially_closed:
-        ensure_partially_closed(database, master, constraints, context)
-    values = resolve_value_pool(query, constraints, database.schema,
-                                (database, master), values, context)
-    existing = set(database.facts())
-    pool_size = sum(
-        1 for fact in candidate_fact_pool(database.schema, values,
-                                          relations=relations)
-        if fact not in existing)
-    # Relations may be a single-pass iterable; workers need a replayable
-    # value.
-    relations = tuple(relations) if relations is not None else None
-
-    consumed = [0] * workers
-    done = [False] * workers
-    base_stats = SearchStatistics()
-    if resume_from is not None:
-        consumed, done = unpack_parallel_state(
-            resume_from, "brute-rcdp-parallel", workers)
-        base_stats = resume_from.base_statistics()
-
-    specs = split_governor(governor, workers, consumed=consumed, done=done)
-    tasks = _make_tasks(
-        "brute-rcdp", workers, specs, consumed, done, use_engine,
-        dict(query=query, database=database, master=master,
-             constraints=tuple(constraints),
-             max_extra_facts=max_extra_facts, values=tuple(values),
-             relations=relations),
-        backend=_task_backend(context))
-    outcomes = run_shards(tasks, governor=governor)
-    _reconcile(outcomes, governor)
-
-    stats = base_stats.merged(_sum_statistics(outcomes))
-    if context is not None:
-        stats = stats.merged(context.statistics.since(engine_base))
-
-    best = _best_witness(outcomes)
-    if best is not None:
-        combo, answer, size = best.data
-        return RCDPResult(
-            status=RCDPStatus.INCOMPLETE,
-            certificate=IncompletenessCertificate(
-                extension_facts=tuple(combo), new_answer=answer),
-            explanation=(
-                f"brute force found a {size}-fact consistent extension "
-                f"changing the answer"),
-            statistics=stats, bound=max_extra_facts)
-
-    exhausted = _first_exhausted(outcomes)
-    if exhausted is not None:
-        checkpoint = SearchCheckpoint(
-            procedure="brute-rcdp-parallel", cursor=(workers,),
-            statistics=stats,
-            payload=parallel_checkpoint_state(outcomes))
-        partial = RCDPResult(
-            status=RCDPStatus.EXHAUSTED,
-            explanation=(
-                f"parallel brute-force search interrupted "
-                f"({exhausted.reason}); resume from the checkpoint with "
-                f"the same worker count to continue"),
-            statistics=stats, checkpoint=checkpoint,
-            interrupted=exhausted.reason, bound=max_extra_facts)
-        if on_exhausted == "error":
-            _raise_interrupted(partial.explanation, exhausted.reason,
-                               stats, partial, checkpoint)
-        return partial
-
-    return RCDPResult(
-        status=RCDPStatus.COMPLETE_UP_TO_BOUND,
-        explanation=(
-            f"no consistent answer-changing extension of ≤ "
-            f"{max_extra_facts} fact(s) over a pool of {pool_size} "
-            f"candidates"),
-        statistics=stats, bound=max_extra_facts)
-
-
-def brute_force_rcqp_parallel(query: Any, master: Instance,
-                              constraints: Sequence[ContainmentConstraint],
-                              schema: DatabaseSchema,
-                              *, workers: int,
-                              max_database_size: int,
-                              values: Sequence[Any] | None = None,
-                              completeness_bound: int | None = None,
-                              budget: int | None = None,
-                              governor: ExecutionGovernor | None = None,
-                              on_exhausted: str = "error",
-                              resume_from: SearchCheckpoint | None = None,
-                              use_engine: bool = True,
-                              context: EvaluationContext | None = None,
-                              backend: str | None = None,
-                              ) -> RCQPResult:
-    """``brute_force_rcqp`` with the candidate-database search sharded."""
-    from repro.core.bounded import candidate_fact_pool, resolve_value_pool
-
-    validate_exhaustion_mode(on_exhausted)
-    governor = resolve_governor(governor, budget)
-    context = resolve_context(context, use_engine, backend)
-    engine_base = (context.statistics.copy() if context is not None
-                   else None)
-    values = resolve_value_pool(query, constraints, schema, (master,),
-                                values, context)
-    pool_size = len(candidate_fact_pool(schema, values))
-
-    decidable = True
-    try:
-        assert_decidable_configuration(query, constraints)
-    except UndecidableConfigurationError as exc:
-        decidable = False
-        if completeness_bound is None:
-            raise UndecidableConfigurationError(
-                "brute_force_rcqp on an undecidable configuration needs "
-                "an explicit completeness_bound") from exc
-
-    consumed = [0] * workers
-    done = [False] * workers
-    base_stats = SearchStatistics()
-    if resume_from is not None:
-        consumed, done = unpack_parallel_state(
-            resume_from, "brute-rcqp-parallel", workers)
-        base_stats = resume_from.base_statistics()
-
-    specs = split_governor(governor, workers, consumed=consumed, done=done)
-    tasks = _make_tasks(
-        "brute-rcqp", workers, specs, consumed, done, use_engine,
-        dict(query=query, master=master, constraints=tuple(constraints),
-             schema=schema, max_database_size=max_database_size,
-             values=tuple(values), completeness_bound=completeness_bound,
-             decidable=decidable),
-        backend=_task_backend(context))
-    outcomes = run_shards(tasks, governor=governor)
-    _reconcile(outcomes, governor)
-
-    stats = base_stats.merged(_sum_statistics(outcomes))
-    if context is not None:
-        stats = stats.merged(context.statistics.since(engine_base))
-
-    best = _best_witness(outcomes)
-    if best is not None:
-        candidate, _size = best.data
-        note = ("witness verified by the exact RCDP decider"
-                if decidable else
-                f"witness only checked up to extensions of "
-                f"{completeness_bound} fact(s) — configuration is "
-                f"undecidable")
-        return RCQPResult(
-            status=RCQPStatus.NONEMPTY, witness=candidate,
-            explanation=note, statistics=stats, bound=max_database_size)
-
-    exhausted = _first_exhausted(outcomes)
-    if exhausted is not None:
-        checkpoint = SearchCheckpoint(
-            procedure="brute-rcqp-parallel", cursor=(workers,),
-            statistics=stats,
-            payload=parallel_checkpoint_state(outcomes))
-        partial = RCQPResult(
-            status=RCQPStatus.EXHAUSTED,
-            explanation=(
-                f"parallel brute-force search interrupted "
-                f"({exhausted.reason}); resume from the checkpoint with "
-                f"the same worker count to continue"),
-            statistics=stats, checkpoint=checkpoint,
-            interrupted=exhausted.reason, bound=max_database_size)
-        if on_exhausted == "error":
-            _raise_interrupted(partial.explanation, exhausted.reason,
-                               stats, partial, checkpoint)
-        return partial
-
-    return RCQPResult(
-        status=RCQPStatus.EMPTY_UP_TO_BOUND,
-        explanation=(
-            f"no relatively complete database of ≤ {max_database_size} "
-            f"fact(s) over a pool of {pool_size} candidate facts"),
-        statistics=stats, bound=max_database_size)
-
-
-# ---------------------------------------------------------------------------
-# RCQP (general characterization)
-# ---------------------------------------------------------------------------
-
-
-def decide_rcqp_parallel(query: Any, master: Instance,
-                         constraints: Sequence[ContainmentConstraint],
-                         schema: DatabaseSchema,
-                         *, workers: int,
-                         max_valuation_set_size: int = 2,
-                         max_rows_per_unit: int = 1,
-                         max_completion_rounds: int = 64,
-                         verify_witness: bool = True,
-                         budget: int | None = None,
-                         governor: ExecutionGovernor | None = None,
-                         on_exhausted: str = "error",
-                         resume_from: SearchCheckpoint | None = None,
-                         use_engine: bool = True,
-                         context: EvaluationContext | None = None,
-                         backend: str | None = None,
-                         analyze: bool = True,
-                         analysis: Any = None) -> RCQPResult:
-    """``decide_rcqp`` (general E2/E6 search) with the candidate-set
-    enumeration sharded.
-
-    Unit enumeration stays in the parent (it is the cheap phase and its
-    order defines the shared candidate-set indexing); each worker then
-    tests its owned candidate sets end to end, including the nested
-    completion and RCDP verification.
-    """
-    from repro.core.rcqp import (_constraint_tableaux, _enumerate_units,
-                                 _query_tableaux)
-    from repro.core.valuations import ActiveDomain
-    from repro.core.witness import make_complete
-
-    validate_exhaustion_mode(on_exhausted)
-    governor = resolve_governor(governor, budget)
-    context = resolve_context(context, use_engine, backend)
-    engine_base = (context.statistics.copy() if context is not None
-                   else None)
-    assert_decidable_configuration(query, constraints)
-    if analysis is None and analyze:
-        analysis = validate_for_decision(
-            query, constraints, schema=schema,
-            master_schema=master.schema, master=master)
-    fresh_warnings = (len(analysis.warnings)
-                      if analysis is not None and resume_from is None
-                      else 0)
-    query.validate(schema)
-
-    q_tableaux = _query_tableaux(query, schema)
-    cc_tableaux = _constraint_tableaux(constraints, schema)
-    adom = ActiveDomain.build(
-        instances=(master,),
-        queries=[query] + [c.query for c in constraints],
-        tableaux=list(q_tableaux) + cc_tableaux)
-
-    if not q_tableaux:
-        return RCQPResult(
-            status=RCQPStatus.NONEMPTY,
-            witness=Instance.empty(schema),
-            explanation="the query is unsatisfiable; every partially "
-                        "closed database is trivially complete",
-            statistics=SearchStatistics(
-                analysis_warnings=fresh_warnings))
-
-    phase, start_units = 0, 0
-    consumed = [0] * workers
-    done = [False] * workers
-    base_stats = SearchStatistics()
-    if resume_from is not None:
-        resume_from.require("rcqp-parallel")
-        if resume_from.cursor[0] != workers:
-            raise ReproError(
-                f"checkpoint from a workers={resume_from.cursor[0]} run "
-                f"cannot resume with workers={workers}: shard ownership "
-                f"depends on the count")
-        phase, start_units = resume_from.cursor[1], resume_from.cursor[2]
-        base_stats = resume_from.base_statistics()
-        if phase == 1:
-            consumed = list(resume_from.payload[0])
-            done = list(resume_from.payload[1])
-
-    new_units = 0
-    frontier: dict[str, Any] = {"units": start_units}
-
-    def _parent_stats() -> SearchStatistics:
-        stats = base_stats.merged(SearchStatistics(
-            units_examined=new_units,
-            analysis_warnings=fresh_warnings))
-        if context is not None:
-            stats = stats.merged(context.statistics.since(engine_base))
-        return stats
-
-    # Condition E1/E5: all output variables range over finite domains.
-    if all(tableau.has_finite_domain(v)
-           for tableau in q_tableaux
-           for v in tableau.summary_variables()):
-        outcome = make_complete(
-            query, Instance.empty(schema), master, constraints,
-            max_rounds=max_completion_rounds, governor=governor,
-            on_exhausted="error", context=context,
-            use_engine=context is not None, workers=workers)
-        if outcome.complete:
-            return RCQPResult(
-                status=RCQPStatus.NONEMPTY,
-                witness=outcome.database,
-                explanation=(
-                    "all output variables have finite domains "
-                    "(condition E1/E5); witness built by certificate "
-                    "completion"))
-        raise ReproError(
-            "internal error: E1/E5 completion did not converge — raise "
-            "max_completion_rounds or report this as a bug")
-
-    # Phase 0: enumerate units serially in the parent (cheap; defines the
-    # candidate-set order every shard indexes into).
-    try:
-        if phase == 0:
-            units = _enumerate_units(
-                cc_tableaux, adom, max_rows_per_unit,
-                governor=governor, skip=start_units, progress=frontier)
-            new_units = max(0, frontier["units"] - start_units)
-        else:
-            units = _enumerate_units(cc_tableaux, adom, max_rows_per_unit)
-    except ExecutionInterrupted as interrupt:
-        stats = _parent_stats()
-        checkpoint = SearchCheckpoint(
-            procedure="rcqp-parallel",
-            cursor=(workers, 0, frontier["units"]), statistics=stats)
-        partial = RCQPResult(
-            status=RCQPStatus.EXHAUSTED,
-            explanation=(
-                f"search interrupted ({interrupt.reason}) at unit "
-                f"enumeration position {frontier['units']}; resume from "
-                f"the checkpoint to continue"),
-            statistics=stats, checkpoint=checkpoint,
-            interrupted=interrupt.reason)
-        if on_exhausted == "error":
-            interrupt.statistics = stats
-            interrupt.partial_result = partial
-            interrupt.checkpoint = checkpoint
-            raise
-        return partial
-
-    # Phase 1: shard the candidate-set search.
-    max_size = min(max_valuation_set_size, len(units))
-    specs = split_governor(governor, workers, consumed=consumed, done=done)
-    tasks = _make_tasks(
-        "rcqp-sets", workers, specs, consumed, done, use_engine,
-        dict(query=query, master=master, constraints=tuple(constraints),
-             schema=schema, units=tuple(units), max_size=max_size,
-             max_completion_rounds=max_completion_rounds,
-             verify_witness=verify_witness),
-        backend=_task_backend(context))
-    outcomes = run_shards(tasks, governor=governor)
-    _reconcile(outcomes, governor)
-
-    stats = _parent_stats().merged(_sum_statistics(outcomes))
-
-    best = _best_witness(outcomes)
-    if best is not None:
-        witness_database, size = best.data
-        return RCQPResult(
-            status=RCQPStatus.NONEMPTY,
-            witness=witness_database,
-            explanation=(
-                f"bounding valuation set of size {size} found "
-                f"(condition E2/E6); witness verified complete"),
-            statistics=stats)
-
-    exhausted = _first_exhausted(outcomes)
-    if exhausted is not None:
-        checkpoint = SearchCheckpoint(
-            procedure="rcqp-parallel", cursor=(workers, 1, 0),
-            statistics=stats,
-            payload=parallel_checkpoint_state(outcomes))
-        partial = RCQPResult(
-            status=RCQPStatus.EXHAUSTED,
-            explanation=(
-                f"parallel candidate-set search interrupted "
-                f"({exhausted.reason}); resume from the checkpoint with "
-                f"the same worker count to continue"),
-            statistics=stats, checkpoint=checkpoint,
-            interrupted=exhausted.reason)
-        if on_exhausted == "error":
-            _raise_interrupted(partial.explanation, exhausted.reason,
-                               stats, partial, checkpoint)
-        return partial
-
-    space_covered = max_valuation_set_size >= len(units)
-    status = (RCQPStatus.EMPTY if space_covered
-              else RCQPStatus.EMPTY_UP_TO_BOUND)
-    total_examined = stats.candidate_sets_examined
-    return RCQPResult(
-        status=status,
-        explanation=(
-            f"no bounding valuation set among {total_examined} candidate "
-            f"set(s) over {len(units)} unit(s)"
-            + ("" if space_covered else
-               f" (search capped at size {max_valuation_set_size})")),
-        statistics=stats,
-        bound=None if space_covered else max_valuation_set_size)
-
-
-# ---------------------------------------------------------------------------
-# RCQP with INDs (syntactic coNP algorithm)
-# ---------------------------------------------------------------------------
-
-
-def decide_rcqp_with_inds_parallel(
-        query: Any, master: Instance,
-        constraints: Sequence[ContainmentConstraint],
-        schema: DatabaseSchema,
-        *, workers: int,
-        construct_witness: bool = True,
-        verify_witness: bool = True,
-        budget: int | None = None,
-        governor: ExecutionGovernor | None = None,
-        on_exhausted: str = "error",
-        resume_from: SearchCheckpoint | None = None,
-        use_engine: bool = True,
-        context: EvaluationContext | None = None,
-        backend: str | None = None) -> RCQPResult:
-    """``decide_rcqp_with_inds`` with both valuation scans sharded.
-
-    Phase 0 (is the disjunct relevant?) runs one pool per tableau with
-    an early-exit beacon — relevance is existential, so the first
-    compatible valuation anywhere settles it.  Phase 1 (witness
-    construction) runs one full-scan pool per relevant tableau; workers
-    report per-summary first-compatible instantiations and the parent
-    merges rank minima, which reproduces the serial ``covered`` choice.
-    """
-    from repro.core.rcdp import decide_rcdp
-    from repro.core.rcqp import (_facts_instance, _ind_covers_variable,
-                                 _query_tableaux)
-
-    validate_exhaustion_mode(on_exhausted)
-    governor = resolve_governor(governor, budget)
-    context = resolve_context(context, use_engine, backend)
-    engine_base = (context.statistics.copy() if context is not None
-                   else None)
-    assert_decidable_configuration(query, constraints)
-    for constraint in constraints:
-        if not constraint.is_ind():
-            raise ConstraintError(
-                f"decide_rcqp_with_inds requires IND constraints; "
-                f"{constraint.name!r} is not an IND")
-    query.validate(schema)
-
-    tableaux = _query_tableaux(query, schema)
-
-    phase, start_index = 0, 0
-    consumed = [0] * workers
-    done = [False] * workers
-    base_stats = SearchStatistics()
-    relevant_indices: list[int] = []
-    witness_facts: list[Fact] = []
-    pending_pairs: list[tuple] = []
-    if resume_from is not None:
-        resume_from.require("rcqp-inds-parallel")
-        if resume_from.cursor[0] != workers:
-            raise ReproError(
-                f"checkpoint from a workers={resume_from.cursor[0]} run "
-                f"cannot resume with workers={workers}: shard ownership "
-                f"depends on the count")
-        phase, start_index = resume_from.cursor[1], resume_from.cursor[2]
-        base_stats = resume_from.base_statistics()
-        relevant_indices = list(resume_from.payload[0])
-        witness_facts = list(resume_from.payload[1])
-        pending_pairs = [tuple(pair) for pair in resume_from.payload[2]]
-        consumed = list(resume_from.payload[3])
-        done = list(resume_from.payload[4])
-
-    accumulated = SearchStatistics()
-
-    def _stats() -> SearchStatistics:
-        stats = base_stats.merged(accumulated)
-        if context is not None:
-            stats = stats.merged(context.statistics.since(engine_base))
-        return stats
-
-    def _exhausted_result(cursor_phase: int, cursor_index: int,
-                          outcomes: Sequence[ShardOutcome],
-                          reason: str) -> RCQPResult:
-        shard_state = parallel_checkpoint_state(outcomes)
-        pairs = list(pending_pairs)
-        for outcome in outcomes:
-            pairs.extend(outcome.data or ())
-        stats = _stats()
-        checkpoint = SearchCheckpoint(
-            procedure="rcqp-inds-parallel",
-            cursor=(workers, cursor_phase, cursor_index),
-            statistics=stats,
-            payload=(tuple(relevant_indices), tuple(witness_facts),
-                     tuple(pairs)) + shard_state)
-        partial = RCQPResult(
-            status=RCQPStatus.EXHAUSTED,
-            explanation=(
-                f"parallel search interrupted ({reason}) after "
-                f"{stats.valuations_examined} valuation(s); resume from "
-                f"the checkpoint with the same worker count to continue"),
-            statistics=stats, checkpoint=checkpoint, interrupted=reason)
-        if on_exhausted == "error":
-            _raise_interrupted(partial.explanation, reason, stats,
-                               partial, checkpoint)
-        return partial
-
-    base_payload = dict(query=query, master=master,
-                        constraints=tuple(constraints), schema=schema)
-
-    # Phase 0: relevance scan, one sharded pool per tableau.
-    if phase == 0:
-        for t_index, tableau in enumerate(tableaux):
-            if t_index < start_index:
-                continue
-            if t_index > start_index:
-                consumed = [0] * workers
-                done = [False] * workers
-            specs = split_governor(governor, workers,
-                                   consumed=consumed, done=done)
-            tasks = _make_tasks(
-                "inds-scan", workers, specs, consumed, done, use_engine,
-                dict(base_payload, tableau_index=t_index),
-                backend=_task_backend(context))
-            outcomes = run_shards(tasks, governor=governor)
-            _reconcile(outcomes, governor)
-            accumulated = accumulated.merged(_sum_statistics(outcomes))
-
-            compatible_exists = any(o.kind == "witness" for o in outcomes)
-            if not compatible_exists:
-                exhausted = _first_exhausted(outcomes)
-                if exhausted is not None:
-                    return _exhausted_result(0, t_index, outcomes,
-                                             exhausted.reason)
-                # The disjunct can never fire in a partially closed
-                # database; it cannot break boundedness (second case of
-                # Prop. 4.3).
-                continue
-            relevant_indices.append(t_index)
-            for variable in sorted(tableau.summary_variables(),
-                                   key=lambda v: v.name):
-                if tableau.has_finite_domain(variable):
-                    continue  # condition E3
-                if not _ind_covers_variable(tableau, variable, constraints):
-                    return RCQPResult(
-                        status=RCQPStatus.EMPTY,
-                        explanation=(
-                            f"output variable {variable!r} of disjunct "
-                            f"{tableau.query.name!r} has an infinite "
-                            f"domain and is not covered by any IND "
-                            f"(conditions E3/E4 both fail)"),
-                        statistics=_stats())
-        phase, start_index = 1, 0
-        consumed = [0] * workers
-        done = [False] * workers
-
-    witness = None
-    if construct_witness:
-        relevant = [tableaux[i] for i in relevant_indices]
-        # Phase 1: witness construction, one full-scan pool per relevant
-        # tableau.
-        for r_pos, tableau_index in enumerate(relevant_indices):
-            if r_pos < start_index:
-                continue
-            if r_pos > start_index:
-                consumed = [0] * workers
-                done = [False] * workers
-            specs = split_governor(governor, workers,
-                                   consumed=consumed, done=done)
-            tasks = _make_tasks(
-                "inds-build", workers, specs, consumed, done, use_engine,
-                dict(base_payload, tableau_index=tableau_index),
-                backend=_task_backend(context))
-            outcomes = run_shards(tasks, governor=governor,
-                                  use_beacon=False)
-            _reconcile(outcomes, governor)
-            accumulated = accumulated.merged(_sum_statistics(outcomes))
-
-            exhausted = _first_exhausted(outcomes)
-            if exhausted is not None:
-                return _exhausted_result(1, r_pos, outcomes,
-                                         exhausted.reason)
-            covered: dict[tuple, tuple[tuple[int, ...],
-                                       tuple[Fact, ...]]] = {}
-            for pair in pending_pairs:
-                rank, summary, delta = pair
-                rank = tuple(rank)
-                if summary not in covered or rank < covered[summary][0]:
-                    covered[summary] = (rank, tuple(delta))
-            for outcome in outcomes:
-                for rank, summary, delta in outcome.data or ():
-                    rank = tuple(rank)
-                    if summary not in covered or rank < covered[summary][0]:
-                        covered[summary] = (rank, tuple(delta))
-            pending_pairs = []
-            for _, delta in sorted(covered.values(), key=lambda v: v[0]):
-                witness_facts.extend(delta)
-
-        witness = _facts_instance(schema, witness_facts)
-        if verify_witness:
-            try:
-                verdict = decide_rcdp(query, witness, master, constraints,
-                                      governor=governor, context=context,
-                                      use_engine=context is not None,
-                                      workers=workers)
-            except ExecutionInterrupted as interrupt:
-                # Verification restarts from scratch on resume, exactly
-                # like the serial decider.
-                stats = _stats()
-                checkpoint = SearchCheckpoint(
-                    procedure="rcqp-inds-parallel",
-                    cursor=(workers, 1, len(relevant)),
-                    statistics=stats,
-                    payload=(tuple(relevant_indices), tuple(witness_facts),
-                             (), (0,) * workers, (True,) * workers))
-                partial = RCQPResult(
-                    status=RCQPStatus.EXHAUSTED,
-                    explanation=(
-                        f"parallel search interrupted ({interrupt.reason}) "
-                        f"during witness verification; resume from the "
-                        f"checkpoint with the same worker count to "
-                        f"continue"),
-                    statistics=stats, checkpoint=checkpoint,
-                    interrupted=interrupt.reason)
-                if on_exhausted == "error":
-                    interrupt.statistics = stats
-                    interrupt.partial_result = partial
-                    interrupt.checkpoint = checkpoint
-                    raise
-                return partial
-            if verdict.status is not RCDPStatus.COMPLETE:
-                raise ReproError(
-                    "internal error: Proposition 4.3 witness failed "
-                    "RCDP verification — please report this as a bug")
-
-    return RCQPResult(
-        status=RCQPStatus.NONEMPTY,
-        witness=witness,
-        explanation=(
-            "every relevant disjunct is syntactically bounded "
-            "(conditions E3/E4); witness covers all achievable output "
-            "tuples over the active domain"),
-        statistics=_stats())
+    return outcomes
+
+
+#: Each decider calls :func:`fan_out` under its own name, so a profiler
+#: that wraps one name times that procedure's pool rounds alone.
+decide_rcdp_parallel = fan_out
+missing_answers_parallel = fan_out
+brute_force_rcdp_parallel = fan_out
+brute_force_rcqp_parallel = fan_out
+decide_rcqp_parallel = fan_out
+decide_rcqp_with_inds_parallel = fan_out

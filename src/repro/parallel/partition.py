@@ -1,21 +1,17 @@
-"""Deterministic partitioning of a search space across worker shards.
+"""Splitting a parent governor across worker shards.
 
-The parallel drivers split three things:
-
-* **the enumeration** — via :class:`ShardSpec`: shard ``i`` of ``n``
-  owns exactly the candidates whose deterministic position satisfies
-  ``position % n == i``, so the union over shards is the serial stream
-  for *every* shard count (the determinism guarantee the differential
-  tests pin down);
-* **the governor** — via :class:`GovernorSpec`: each worker receives a
-  picklable description of its share of the parent's *remaining* budget
-  (floor division, remainder to the lowest shards), the parent's
-  absolute deadline (monotonic clocks are system-wide on Linux, so the
-  instant transfers across ``fork``), a private copy of the fault
-  injector (fault clocks are per-worker), and a flag wiring it to the
-  pool's shared cancellation event;
-* **resume state** — per-shard consumed counts and done flags, carried
-  in parallel checkpoints and unpacked by :func:`unpack_parallel_state`.
+Shard *ownership* (which candidates a shard searches) and the per-shard
+resume points live with the kernels, in :mod:`repro.core.search`: shard
+``i`` of ``n`` owns the candidates whose deterministic position ``p``
+has ``p % n == i``, so the union over shards is the serial stream for
+*every* shard count.  This module splits the **governor**: via
+:class:`GovernorSpec`, each worker receives a picklable description of
+its share of the parent's *remaining* budget (floor division, remainder
+to the least-advanced shards), the parent's absolute deadline
+(monotonic clocks are system-wide on Linux, so the instant transfers
+across ``fork``), a private copy of the fault injector (fault clocks
+are per-worker), and a flag wiring it to the pool's shared cancellation
+event.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.errors import ReproError
 from repro.obs import Observation, obs_of
 from repro.runtime import Budget, Deadline, ExecutionGovernor
 
@@ -33,10 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.faults import FaultInjector
     from repro.runtime.retry import RetryPolicy
 
-__all__ = ["resolve_workers", "suggest_workers", "ShardSpec",
-           "GovernorSpec", "split_governor", "materialize_governor",
-           "EventCancellation", "parallel_checkpoint_state",
-           "unpack_parallel_state"]
+__all__ = ["suggest_workers", "GovernorSpec", "split_governor",
+           "materialize_governor", "EventCancellation"]
 
 #: Below this many predicted ticks per worker, adding a process costs
 #: more (spawn + pickle + merge) than the slice it would own.
@@ -58,40 +51,6 @@ def suggest_workers(estimate: Any, *,
     if ticks <= 0 or cores <= 1:
         return 1
     return max(1, min(cores, ticks // MIN_TICKS_PER_WORKER))
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Normalize the deciders' ``workers=`` knob to a positive count.
-
-    ``None`` and ``1`` select the serial path; ``0`` means "all cores"
-    (:func:`os.cpu_count`); negative counts are rejected.
-    """
-    if workers is None:
-        return 1
-    if workers < 0:
-        raise ReproError(
-            f"workers must be nonnegative (0 = all cores), got {workers}")
-    if workers == 0:
-        return os.cpu_count() or 1
-    return int(workers)
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """One worker's slice of a deterministic enumeration.
-
-    *skip* fast-forwards past owned candidates a previous (interrupted)
-    run already processed; *done* marks a shard whose slice was fully
-    exhausted before the interruption, so resuming skips it entirely.
-    """
-
-    index: int
-    count: int
-    skip: int = 0
-    done: bool = False
-
-    def owns(self, position: int) -> bool:
-        return position % self.count == self.index
 
 
 def _shares(total: int | None, order: Sequence[int],
@@ -233,29 +192,3 @@ def materialize_governor(spec: GovernorSpec | None, cancel_event: Any,
     if spec.trace:
         Observation.attach(governor)
     return governor
-
-
-def parallel_checkpoint_state(outcomes: Any) -> tuple[tuple[int, ...],
-                                                      tuple[bool, ...]]:
-    """Per-shard ``(consumed, done)`` state for a parallel checkpoint."""
-    ordered = sorted(outcomes, key=lambda o: o.index)
-    return (tuple(o.consumed for o in ordered),
-            tuple(o.kind == "complete" for o in ordered))
-
-
-def unpack_parallel_state(checkpoint: Any, procedure: str, workers: int,
-                          ) -> tuple[list[int], list[bool]]:
-    """Validate and unpack a parallel checkpoint's per-shard state.
-
-    Parallel checkpoints record the shard count they were taken under
-    (``cursor[0]``); the partition is a function of that count, so a
-    resumed run must use the same number of workers.
-    """
-    checkpoint.require(procedure)
-    count = checkpoint.cursor[0]
-    if count != workers:
-        raise ReproError(
-            f"checkpoint from a workers={count} run cannot resume with "
-            f"workers={workers}: shard ownership depends on the count")
-    consumed, done = checkpoint.payload[0], checkpoint.payload[1]
-    return list(consumed), list(done)

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.core.search import ShardOutcome
 from repro.parallel.supervise import ShardSupervisor
-from repro.parallel.worker import ShardOutcome, ShardTask
+from repro.parallel.worker import ShardTask
 from repro.runtime import ExecutionGovernor, RetryPolicy
 
 __all__ = ["run_shards", "merged_ticks"]

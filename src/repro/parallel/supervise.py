@@ -5,28 +5,28 @@ loop (any worker death aborted the whole decision) with a recoverable
 protocol built on three pieces:
 
 **Heartbeat progress snapshots.**  Each supervised worker publishes a
-``"progress"`` :class:`~repro.parallel.worker.ShardOutcome` on the
+``"progress"`` :class:`~repro.core.search.ShardOutcome` on the
 policy's heartbeat interval — a full snapshot (consumed count,
-statistics, budget ledger, partial data) taken at a candidate
+statistics, budget ledger, partial answers) taken at a candidate
 boundary.  A snapshot is simultaneously a liveness beat and an exact
-restart checkpoint: ``consumed`` is directly a
-:class:`~repro.parallel.partition.ShardSpec.skip` value, the same
-cursor the serial resume path uses.
+restart checkpoint: ``consumed`` and the partial answers are directly a
+:class:`~repro.core.search.ShardSpec` resume point, the same one a
+resumed decision hands its kernel.
 
 **Checkpoint-based retry.**  A worker that dies without reporting
 (crash, OOM kill) or goes silent past ``silent_after`` (hang) is
 respawned from its last snapshot, after an exponential backoff with
-seeded jitter.  The dead attempt's snapshot is folded into a
-*committed* prefix — statistics, ledger charges, and partial data the
-final outcome will be merged with — and the replacement's governor
-spec is carved out of the **same** budget: its limits are the original
-share minus the committed charges, and its deadline is the parent's
-unchanged absolute instant.  Work the dead attempt did between its
-last snapshot and its death is re-scanned (the counters stay exact
-because the snapshot was taken at a candidate boundary, so committed +
-retry covers the shard's slice with no gap and no overlap).  The fault
-injector is reseeded per attempt, so a probabilistic crash schedule
-differs across attempts.
+seeded jitter.  The dead attempt's statistics and ledger charges are
+folded into a *committed* prefix the final outcome will be merged
+with, the replacement resumes at the snapshot's resume point (carrying
+its partial answers), and its governor spec is carved out of the
+**same** budget: its limits are the original share minus the committed
+charges, and its deadline is the parent's unchanged absolute instant.
+Work the dead attempt did between its last snapshot and its death is
+re-scanned (the counters stay exact because the snapshot was taken at
+a candidate boundary, so committed + retry covers the shard's slice
+with no gap and no overlap).  The fault injector is reseeded per
+attempt, so a probabilistic crash schedule differs across attempts.
 
 **Poison-shard quarantine.**  A shard that fails ``max_retries + 1``
 times is poison.  Under ``on_poison="serial"`` (default) its remaining
@@ -45,8 +45,8 @@ exactly like the legacy path.
 
 Budget exhaustion is never crash-shaped: a replacement whose share is
 already spent reports ``"exhausted"`` on its first tick, and the
-parent assembles the usual resumable parallel checkpoint from the
-cumulative ``consumed`` counts.
+decider assembles the usual resumable checkpoint from the cumulative
+``consumed`` counts.
 """
 
 from __future__ import annotations
@@ -59,12 +59,12 @@ import time
 import traceback
 from typing import Any, Sequence
 
+from repro.core.search import ShardOutcome, ShardSpec, run_inline
 from repro.errors import ReproError, WorkerPoolError
 from repro.obs import obs_of, obs_span
 from repro.parallel.beacon import WitnessBeacon
 from repro.parallel.partition import materialize_governor
-from repro.parallel.worker import (_RUNNERS, ShardOutcome, ShardTask,
-                                   shard_entry)
+from repro.parallel.worker import ShardTask, run_task, shard_entry
 from repro.runtime import ExecutionGovernor, RetryPolicy
 
 __all__ = ["ShardSupervisor"]
@@ -77,11 +77,6 @@ __all__ = ["ShardSupervisor"]
 _DEAD_WORKER_GRACE = 1.0
 
 _QUEUE_POLL = 0.05
-
-#: Outcome kinds whose ``data`` accumulates per shard (rank/summary
-#: pairs merged by the parent) and therefore must be concatenated
-#: across attempts; witness-style kinds carry final-only data.
-_ACCUMULATING_KINDS = frozenset({"missing", "inds-build"})
 
 
 def _mp_context() -> multiprocessing.context.BaseContext:
@@ -115,9 +110,9 @@ class _ShardState:
     #: Merged results of dead attempts' last snapshots.
     committed_stats: Any = None
     committed_ticks: dict[str, int] = dataclasses.field(default_factory=dict)
-    committed_data: list = dataclasses.field(default_factory=list)
-    #: Resume cursor for the next attempt (a ShardSpec.skip value).
-    restart_skip: int = 0
+    #: Where the next attempt resumes: the last snapshot's consumed
+    #: count and partial answers.
+    restart: ShardSpec | None = None
     failures: list[str] = dataclasses.field(default_factory=list)
     final: ShardOutcome | None = None
 
@@ -143,8 +138,6 @@ class ShardSupervisor:
         self._policy = retry if retry is not None else RetryPolicy()
         self._use_beacon = use_beacon
         self._observation = obs_of(governor)
-        self._merge_data = bool(self._tasks) and \
-            self._tasks[0].kind in _ACCUMULATING_KINDS
         if self._policy.supervise:
             self._death_grace = min(_DEAD_WORKER_GRACE,
                                     max(0.2, self._policy.heartbeat))
@@ -166,12 +159,11 @@ class ShardSupervisor:
         for task in self._tasks:
             if task.shard.done:
                 # Fully scanned before the interruption; answered inline.
-                self._inline[task.shard.index] = ShardOutcome(
-                    index=task.shard.index, kind="complete",
-                    consumed=task.shard.skip)
+                self._inline[task.shard.index] = run_inline(
+                    task.kernel, task.payload, task.shard, None, None)
                 continue
             self._states[task.shard.index] = _ShardState(
-                task=task, restart_skip=task.shard.skip)
+                task=task, restart=task.shard)
         try:
             for state in self._states.values():
                 self._spawn(state)
@@ -240,7 +232,6 @@ class ShardSupervisor:
         """The original task, fast-forwarded to the committed cursor and
         re-budgeted with whatever its dead attempts did not spend."""
         task = state.task
-        shard = dataclasses.replace(task.shard, skip=state.restart_skip)
         spec = task.governor
         if spec is not None:
             total = sum(state.committed_ticks.values())
@@ -258,7 +249,7 @@ class ShardSupervisor:
             spec = dataclasses.replace(spec, budget_limit=budget_limit,
                                        kind_limits=kind_limits,
                                        faults=faults)
-        return dataclasses.replace(task, shard=shard, governor=spec)
+        return dataclasses.replace(task, shard=state.restart, governor=spec)
 
     def _fail(self, state: _ShardState, reason: str,
               kill: bool = False) -> None:
@@ -302,9 +293,9 @@ class ShardSupervisor:
         for kind, amount in snapshot.ticks.items():
             state.committed_ticks[kind] = \
                 state.committed_ticks.get(kind, 0) + amount
-        if self._merge_data and snapshot.data:
-            state.committed_data.extend(snapshot.data)
-        state.restart_skip = snapshot.consumed
+        state.restart = dataclasses.replace(
+            state.task.shard, skip=snapshot.consumed,
+            carried=tuple(snapshot.data or ()))
         state.snapshot = None
 
     def _poison(self, state: _ShardState, reason: str) -> None:
@@ -331,8 +322,7 @@ class ShardSupervisor:
             try:
                 with obs_span(worker_obs, "shard", kind=task.kind,
                               index=index, attempt=attempt):
-                    outcome = _RUNNERS[task.kind](task, self._beacon,
-                                                  governor, None)
+                    outcome = run_task(task, self._beacon, governor)
                 if worker_obs is not None:
                     outcome.obs = worker_obs.payload()
             except Exception:
@@ -390,9 +380,6 @@ class ShardSupervisor:
             for kind, amount in outcome.ticks.items():
                 ticks[kind] = ticks.get(kind, 0) + amount
             outcome.ticks = ticks
-        if self._merge_data and state.committed_data:
-            outcome.data = tuple(state.committed_data) \
-                + tuple(outcome.data or ())
         state.snapshot = None
         state.final = outcome
         self._ship_progress(state.task.shard.index,

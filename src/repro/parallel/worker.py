@@ -1,26 +1,22 @@
-"""Worker-side runners for the parallel search drivers.
+"""Worker-side execution of one shard task.
 
-Each runner is the shard-local image of one serial search loop from
-``core/`` — same admission order, same tick kinds, same statistics
-counters — restricted to the candidates its :class:`~repro.parallel.
-partition.ShardSpec` owns.  The faithfulness is deliberate and load-
-bearing: the differential test suite asserts that verdicts, witnesses,
-and (on full enumerations) the merged ``valuations_examined`` /
-``constraint_checks`` counters are *identical* between ``workers=1`` and
-``workers=N``, which only holds because every runner mirrors its serial
-twin line for line.
+A worker process runs one search kernel (:mod:`repro.core.search`) —
+the same function a decider runs in-process at ``workers=1`` — over the
+slice its :class:`~repro.core.search.ShardSpec` owns, on a private
+evaluation context and a governor materialized from the task's
+picklable :class:`~repro.parallel.partition.GovernorSpec`.
 
-A runner returns a :class:`ShardOutcome` — never raises:
-:class:`~repro.errors.ExecutionInterrupted` becomes an ``"exhausted"``
-outcome carrying the shard's resume cursor, and any other exception is
-caught by :func:`shard_entry` and shipped back as an ``"error"``
-outcome with the formatted traceback.
+A kernel returns a :class:`~repro.core.search.ShardOutcome` and never
+raises :class:`~repro.errors.ExecutionInterrupted` (it becomes an
+``"exhausted"`` outcome carrying the shard's resume cursor); any other
+exception is caught by :func:`shard_entry` and shipped back as an
+``"error"`` outcome with the formatted traceback.
 
 Under supervision (:mod:`repro.parallel.supervise`) a worker also
 publishes periodic ``"progress"`` outcomes: full snapshots (consumed
-count, statistics, ledger, partial data) taken at a candidate boundary,
-so each doubles as a liveness heartbeat *and* an exact restart
-checkpoint.  A :class:`_Beat` daemon thread arms a flag on the
+count, statistics, ledger, partial answers) taken at a candidate
+boundary, so each doubles as a liveness heartbeat *and* an exact
+restart checkpoint.  A :class:`_Beat` daemon thread arms a flag on the
 heartbeat interval; the search loop checks the flag between candidates
 and publishes — a loop that stops advancing therefore goes silent,
 which is exactly how the supervisor detects a hung worker.
@@ -31,31 +27,23 @@ from __future__ import annotations
 import os
 import threading
 import traceback
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.constraints.containment import (satisfies_all,
-                                           satisfies_all_extension)
-from repro.core.results import RCDPStatus, SearchStatistics
-from repro.core.valuations import ActiveDomain, iter_sharded_valuations
+from repro.core.search import Kernel, SearchRun, ShardOutcome, ShardSpec
 from repro.engine import EvaluationContext
-from repro.errors import ExecutionInterrupted
 from repro.obs import obs_of, obs_span
-from repro.relational.instance import Instance, extend_unvalidated
 from repro.parallel.beacon import WitnessBeacon
-from repro.parallel.partition import (GovernorSpec, ShardSpec,
-                                      materialize_governor)
+from repro.parallel.partition import GovernorSpec, materialize_governor
 
-__all__ = ["ShardTask", "ShardOutcome", "shard_entry"]
-
-Fact = tuple[str, tuple]
+__all__ = ["ShardTask", "run_task", "shard_entry"]
 
 
 @dataclass(frozen=True)
 class ShardTask:
     """A picklable description of one worker's job.
 
+    *kernel* is a module-level function, so it pickles by import path.
     *backend* names the storage backend the worker's private
     :class:`~repro.engine.EvaluationContext` runs on.  Storages
     themselves never cross the process boundary (they may hold an
@@ -64,69 +52,12 @@ class ShardTask:
     """
 
     kind: str
+    kernel: Kernel
     shard: ShardSpec
     governor: GovernorSpec | None
     use_engine: bool
     payload: dict[str, Any]
     backend: str = "python"
-
-
-@dataclass
-class ShardOutcome:
-    """What one shard reports back to the parent.
-
-    *kind* is one of ``"complete"`` (shard fully scanned, nothing
-    found), ``"witness"`` (found a counterexample/witness at *rank*),
-    ``"superseded"`` (stopped early because the beacon carries a
-    strictly earlier witness), ``"exhausted"`` (governor tripped;
-    *consumed* is the resume cursor), ``"progress"`` (a mid-run
-    heartbeat snapshot under supervision — same fields, not final), or
-    ``"error"``.
-
-    *consumed* counts the owned candidates this shard has fully
-    processed across its lifetime — including the skip prefix of a
-    resumed run — so it is directly a :class:`ShardSpec.skip` value.
-    *ticks* is the per-kind snapshot of the worker governor's budget
-    ledger, absorbed into the parent governor on reconciliation.
-    """
-
-    index: int
-    kind: str
-    rank: tuple[int, ...] | None = None
-    data: Any = None
-    consumed: int = 0
-    statistics: SearchStatistics = field(default_factory=SearchStatistics)
-    ticks: dict[str, int] = field(default_factory=dict)
-    reason: str | None = None
-    error: str | None = None
-    #: When the parent traces, the worker observation's picklable
-    #: ``{"spans": ..., "metrics": ...}`` payload, grafted into the
-    #: parent's trace as a ``shard-N`` lane (``shard-N.aK`` for retry
-    #: attempt K) on reconciliation.
-    obs: dict | None = None
-    #: Which attempt at this shard produced the outcome (0 = first);
-    #: the supervisor discards messages from attempts it gave up on.
-    attempt: int = 0
-
-
-def _worker_context(task: ShardTask) -> tuple[EvaluationContext | None, Any]:
-    context = (EvaluationContext(backend=task.backend)
-               if task.use_engine else None)
-    base = context.statistics.copy() if context is not None else None
-    return context, base
-
-
-def _engine_delta(context: EvaluationContext | None,
-                  base: Any) -> SearchStatistics:
-    if context is None:
-        return SearchStatistics()
-    return context.statistics.since(base)
-
-
-def _ledger(governor: Any) -> dict[str, int]:
-    if governor is None or governor.budget is None:
-        return {}
-    return dict(governor.budget.snapshot())
 
 
 class _Beat:
@@ -155,7 +86,7 @@ class _Beat:
         while not self._stop.wait(interval):
             self.due = True
 
-    def publish(self, outcome: "ShardOutcome") -> None:
+    def publish(self, outcome: ShardOutcome) -> None:
         self.due = False
         outcome.attempt = self.attempt
         self.queue.put(outcome)
@@ -164,670 +95,15 @@ class _Beat:
         self._stop.set()
 
 
-# ---------------------------------------------------------------------------
-# RCDP: one shard of the valid-valuation enumeration
-# ---------------------------------------------------------------------------
-
-
-def _run_rcdp(task: ShardTask, beacon: WitnessBeacon | None,
-              governor: Any, beat: "_Beat | None" = None) -> ShardOutcome:
-    from repro.core.rcdp import _prepare_search, split_ind_constraints
-
-    p = task.payload
-    query, database = p["query"], p["database"]
-    master, constraints = p["master"], p["constraints"]
-    shard = task.shard
-    context, engine_base = _worker_context(task)
-
-    tableaux, adom = _prepare_search(query, database, master, constraints,
-                                     context)
-    answers = (context.evaluate(query, database) if context is not None
-               else query.evaluate(database))
-    row_filter, other_constraints = split_ind_constraints(
-        constraints, master, use_ind_pruning=p["use_ind_pruning"],
-        context=context)
-
-    skip = shard.skip
-    consumed = shard.skip
-    examined = 0
-    constraint_checks = 0
-
-    def _stats() -> SearchStatistics:
-        return SearchStatistics(
-            valuations_examined=examined,
-            constraint_checks=constraint_checks,
-        ).merged(_engine_delta(context, engine_base))
-
-    def _outcome(kind: str, **extra: Any) -> ShardOutcome:
-        return ShardOutcome(index=shard.index, kind=kind, consumed=consumed,
-                            statistics=_stats(), ticks=_ledger(governor),
-                            **extra)
-
-    governed = (context.governed(governor) if context is not None
-                else nullcontext())
-    try:
-        with governed:
-            for tableau_index, tableau in enumerate(tableaux):
-                if not tableau.satisfiable:
-                    continue
-                for prefix_index, position, valuation in \
-                        iter_sharded_valuations(
-                            tableau, adom, shard_index=shard.index,
-                            shard_count=shard.count, fresh="own",
-                            row_filter=row_filter):
-                    if skip > 0:
-                        skip -= 1
-                        continue
-                    if beat is not None and beat.due:
-                        beat.publish(_outcome("progress"))
-                    rank = (tableau_index, prefix_index, position)
-                    if beacon is not None and beacon.superseded(rank):
-                        return _outcome("superseded")
-                    if governor is not None:
-                        governor.tick("valuations")
-                    examined += 1
-                    summary = tableau.summary_under(valuation)
-                    if summary in answers:
-                        consumed += 1
-                        continue
-                    delta = tableau.instantiate(valuation)
-                    constraint_checks += 1
-                    if not other_constraints:
-                        satisfied = True
-                    elif context is not None:
-                        satisfied = satisfies_all_extension(
-                            database, delta, master, other_constraints,
-                            context=context)
-                    else:
-                        candidate = extend_unvalidated(database, delta)
-                        satisfied = satisfies_all(candidate, master,
-                                                  other_constraints)
-                    if satisfied:
-                        if beacon is not None:
-                            beacon.offer(rank)
-                        return _outcome(
-                            "witness", rank=rank,
-                            data=(tuple(delta), summary,
-                                  tableau.query.name))
-                    consumed += 1
-    except ExecutionInterrupted as interrupt:
-        return _outcome("exhausted", reason=interrupt.reason)
-    return _outcome("complete")
-
-
-# ---------------------------------------------------------------------------
-# Missing answers: one shard of the same enumeration, no early exit
-# ---------------------------------------------------------------------------
-
-
-def _run_missing(task: ShardTask, beacon: WitnessBeacon | None,
-                 governor: Any, beat: "_Beat | None" = None) -> ShardOutcome:
-    from repro.core.rcdp import _prepare_search, split_ind_constraints
-
-    p = task.payload
-    query, database = p["query"], p["database"]
-    master, constraints = p["master"], p["constraints"]
-    limit = p["limit"]
-    shard = task.shard
-    context, engine_base = _worker_context(task)
-
-    tableaux, adom = _prepare_search(query, database, master, constraints,
-                                     context)
-    answers = (context.evaluate(query, database) if context is not None
-               else query.evaluate(database))
-    row_filter, other_constraints = split_ind_constraints(
-        constraints, master, context=context)
-
-    skip = shard.skip
-    consumed = shard.skip
-    examined = 0
-    constraint_checks = 0
-    # summary -> rank of its first occurrence in this shard's stream; the
-    # parent merges these per-summary minima across shards, which is the
-    # global first-occurrence rank.
-    found: dict[tuple, tuple[int, ...]] = {}
-
-    def _stats() -> SearchStatistics:
-        return SearchStatistics(
-            valuations_examined=examined,
-            constraint_checks=constraint_checks,
-        ).merged(_engine_delta(context, engine_base))
-
-    def _outcome(kind: str, **extra: Any) -> ShardOutcome:
-        pairs = tuple((rank, summary) for summary, rank in found.items())
-        return ShardOutcome(index=shard.index, kind=kind, consumed=consumed,
-                            data=pairs, statistics=_stats(),
-                            ticks=_ledger(governor), **extra)
-
-    governed = (context.governed(governor) if context is not None
-                else nullcontext())
-    try:
-        with governed:
-            for tableau_index, tableau in enumerate(tableaux):
-                if not tableau.satisfiable:
-                    continue
-                for prefix_index, position, valuation in \
-                        iter_sharded_valuations(
-                            tableau, adom, shard_index=shard.index,
-                            shard_count=shard.count, fresh="own",
-                            row_filter=row_filter):
-                    if skip > 0:
-                        skip -= 1
-                        continue
-                    if beat is not None and beat.due:
-                        beat.publish(_outcome("progress"))
-                    if governor is not None:
-                        governor.tick("valuations")
-                    examined += 1
-                    consumed += 1
-                    summary = tableau.summary_under(valuation)
-                    if summary in answers or summary in found:
-                        continue
-                    if other_constraints:
-                        constraint_checks += 1
-                        delta = tableau.instantiate(valuation)
-                        if context is not None:
-                            if not satisfies_all_extension(
-                                    database, delta, master,
-                                    other_constraints, context=context):
-                                continue
-                        else:
-                            candidate = extend_unvalidated(database, delta)
-                            if not satisfies_all(candidate, master,
-                                                 other_constraints):
-                                continue
-                    found[summary] = (tableau_index, prefix_index, position)
-                    if limit is not None and len(found) >= limit:
-                        # Any later find in this shard has a larger rank
-                        # than all of these, so it cannot displace them
-                        # from the global rank-ordered top-`limit`.
-                        return _outcome("complete")
-    except ExecutionInterrupted as interrupt:
-        return _outcome("exhausted", reason=interrupt.reason)
-    return _outcome("complete")
-
-
-# ---------------------------------------------------------------------------
-# Brute-force RCDP: one shard of the extension-set enumeration
-# ---------------------------------------------------------------------------
-
-
-def _run_brute_rcdp(task: ShardTask, beacon: WitnessBeacon | None,
-                    governor: Any,
-                    beat: "_Beat | None" = None) -> ShardOutcome:
-    import itertools
-
-    from repro.core.bounded import candidate_fact_pool
-
-    p = task.payload
-    query, database = p["query"], p["database"]
-    master, constraints = p["master"], p["constraints"]
-    max_extra_facts = p["max_extra_facts"]
-    values, relations = p["values"], p["relations"]
-    shard = task.shard
-    context, engine_base = _worker_context(task)
-
-    baseline = (context.evaluate(query, database) if context is not None
-                else query.evaluate(database))
-    existing = set(database.facts())
-    pool = [fact for fact in candidate_fact_pool(database.schema, values,
-                                                 relations=relations)
-            if fact not in existing]
-
-    skip = shard.skip
-    consumed = shard.skip
-    examined = 0
-    checks = 0
-
-    def _stats() -> SearchStatistics:
-        return SearchStatistics(
-            valuations_examined=examined, constraint_checks=checks,
-        ).merged(_engine_delta(context, engine_base))
-
-    def _outcome(kind: str, **extra: Any) -> ShardOutcome:
-        return ShardOutcome(index=shard.index, kind=kind, consumed=consumed,
-                            statistics=_stats(), ticks=_ledger(governor),
-                            **extra)
-
-    governed = (context.governed(governor) if context is not None
-                else nullcontext())
-    flat = -1
-    try:
-        with governed:
-            for size in range(1, max_extra_facts + 1):
-                for combo in itertools.combinations(pool, size):
-                    flat += 1
-                    if not shard.owns(flat):
-                        continue
-                    if skip > 0:
-                        skip -= 1
-                        continue
-                    if beat is not None and beat.due:
-                        beat.publish(_outcome("progress"))
-                    rank = (flat,)
-                    if beacon is not None and beacon.superseded(rank):
-                        return _outcome("superseded")
-                    if governor is not None:
-                        governor.tick("extensions")
-                    examined += 1
-                    delta = list(combo)
-                    checks += 1
-                    if context is not None:
-                        compatible = satisfies_all_extension(
-                            database, delta, master, constraints,
-                            context=context)
-                        extended_answers = (
-                            context.evaluate_extension(query, database,
-                                                       delta)
-                            if compatible else None)
-                    else:
-                        extended = extend_unvalidated(database, delta)
-                        compatible = satisfies_all(extended, master,
-                                                   constraints)
-                        extended_answers = (query.evaluate(extended)
-                                            if compatible else None)
-                    if compatible and extended_answers != baseline:
-                        new_answers = extended_answers - baseline
-                        answer = (next(iter(new_answers)) if new_answers
-                                  else ())
-                        if beacon is not None:
-                            beacon.offer(rank)
-                        return _outcome("witness", rank=rank,
-                                        data=(tuple(combo), answer, size))
-                    consumed += 1
-    except ExecutionInterrupted as interrupt:
-        return _outcome("exhausted", reason=interrupt.reason)
-    return _outcome("complete")
-
-
-# ---------------------------------------------------------------------------
-# Brute-force RCQP: one shard of the candidate-database enumeration
-# ---------------------------------------------------------------------------
-
-
-def _run_brute_rcqp(task: ShardTask, beacon: WitnessBeacon | None,
-                    governor: Any,
-                    beat: "_Beat | None" = None) -> ShardOutcome:
-    import itertools
-
-    from repro.core.bounded import brute_force_rcdp, candidate_fact_pool
-    from repro.core.rcdp import decide_rcdp
-
-    p = task.payload
-    query, master = p["query"], p["master"]
-    constraints, schema = p["constraints"], p["schema"]
-    max_database_size = p["max_database_size"]
-    values = p["values"]
-    completeness_bound = p["completeness_bound"]
-    decidable = p["decidable"]
-    shard = task.shard
-    context, engine_base = _worker_context(task)
-
-    pool = candidate_fact_pool(schema, values)
-    empty = Instance.empty(schema)
-
-    skip = shard.skip
-    consumed = shard.skip
-    examined = 0
-
-    def _stats() -> SearchStatistics:
-        return SearchStatistics(
-            candidate_sets_examined=examined,
-        ).merged(_engine_delta(context, engine_base))
-
-    def _outcome(kind: str, **extra: Any) -> ShardOutcome:
-        return ShardOutcome(index=shard.index, kind=kind, consumed=consumed,
-                            statistics=_stats(), ticks=_ledger(governor),
-                            **extra)
-
-    governed = (context.governed(governor) if context is not None
-                else nullcontext())
-    flat = -1
-    try:
-        with governed:
-            for size in range(0, max_database_size + 1):
-                for combo in itertools.combinations(pool, size):
-                    flat += 1
-                    if not shard.owns(flat):
-                        continue
-                    if skip > 0:
-                        skip -= 1
-                        continue
-                    if beat is not None and beat.due:
-                        beat.publish(_outcome("progress"))
-                    rank = (flat,)
-                    if beacon is not None and beacon.superseded(rank):
-                        return _outcome("superseded")
-                    if governor is not None:
-                        governor.tick("candidates")
-                    examined += 1
-                    combo_facts = list(combo)
-                    if context is not None:
-                        compatible = satisfies_all_extension(
-                            empty, combo_facts, master, constraints,
-                            context=context)
-                    else:
-                        candidate = extend_unvalidated(empty, combo_facts)
-                        compatible = satisfies_all(candidate, master,
-                                                   constraints)
-                    if not compatible:
-                        consumed += 1
-                        continue
-                    if context is not None:
-                        candidate = extend_unvalidated(empty, combo_facts)
-                    if decidable:
-                        verdict = decide_rcdp(
-                            query, candidate, master, constraints,
-                            check_partially_closed=False,
-                            governor=governor, context=context,
-                            use_engine=context is not None)
-                        sound = verdict.status is RCDPStatus.COMPLETE
-                    else:
-                        verdict = brute_force_rcdp(
-                            query, candidate, master, constraints,
-                            max_extra_facts=completeness_bound,
-                            values=values, check_partially_closed=False,
-                            governor=governor, context=context,
-                            use_engine=context is not None)
-                        sound = (verdict.status
-                                 is RCDPStatus.COMPLETE_UP_TO_BOUND)
-                    if sound:
-                        if beacon is not None:
-                            beacon.offer(rank)
-                        return _outcome("witness", rank=rank,
-                                        data=(candidate, size))
-                    consumed += 1
-    except ExecutionInterrupted as interrupt:
-        return _outcome("exhausted", reason=interrupt.reason)
-    return _outcome("complete")
-
-
-# ---------------------------------------------------------------------------
-# RCQP general search: one shard of the candidate-set enumeration
-# ---------------------------------------------------------------------------
-
-
-def _rcqp_search_space(p: dict[str, Any]) -> tuple[Any, Any, ActiveDomain]:
-    """Rebuild (q_tableaux, cc_tableaux, adom) exactly as ``decide_rcqp``
-    does; the deterministic construction reproduces the parent's fresh-
-    value labels, so pickled :class:`~repro.core.rcqp.ValuationUnit`
-    facts compare equal against worker-built valuations."""
-    from repro.core.rcqp import _constraint_tableaux, _query_tableaux
-
-    query, constraints, schema = p["query"], p["constraints"], p["schema"]
-    q_tableaux = _query_tableaux(query, schema)
-    cc_tableaux = _constraint_tableaux(constraints, schema)
-    adom = ActiveDomain.build(
-        instances=(p["master"],),
-        queries=[query] + [c.query for c in constraints],
-        tableaux=list(q_tableaux) + cc_tableaux)
-    return q_tableaux, cc_tableaux, adom
-
-
-def _run_rcqp_sets(task: ShardTask, beacon: WitnessBeacon | None,
-                   governor: Any,
-                   beat: "_Beat | None" = None) -> ShardOutcome:
-    import itertools
-
-    from repro.core.rcdp import decide_rcdp
-    from repro.core.rcqp import _candidate_is_bounding, _facts_instance
-    from repro.core.witness import make_complete
-
-    p = task.payload
-    query, master = p["query"], p["master"]
-    constraints, schema = p["constraints"], p["schema"]
-    units = p["units"]
-    max_size = p["max_size"]
-    shard = task.shard
-    context, engine_base = _worker_context(task)
-
-    q_tableaux, _, adom = _rcqp_search_space(p)
-    ground_rows: list[Fact] = [
-        (row.relation, row.instantiate({}))
-        for tableau in q_tableaux for row in tableau.ground_rows()]
-
-    skip = shard.skip
-    consumed = shard.skip
-    examined = 0
-
-    def _stats() -> SearchStatistics:
-        return SearchStatistics(
-            candidate_sets_examined=examined,
-        ).merged(_engine_delta(context, engine_base))
-
-    def _outcome(kind: str, **extra: Any) -> ShardOutcome:
-        return ShardOutcome(index=shard.index, kind=kind, consumed=consumed,
-                            statistics=_stats(), ticks=_ledger(governor),
-                            **extra)
-
-    governed = (context.governed(governor) if context is not None
-                else nullcontext())
-    flat = -1
-    try:
-        with governed:
-            for size in range(0, max_size + 1):
-                for combo in itertools.combinations(units, size):
-                    flat += 1
-                    if not shard.owns(flat):
-                        continue
-                    if skip > 0:
-                        skip -= 1
-                        continue
-                    if beat is not None and beat.due:
-                        beat.publish(_outcome("progress"))
-                    rank = (flat,)
-                    if beacon is not None and beacon.superseded(rank):
-                        return _outcome("superseded")
-                    if governor is not None:
-                        governor.tick("candidate_sets")
-                    examined += 1
-                    dv_facts = frozenset().union(*(u.facts for u in combo)) \
-                        if combo else frozenset()
-                    bound_values = frozenset().union(
-                        *(u.summary_values for u in combo)) \
-                        if combo else frozenset()
-                    if not _candidate_is_bounding(
-                            schema, master, constraints, q_tableaux, adom,
-                            dv_facts, bound_values, governor=governor,
-                            context=context):
-                        consumed += 1
-                        continue
-                    witness = _facts_instance(
-                        schema, list(dv_facts) + ground_rows)
-                    if not satisfies_all(witness, master, constraints,
-                                         context=context):
-                        consumed += 1
-                        continue
-                    outcome = make_complete(
-                        query, witness, master, constraints,
-                        max_rounds=p["max_completion_rounds"],
-                        governor=governor, on_exhausted="error",
-                        context=context, use_engine=context is not None)
-                    if not outcome.complete:
-                        consumed += 1
-                        continue
-                    if p["verify_witness"]:
-                        verdict = decide_rcdp(
-                            query, outcome.database, master, constraints,
-                            governor=governor, context=context,
-                            use_engine=context is not None)
-                        if verdict.status is not RCDPStatus.COMPLETE:
-                            consumed += 1
-                            continue
-                    if beacon is not None:
-                        beacon.offer(rank)
-                    return _outcome("witness", rank=rank,
-                                    data=(outcome.database, size))
-    except ExecutionInterrupted as interrupt:
-        return _outcome("exhausted", reason=interrupt.reason)
-    return _outcome("complete")
-
-
-# ---------------------------------------------------------------------------
-# RCQP with INDs: sharded relevance scan and witness build for one tableau
-# ---------------------------------------------------------------------------
-
-
-def _run_inds_scan(task: ShardTask, beacon: WitnessBeacon | None,
-                   governor: Any,
-                   beat: "_Beat | None" = None) -> ShardOutcome:
-    """Phase-0 shard: does *this* tableau admit a constraint-compatible
-    valid valuation?  First find wins (existential — any find proves
-    relevance, the beacon lets sibling shards stop)."""
-    from repro.core.rcqp import _facts_instance, _query_tableaux
-
-    p = task.payload
-    query, master = p["query"], p["master"]
-    constraints, schema = p["constraints"], p["schema"]
-    shard = task.shard
-    context, engine_base = _worker_context(task)
-
-    tableaux = _query_tableaux(query, schema)
-    adom = ActiveDomain.build(
-        instances=(master,),
-        queries=[query] + [c.query for c in constraints],
-        tableaux=tableaux)
-    tableau = tableaux[p["tableau_index"]]
-    empty_base = Instance.empty(schema)
-
-    skip = shard.skip
-    consumed = shard.skip
-    examined = 0
-
-    def _stats() -> SearchStatistics:
-        return SearchStatistics(
-            valuations_examined=examined,
-        ).merged(_engine_delta(context, engine_base))
-
-    def _outcome(kind: str, **extra: Any) -> ShardOutcome:
-        return ShardOutcome(index=shard.index, kind=kind, consumed=consumed,
-                            statistics=_stats(), ticks=_ledger(governor),
-                            **extra)
-
-    governed = (context.governed(governor) if context is not None
-                else nullcontext())
-    try:
-        with governed:
-            for prefix_index, position, valuation in \
-                    iter_sharded_valuations(
-                        tableau, adom, shard_index=shard.index,
-                        shard_count=shard.count, fresh="own"):
-                if skip > 0:
-                    skip -= 1
-                    continue
-                if beat is not None and beat.due:
-                    beat.publish(_outcome("progress"))
-                rank = (prefix_index, position)
-                if beacon is not None and beacon.superseded(rank):
-                    return _outcome("superseded")
-                if governor is not None:
-                    governor.tick("valuations")
-                examined += 1
-                delta = tableau.instantiate(valuation)
-                if context is not None:
-                    compatible = satisfies_all_extension(
-                        empty_base, delta, master, constraints,
-                        context=context)
-                else:
-                    compatible = satisfies_all(
-                        _facts_instance(schema, delta), master, constraints)
-                if compatible:
-                    if beacon is not None:
-                        beacon.offer(rank)
-                    return _outcome("witness", rank=rank, data=True)
-                consumed += 1
-    except ExecutionInterrupted as interrupt:
-        return _outcome("exhausted", reason=interrupt.reason)
-    return _outcome("complete")
-
-
-def _run_inds_build(task: ShardTask, beacon: WitnessBeacon | None,
-                    governor: Any,
-                    beat: "_Beat | None" = None) -> ShardOutcome:
-    """Phase-1 shard: collect, per output summary, the shard's first
-    constraint-compatible instantiation of one tableau.  Full scan — the
-    parent merges per-summary rank minima across shards."""
-    from repro.core.rcqp import _facts_instance, _query_tableaux
-
-    p = task.payload
-    query, master = p["query"], p["master"]
-    constraints, schema = p["constraints"], p["schema"]
-    shard = task.shard
-    context, engine_base = _worker_context(task)
-
-    tableaux = _query_tableaux(query, schema)
-    adom = ActiveDomain.build(
-        instances=(master,),
-        queries=[query] + [c.query for c in constraints],
-        tableaux=tableaux)
-    tableau = tableaux[p["tableau_index"]]
-    empty_base = Instance.empty(schema)
-
-    skip = shard.skip
-    consumed = shard.skip
-    examined = 0
-    # summary -> (rank, delta facts) for the shard-first *compatible*
-    # instantiation; incompatible occurrences leave the summary open,
-    # exactly like the serial `covered` set.
-    covered: dict[tuple, tuple[tuple[int, ...], tuple[Fact, ...]]] = {}
-
-    def _stats() -> SearchStatistics:
-        return SearchStatistics(
-            valuations_examined=examined,
-        ).merged(_engine_delta(context, engine_base))
-
-    def _outcome(kind: str, **extra: Any) -> ShardOutcome:
-        pairs = tuple((rank, summary, delta)
-                      for summary, (rank, delta) in covered.items())
-        return ShardOutcome(index=shard.index, kind=kind, consumed=consumed,
-                            data=pairs, statistics=_stats(),
-                            ticks=_ledger(governor), **extra)
-
-    governed = (context.governed(governor) if context is not None
-                else nullcontext())
-    try:
-        with governed:
-            for prefix_index, position, valuation in \
-                    iter_sharded_valuations(
-                        tableau, adom, shard_index=shard.index,
-                        shard_count=shard.count, fresh="own"):
-                if skip > 0:
-                    skip -= 1
-                    continue
-                if beat is not None and beat.due:
-                    beat.publish(_outcome("progress"))
-                if governor is not None:
-                    governor.tick("valuations")
-                examined += 1
-                consumed += 1
-                summary = tableau.summary_under(valuation)
-                if summary in covered:
-                    continue
-                delta = tableau.instantiate(valuation)
-                if context is not None:
-                    compatible = satisfies_all_extension(
-                        empty_base, delta, master, constraints,
-                        context=context)
-                else:
-                    compatible = satisfies_all(
-                        _facts_instance(schema, delta), master, constraints)
-                if compatible:
-                    covered[summary] = ((prefix_index, position),
-                                        tuple(delta))
-    except ExecutionInterrupted as interrupt:
-        return _outcome("exhausted", reason=interrupt.reason)
-    return _outcome("complete")
-
-
-_RUNNERS = {
-    "rcdp": _run_rcdp,
-    "missing": _run_missing,
-    "brute-rcdp": _run_brute_rcdp,
-    "brute-rcqp": _run_brute_rcqp,
-    "rcqp-sets": _run_rcqp_sets,
-    "inds-scan": _run_inds_scan,
-    "inds-build": _run_inds_build,
-}
+def run_task(task: ShardTask, beacon: WitnessBeacon | None, governor: Any,
+             beat: _Beat | None = None) -> ShardOutcome:
+    """Run the task's kernel on a fresh context of its own, whose engine
+    counters the outcome then reports."""
+    context = (EvaluationContext(backend=task.backend)
+               if task.use_engine else None)
+    run = SearchRun(task.shard, governor, context, beacon=beacon,
+                    beat=beat, owns_context=True)
+    return task.kernel(run, task.payload)
 
 
 def shard_entry(task: ShardTask, beacon: WitnessBeacon | None,
@@ -850,7 +126,7 @@ def shard_entry(task: ShardTask, beacon: WitnessBeacon | None,
         observation = obs_of(governor)
         with obs_span(observation, "shard", kind=task.kind,
                       index=task.shard.index, attempt=attempt):
-            outcome = _RUNNERS[task.kind](task, beacon, governor, beat)
+            outcome = run_task(task, beacon, governor, beat)
         if observation is not None:
             outcome.obs = observation.payload()
     except BaseException:

@@ -8,9 +8,12 @@ forwards the enumeration — skipped positions are *not* charged against
 the new budget, since the original run already examined and rejected
 them — and the search continues as if it had never stopped.
 
-The cursor layout is procedure-specific (documented on each decider);
-checkpoints are in-memory objects, valid for the *same* inputs within
-the same process, not a serialization format.
+Each procedure has one cursor layout (documented on its decider) for
+every worker count: the cursor starts with the worker count, and the
+payload starts with each shard's resume point, a serial run being
+shard 0 of 1 (:mod:`repro.core.search`).  Checkpoints are in-memory
+objects, valid for the *same* inputs and worker count within the same
+process, not a serialization format.
 """
 
 from __future__ import annotations
@@ -37,13 +40,15 @@ class SearchCheckpoint:
         ``"rcqp-inds"``, ``"brute-rcdp"``, ``"brute-rcqp"``); deciders
         refuse checkpoints from a different procedure.
     cursor:
-        Procedure-specific enumeration position.
+        Enumeration position: the worker count, then any procedure-
+        specific phase/position entries.
     statistics:
         :class:`~repro.core.results.SearchStatistics` accumulated up to
         the interruption; resumed runs report cumulative totals.
     payload:
-        Partial data carried across the interruption (e.g. the missing
-        answers found so far), procedure-specific.
+        The per-shard resume points (consumed count, done flag, partial
+        answers such as the missing answers found so far), then any
+        procedure-specific data.
     """
 
     procedure: str

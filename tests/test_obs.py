@@ -478,15 +478,26 @@ def test_corpus_traces_are_well_formed(path, workers):
     assert problems == [], f"{path.name} at workers={workers}: {problems}"
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("path", TRACED_BUNDLES,
                          ids=[path.stem for path in TRACED_BUNDLES])
-def test_corpus_traces_carry_expected_phases(path):
+def test_corpus_traces_carry_expected_phases(path, workers):
     block = json.loads(path.read_text(encoding="utf-8"))["trace"]
     assert block["procedure"] == "rcdp"
-    records, _ = _decide_traced(path, workers=1)
-    names = {r["name"] for r in records if r.get("type") == "span"}
+    records, _ = _decide_traced(path, workers=workers)
+    spans = [r for r in records if r.get("type") == "span"]
+    names = {r["name"] for r in spans}
     missing = set(block["expect_spans"]) - names
-    assert not missing, f"{path.name}: phases never opened: {missing}"
+    assert not missing, (f"{path.name} at workers={workers}: phases "
+                         f"never opened: {missing}")
+    if workers == 1:
+        # In-process: no worker lane, no pool bookkeeping.
+        assert "shard" not in names
+        assert not any((r.get("attrs") or {}).get("lane") for r in spans)
+        (metrics,) = [r for r in records if r.get("type") == "metrics"]
+        assert not [name for section in ("counters", "gauges", "histograms")
+                    for name in metrics.get(section) or {}
+                    if name.startswith("parallel.")]
 
 
 @pytest.mark.parametrize("path", TRACED_BUNDLES,

@@ -14,6 +14,8 @@ before the witness was found.  Counter equality is therefore asserted
 only on verdicts that exhaust their enumeration.
 """
 
+from pathlib import Path
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -194,11 +196,18 @@ class TestFixedScenarioWorkerLadder:
         _assert_same_rcdp(serial, result)
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_brute_force_rcdp_matches_serial(self, workers):
+    @pytest.mark.parametrize("one_pass", [False, True],
+                             ids=["all-relations", "relations-generator"])
+    def test_brute_force_rcdp_matches_serial(self, workers, one_pass):
+        def relations():
+            # A single-pass iterable must be read once, not once per use.
+            return (name for name in ["R"]) if one_pass else None
+
         serial = brute_force_rcdp(WITNESS_QUERY, WITNESS_DB, DM, [IND],
-                                  max_extra_facts=1)
+                                  max_extra_facts=1, relations=relations())
         result = brute_force_rcdp(WITNESS_QUERY, WITNESS_DB, DM, [IND],
-                                  max_extra_facts=1, workers=workers)
+                                  max_extra_facts=1, relations=relations(),
+                                  workers=workers)
         assert result.status is serial.status
         assert result.explanation == serial.explanation
         if serial.certificate is not None:
@@ -246,6 +255,33 @@ class TestWorkerKnob:
         assert resolve_workers(3) == 3
         assert resolve_workers(0) == (os.cpu_count() or 1)
 
+    def test_serial_decide_never_loads_the_pool(self):
+        """workers=1 runs the kernel in-process: neither the pool nor
+        ``multiprocessing`` is imported."""
+        import os
+        import subprocess
+        import sys
+
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(root / "src"),
+                          os.environ.get("PYTHONPATH")])))
+        script = (
+            "import sys\n"
+            "from repro.core.rcdp import decide_rcdp\n"
+            "from repro.io.json_io import load_bundle\n"
+            "b = load_bundle(sys.argv[1])\n"
+            "decide_rcdp(b['query'], b['database'], b['master'],\n"
+            "            b['constraints'], workers=1)\n"
+            "print(sorted(m for m in ('multiprocessing',\n"
+            "                         'repro.parallel.supervise')\n"
+            "             if m in sys.modules))\n")
+        bundle = root / "examples" / "bundles" / "crm_q2_supported_ind.json"
+        done = subprocess.run([sys.executable, "-c", script, str(bundle)],
+                              capture_output=True, text=True, env=env,
+                              timeout=120, check=True)
+        assert done.stdout.strip() == "[]"
+
     def test_negative_workers_rejected(self):
         with pytest.raises(ReproError, match="workers"):
             decide_rcdp(WITNESS_QUERY, WITNESS_DB, DM, [IND],
@@ -262,17 +298,28 @@ class TestWorkerKnob:
             decide_rcdp(COMPLETE_QUERY, COMPLETE_DB, DM, [IND],
                         workers=3, resume_from=partial.checkpoint)
 
-    def test_exhausted_statistics_are_cumulative_across_legs(self):
+    def test_serial_checkpoint_binds_worker_count(self):
+        partial = decide_rcdp(
+            COMPLETE_QUERY, COMPLETE_DB, DM, [IND],
+            governor=ExecutionGovernor.from_limits(budget=2),
+            on_exhausted="partial")
+        assert partial.status is RCDPStatus.EXHAUSTED
+        with pytest.raises(ReproError, match="workers=1.*workers=2"):
+            decide_rcdp(COMPLETE_QUERY, COMPLETE_DB, DM, [IND],
+                        workers=2, resume_from=partial.checkpoint)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_exhausted_statistics_are_cumulative_across_legs(self, workers):
         serial = decide_rcdp(COMPLETE_QUERY, COMPLETE_DB, DM, [IND])
         result = decide_rcdp(
-            COMPLETE_QUERY, COMPLETE_DB, DM, [IND], workers=2,
+            COMPLETE_QUERY, COMPLETE_DB, DM, [IND], workers=workers,
             governor=ExecutionGovernor.from_limits(budget=5),
             on_exhausted="partial")
         legs = 1
         while result.status is RCDPStatus.EXHAUSTED:
             assert legs < 50
             result = decide_rcdp(
-                COMPLETE_QUERY, COMPLETE_DB, DM, [IND], workers=2,
+                COMPLETE_QUERY, COMPLETE_DB, DM, [IND], workers=workers,
                 governor=ExecutionGovernor.from_limits(budget=5),
                 on_exhausted="partial", resume_from=result.checkpoint)
             legs += 1

@@ -1,7 +1,14 @@
 """Tests for active domains and valid-valuation enumeration."""
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.constraints.ind import InclusionDependency
+from repro.core.rcdp import split_ind_constraints
+from repro.core.search import ShardSpec
 from repro.core.valuations import ActiveDomain, iter_valid_valuations
 from repro.queries.atoms import eq, neq, rel
 from repro.queries.cq import cq
@@ -11,6 +18,8 @@ from repro.relational.domain import BOOLEAN, is_fresh
 from repro.relational.instance import Instance
 from repro.relational.schema import (Attribute, DatabaseSchema,
                                      RelationSchema)
+
+from tests import strategies
 
 SCHEMA = DatabaseSchema([
     RelationSchema("R", ["a", "b"]),
@@ -118,3 +127,63 @@ class TestValuationEnumeration:
         first = list(iter_valid_valuations(t, adom, fresh="own"))
         second = list(iter_valid_valuations(t, adom, fresh="own"))
         assert first == second
+
+
+# ---------------------------------------------------------------------
+# Sharded slices of the one enumerator
+# ---------------------------------------------------------------------
+
+MASTER_SCHEMA = DatabaseSchema([RelationSchema("M", ["c"])])
+DM = Instance(MASTER_SCHEMA, {"M": {(0,), (1,)}})
+# R[b] ⊆ M[c], compiled to the row filter the RCDP search prunes with.
+IND_ROW_FILTER, _ = split_ind_constraints(
+    [InclusionDependency("R", ["b"], "M", ["c"]).to_containment_constraint(
+        strategies.SCHEMA, MASTER_SCHEMA)], DM)
+
+
+def _product_oracle(tableau, adom, row_filter):
+    """Valid valuations by brute force: every combination of the
+    candidate lists, in lexicographic order, kept when all ``≠`` atoms
+    and (given a filter) all instantiated rows pass."""
+    if not tableau.satisfiable:
+        return []
+    variables = tableau.ordered_variables()
+    lists = [adom.candidates_for(tableau, v, fresh="own") for v in variables]
+    kept = []
+    for combo in itertools.product(*lists):
+        valuation = dict(zip(variables, combo))
+        sides = [tuple(valuation[t] if isinstance(t, Var) else t.value
+                       for t in pair) for pair in tableau.inequalities]
+        if any(left == right for left, right in sides):
+            continue
+        if row_filter is not None and not all(
+                row_filter(row.relation, row.instantiate(valuation))
+                for row in tableau.rows):
+            continue
+        kept.append(valuation)
+    return kept
+
+
+@settings(max_examples=80, deadline=None)
+@given(query=strategies.conjunctive_queries(), db=strategies.instances(),
+       use_filter=st.booleans())
+def test_shards_partition_the_valuation_stream(query, db, use_filter):
+    tableau = Tableau(query, strategies.SCHEMA)
+    adom = ActiveDomain.build(
+        instances=(db, DM), queries=[query],
+        tableaux=[tableau] if tableau.satisfiable else [])
+    row_filter = IND_ROW_FILTER if use_filter else None
+    stream = list(iter_valid_valuations(tableau, adom,
+                                        row_filter=row_filter))
+    assert stream == _product_oracle(tableau, adom, row_filter)
+    for count in (1, 2, 3, 5):
+        union = []
+        for index in range(count):
+            ranked = list(iter_valid_valuations(
+                tableau, adom, row_filter=row_filter,
+                shard=ShardSpec(index, count)))
+            ranks = [item[:2] for item in ranked]
+            assert all(a < b for a, b in zip(ranks, ranks[1:]))
+            union.extend(ranked)
+        union.sort(key=lambda item: item[:2])
+        assert [valuation for _, _, valuation in union] == stream
