@@ -13,8 +13,8 @@ tight enough to gate on (within 4× on every shipped bundle; exact on the
 CRM corpus):
 
 * **IND caps.**  `split_ind_constraints` compiles IND constraints into a
-  row filter that prunes the DFS at the first tableau row leaving the
-  master projection.  For a tableau row over ``R`` covered by an IND
+  row filter that prunes the enumeration at the first tableau row leaving
+  the master projection.  For a tableau row over ``R`` covered by an IND
   ``R[cols] ⊆ p``, the variables at ``cols`` jointly range over at most
   the rows of ``p(Dm)`` that agree with the row's constants — a *joint*
   cap replacing the product of the per-variable counts.  Caps over

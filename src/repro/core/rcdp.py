@@ -54,7 +54,8 @@ from repro.core.search import (SearchRun, ShardOutcome, best_witness,
                                fresh_shards, merged_finds, resolve_workers,
                                resume_point, resume_shards, run_inline,
                                search_checkpoint, total_statistics)
-from repro.core.valuations import ActiveDomain, iter_valid_valuations
+from repro.core.valuations import (ActiveDomain, ProjectionFilter,
+                                   TableauTemplates, iter_valid_valuations)
 from repro.engine import EvaluationContext, decision_key
 from repro.errors import (ExecutionInterrupted, NotPartiallyClosedError,
                           UndecidableConfigurationError)
@@ -182,7 +183,9 @@ def split_ind_constraints(
     kills the whole branch.  Returns ``(row_filter, other_constraints)``
     where *row_filter* is ``None`` when no IND is available (or pruning is
     disabled) and *other_constraints* are the ones that still need the
-    full ``(D ∪ Δ, Dm) ⊨ V`` check per surviving valuation.
+    full ``(D ∪ Δ, Dm) ⊨ V`` check per surviving valuation.  The filter
+    is a :class:`~repro.core.valuations.ProjectionFilter`, which the
+    enumerator compiles to set membership on the projected columns.
     """
     ind_projections: dict[str, list[tuple[tuple[int, ...], frozenset]]] = {}
     other_constraints: list[ContainmentConstraint] = []
@@ -196,14 +199,7 @@ def split_ind_constraints(
             other_constraints.append(constraint)
     if not ind_projections:
         return None, other_constraints
-
-    def row_filter(relation: str, row: tuple) -> bool:
-        for columns, allowed in ind_projections.get(relation, ()):
-            if tuple(row[c] for c in columns) not in allowed:
-                return False
-        return True
-
-    return row_filter, other_constraints
+    return ProjectionFilter(ind_projections), other_constraints
 
 
 def _prepare_search(query: Any, database: Instance, master: Instance,
@@ -270,7 +266,9 @@ def _rcdp_kernel(run: SearchRun, payload: dict[str, Any]) -> ShardOutcome:
             for tableau_index, tableau in enumerate(tableaux):
                 if not tableau.satisfiable:
                     continue
-                for prefix, position, valuation in iter_valid_valuations(
+                templates = TableauTemplates(tableau)
+                summary_of = templates.summary
+                for prefix, position, values in iter_valid_valuations(
                         tableau, adom, fresh="own", row_filter=row_filter,
                         shard=run.shard):
                     if skip:
@@ -284,11 +282,11 @@ def _rcdp_kernel(run: SearchRun, payload: dict[str, Any]) -> ShardOutcome:
                     if governor is not None:
                         governor.tick("valuations")
                     run.examined += 1
-                    summary = tableau.summary_under(valuation)
+                    summary = summary_of(values)
                     if summary in answers:
                         run.consumed += 1
                         continue
-                    delta = tableau.instantiate(valuation)
+                    delta = templates.facts(values)
                     run.checks += 1
                     if not other_constraints or _extension_satisfies(
                             database, delta, master, other_constraints,
@@ -318,7 +316,9 @@ def _missing_kernel(run: SearchRun, payload: dict[str, Any],
             for tableau_index, tableau in enumerate(tableaux):
                 if not tableau.satisfiable:
                     continue
-                for prefix, position, valuation in iter_valid_valuations(
+                templates = TableauTemplates(tableau)
+                summary_of = templates.summary
+                for prefix, position, values in iter_valid_valuations(
                         tableau, adom, fresh="own", row_filter=row_filter,
                         shard=run.shard):
                     if skip:
@@ -330,13 +330,13 @@ def _missing_kernel(run: SearchRun, payload: dict[str, Any],
                         governor.tick("valuations")
                     run.examined += 1
                     run.consumed += 1
-                    summary = tableau.summary_under(valuation)
+                    summary = summary_of(values)
                     if summary in answers or summary in found:
                         continue
                     if other_constraints:
                         run.checks += 1
                         if not _extension_satisfies(
-                                database, tableau.instantiate(valuation),
+                                database, templates.facts(values),
                                 master, other_constraints, context):
                             continue
                     found[summary] = ((tableau_index, prefix, position),

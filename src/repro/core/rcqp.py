@@ -60,7 +60,8 @@ from repro.core.search import (SearchRun, ShardOutcome, best_witness,
                                run_inline, search_checkpoint, subsets,
                                total_statistics)
 from repro.engine import EvaluationContext
-from repro.core.valuations import ActiveDomain, iter_valid_valuations
+from repro.core.valuations import (ActiveDomain, TableauTemplates,
+                                   iter_valid_valuations)
 from repro.core.witness import make_complete
 from repro.errors import (ConstraintError, ExecutionInterrupted, ReproError)
 from repro.obs import obs_of, obs_span, traced
@@ -128,13 +129,14 @@ def _inds_scan_kernel(run: SearchRun, payload: dict[str, Any],
     so the first one found settles it.  Ranks are ``(prefix_index,
     position)``."""
     tableau, adom = _inds_search_space(payload)
+    facts_of = TableauTemplates(tableau).facts
     master, constraints = payload["master"], payload["constraints"]
     empty_base = payload["empty_base"]
     context, governor = run.context, run.governor
     beacon, beat, skip = run.beacon, run.beat, run.shard.skip
     try:
         with run.governed():
-            for prefix, position, valuation in iter_valid_valuations(
+            for prefix, position, values in iter_valid_valuations(
                     tableau, adom, fresh="own", shard=run.shard):
                 if skip:
                     skip -= 1
@@ -147,8 +149,7 @@ def _inds_scan_kernel(run: SearchRun, payload: dict[str, Any],
                 if governor is not None:
                     governor.tick("valuations")
                 run.examined += 1
-                if _extension_satisfies(empty_base,
-                                        tableau.instantiate(valuation),
+                if _extension_satisfies(empty_base, facts_of(values),
                                         master, constraints, context):
                     return run.witness(rank, True)
                 run.consumed += 1
@@ -164,13 +165,14 @@ def _inds_build_kernel(run: SearchRun, payload: dict[str, Any],
     in :attr:`SearchRun.found` as ``(rank, summary, Δ)``.  A full scan;
     incompatible occurrences leave their summary open."""
     tableau, adom = _inds_search_space(payload)
+    templates = TableauTemplates(tableau)
     master, constraints = payload["master"], payload["constraints"]
     empty_base = payload["empty_base"]
     context, governor = run.context, run.governor
     beat, skip, found = run.beat, run.shard.skip, run.found
     try:
         with run.governed():
-            for prefix, position, valuation in iter_valid_valuations(
+            for prefix, position, values in iter_valid_valuations(
                     tableau, adom, fresh="own", shard=run.shard):
                 if skip:
                     skip -= 1
@@ -180,9 +182,9 @@ def _inds_build_kernel(run: SearchRun, payload: dict[str, Any],
                 if governor is not None:
                     governor.tick("valuations")
                 run.examined += 1
-                summary = tableau.summary_under(valuation)
+                summary = templates.summary(values)
                 if summary not in found:
-                    delta = tableau.instantiate(valuation)
+                    delta = templates.facts(values)
                     if _extension_satisfies(empty_base, delta, master,
                                             constraints, context):
                         found[summary] = ((prefix, position), summary,

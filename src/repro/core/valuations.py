@@ -5,8 +5,9 @@ built from values in ``Adom``: all constants appearing in ``D``, ``Dm``,
 ``Q``, ``V``, plus a set ``New`` of distinct values not appearing anywhere,
 one per tableau variable.  For a tableau variable ``y``:
 
-* if ``y`` occurs in a finite-domain column, its candidates ``adom(y)`` are
-  that finite domain's values;
+* if ``y`` occurs in finite-domain columns, its candidates ``adom(y)`` are
+  the values common to all of those finite domains (possibly none, and
+  then the tableau has no valid valuation);
 * otherwise its candidates are the shared constants plus fresh value(s).
 
 **Dedicated-fresh optimization.**  Enumerating every variable over the whole
@@ -21,25 +22,46 @@ enumeration therefore gives each variable only *its own* fresh value
 (``fresh="own"``); the RCQP valuation-set search, where fresh values of the
 query tableau must be reachable by constraint-tableau valuations, uses the
 full pool (``fresh="all"``).
+
+**Positional valuations.**  The deciders' guess-and-check visits every
+valid valuation, so its cost per valuation is the whole constant of the
+search.  A valuation is therefore a *value tuple*: ``values[i]`` is the
+value of the ``i``-th variable of :meth:`Tableau.ordered_variables`.
+:class:`TableauTemplates` compiles the summary and every row into index
+templates over that tuple (``operator.itemgetter``, constants folded in),
+so ``μ(u_Q)`` and ``μ(T_Q)`` need no ``Var``-keyed lookups.  The
+enumerator attaches each ``≠`` atom and each row-filter test to the
+variable that completes it (its *pruning point*) and runs
+``itertools.product`` over each run of variables between pruning points,
+so binding a variable runs no Python code: per valuation, the Python-level
+work is the checks that fall due and the generator handing it out.  The
+IND filter (:class:`ProjectionFilter`) compiles to set membership on its
+projected columns and is attached only to rows of the relations it
+constrains; any other ``(relation, row) → bool`` predicate is tested on
+every row, instantiated through its template.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from functools import partial
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ConstraintError
-from repro.queries.tableau import Tableau
-from repro.queries.terms import Var
+from repro.queries.tableau import Tableau, TableauRow
+from repro.queries.terms import Const, Term, Var
 from repro.relational.domain import FreshValue, FreshValueSupply
 from repro.relational.instance import Instance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.search import ShardSpec
 
-__all__ = ["ActiveDomain", "iter_valid_valuations"]
+__all__ = ["ActiveDomain", "ProjectionFilter", "TableauTemplates",
+           "iter_valid_valuations"]
 
-Valuation = dict[Var, Any]
+#: A compiled check on a (partial) value tuple.
+Check = Callable[[tuple], bool]
 
 
 class ActiveDomain:
@@ -114,16 +136,18 @@ class ActiveDomain:
                        extra: Iterable[Any] = ()) -> list[Any]:
         """Candidate values ``adom(y)`` for *variable* of *tableau*.
 
-        *fresh* selects the fresh-value policy for infinite-domain
-        variables: ``"own"`` (dedicated value only — the RCDP default),
-        ``"all"`` (whole pool), or ``"none"`` (constants only).  *extra*
-        adds further values (e.g. fresh values already pinned down by a
-        candidate valuation set in the RCQP search); duplicates are
-        removed.
+        A variable in finite-domain columns ranges over the values all of
+        those domains share (:meth:`Tableau.finite_values`), which may be
+        one value or none.  *fresh* selects the fresh-value policy for
+        infinite-domain variables: ``"own"`` (dedicated value only — the
+        RCDP default), ``"all"`` (whole pool), or ``"none"`` (constants
+        only).  *extra* adds further values (e.g. fresh values already
+        pinned down by a candidate valuation set in the RCQP search);
+        duplicates are removed.
         """
-        domain = tableau.domain_of(variable)
-        if not domain.is_infinite:
-            return sorted(domain.values, key=repr)  # type: ignore[attr-defined]
+        finite = tableau.finite_values(variable)
+        if finite is not None:
+            return sorted(finite, key=repr)
         values = sorted(self.constants, key=repr)
         if fresh == "own":
             values.append(self.fresh_for(variable))
@@ -135,6 +159,205 @@ class ActiveDomain:
             if value not in values:
                 values.append(value)
         return values
+
+
+# ---------------------------------------------------------------------------
+# Positional plans
+# ---------------------------------------------------------------------------
+
+
+class ProjectionFilter:
+    """The IND row filter: ``(relation, row) → bool``, true when each
+    projection ``row[columns]`` of the row's relation lies in its allowed
+    set.
+
+    *projections* maps a relation to its ``(columns, allowed)`` pairs.
+    Built by :func:`repro.core.rcdp.split_ind_constraints`; the
+    enumerator reads *projections* to compile the filter into set
+    membership on the rows it constrains.
+    """
+
+    __slots__ = ("projections",)
+
+    def __init__(self, projections: dict[
+            str, list[tuple[tuple[int, ...], frozenset]]]) -> None:
+        self.projections = projections
+
+    def __call__(self, relation: str, row: tuple) -> bool:
+        for columns, allowed in self.projections.get(relation, ()):
+            if tuple(row[c] for c in columns) not in allowed:
+                return False
+        return True
+
+
+def _template(terms: Sequence[Term], position: dict[Var, int],
+              width: int) -> Callable[[tuple], tuple]:
+    """``values → μ(terms)`` for value tuples of length *width*: an
+    ``itemgetter`` whose constant slots index past the values, into the
+    template's constants appended to them."""
+    constants = tuple(t.value for t in terms if isinstance(t, Const))
+    if len(constants) == len(terms):
+        return lambda values: constants
+    constant_slots = itertools.count(width)
+    slots = [position[t] if isinstance(t, Var) else next(constant_slots)
+             for t in terms]
+    if len(slots) == 1:
+        slot = slots[0]
+        return lambda values: (values[slot],)
+    get = itemgetter(*slots)
+    if not constants:
+        return get
+    return lambda values: get(values + constants)
+
+
+class TableauTemplates:
+    """A tableau read positionally: ``values[i]`` is the value of
+    ``variables[i]`` (the :meth:`Tableau.ordered_variables` order), and
+    the summary and every row are index templates over ``values``.
+
+    The search kernels compile one per tableau and decision and read each
+    valuation the enumerator yields through it: ``summary(values)`` is
+    :meth:`Tableau.summary_under` and ``facts(values)`` is
+    :meth:`Tableau.instantiate` on that valuation.
+    """
+
+    __slots__ = ("variables", "position", "summary", "rows")
+
+    def __init__(self, tableau: Tableau) -> None:
+        self.variables = tableau.ordered_variables()
+        self.position = {v: i for i, v in enumerate(self.variables)}
+        width = len(self.variables)
+        self.summary = _template(tableau.summary, self.position, width)
+        self.rows = tuple(
+            (row.relation, _template(row.terms, self.position, width))
+            for row in tableau.rows)
+
+    def facts(self, values: tuple) -> list[tuple[str, tuple]]:
+        """``μ(T_Q)`` as ``(relation, tuple)`` pairs."""
+        return [(relation, row(values)) for relation, row in self.rows]
+
+
+def _inequality_check(left: Term, right: Term,
+                      position: dict[Var, int]) -> Check:
+    """``μ(left) ≠ μ(right)`` on a value tuple binding both sides."""
+    if isinstance(left, Var) and isinstance(right, Var):
+        i, j = position[left], position[right]
+        return lambda values: values[i] != values[j]
+    if isinstance(left, Var):
+        i, constant = position[left], right.value
+        return lambda values: values[i] != constant
+    j, constant = position[right], left.value
+    return lambda values: constant != values[j]
+
+
+def _membership_check(terms: Sequence[Term], allowed: frozenset,
+                      position: dict[Var, int]) -> tuple[int, Check]:
+    """``μ(terms) ∈ allowed`` as ``(pruning point, check)``, for *terms*
+    holding at least one variable.
+
+    Unless *terms* are two or more distinct variables, *allowed* is
+    rebuilt up front: it keeps the tuples that agree with the constants
+    and repeated variables, projected onto the distinct variables, so the
+    check reads only those (one variable: a scalar membership test)."""
+    distinct = list(dict.fromkeys(t for t in terms if isinstance(t, Var)))
+    if len(distinct) == 1 or len(distinct) < len(terms):
+        first = {v: terms.index(v) for v in distinct}
+        pinned = [(k, t.value) for k, t in enumerate(terms)
+                  if isinstance(t, Const)]
+        repeated = [(k, first[t]) for k, t in enumerate(terms)
+                    if isinstance(t, Var) and first[t] != k]
+        keep = itemgetter(*first.values())
+        allowed = frozenset(
+            keep(row) for row in allowed
+            if all(row[k] == value for k, value in pinned)
+            and all(row[k] == row[m] for k, m in repeated))
+    slots = [position[v] for v in distinct]
+    if len(slots) == 1:
+        slot = slots[0]
+        return slot, lambda values: values[slot] in allowed
+    get = itemgetter(*slots)
+    return max(slots), lambda values: get(values) in allowed
+
+
+def _row_checks(row: TableauRow, position: dict[Var, int],
+                row_filter: Callable[[str, tuple], bool],
+                ) -> list[tuple[int, Check]] | None:
+    """*row_filter* on *row* as ``(pruning point, check)`` pairs, or None
+    when the row can never pass it.
+
+    A :class:`ProjectionFilter` becomes one membership check per
+    projection of the row's relation (none for other relations); any
+    other predicate is called on the row instantiated through its
+    template once the row's last variable is bound."""
+    variables = [t for t in row.terms if isinstance(t, Var)]
+    if not variables:
+        ground = tuple(t.value for t in row.terms)
+        return [] if row_filter(row.relation, ground) else None
+    if isinstance(row_filter, ProjectionFilter):
+        checks = []
+        for columns, allowed in row_filter.projections.get(row.relation,
+                                                            ()):
+            terms = [row.terms[c] for c in columns]
+            if any(isinstance(t, Var) for t in terms):
+                checks.append(_membership_check(terms, allowed, position))
+            elif tuple(t.value for t in terms) not in allowed:
+                return None
+        return checks
+    point = max(position[v] for v in variables)
+    relation = row.relation
+    template = _template(row.terms, position, point + 1)
+    return [(point, lambda values: row_filter(relation, template(values)))]
+
+
+def _pruning_checks(tableau: Tableau, position: dict[Var, int],
+                    row_filter: Callable[[str, tuple], bool] | None,
+                    ) -> list[list[Check]] | None:
+    """Per variable position, the checks that become decidable once it
+    is bound: its ``≠`` atoms, then its row tests in row order.  None
+    when some row can never pass *row_filter*."""
+    checks: list[list[Check]] = [[] for _ in position]
+    for left, right in tableau.inequalities:
+        point = max(position[t] for t in (left, right) if isinstance(t, Var))
+        checks[point].append(_inequality_check(left, right, position))
+    if row_filter is not None:
+        for row in tableau.rows:
+            row_checks = _row_checks(row, position, row_filter)
+            if row_checks is None:
+                return None
+            for point, check in row_checks:
+                checks[point].append(check)
+    return checks
+
+
+def _extend(lists: Sequence[tuple], checks: Sequence[Check],
+            prefix: tuple) -> Iterator[tuple]:
+    """*prefix* extended by every combination of *lists*, kept when each
+    of *checks* holds (applied in order, so each sees only the tuples the
+    ones before it kept)."""
+    stream: Iterator[tuple] = itertools.product(*lists)
+    if prefix:
+        stream = map(prefix.__add__, stream)
+    for check in checks:
+        stream = filter(check, stream)
+    return stream
+
+
+def _completions(candidates: Sequence[tuple], checks: Sequence[list[Check]],
+                 start: int, stop: int, prefix: tuple = (),
+                 ) -> Iterator[tuple]:
+    """Valid extensions of *prefix* (binding variables ``< start``) to
+    the variables ``< stop``, in lexicographic order: one product per run
+    of variables ending at a pruning point (or at *stop*), chained."""
+    stream: Iterator[tuple] | None = None
+    begin = start
+    for index in range(start, stop):
+        if not checks[index] and index < stop - 1:
+            continue
+        extend = partial(_extend, candidates[begin:index + 1], checks[index])
+        stream = (extend(prefix) if stream is None
+                  else itertools.chain.from_iterable(map(extend, stream)))
+        begin = index + 1
+    return iter((prefix,)) if stream is None else stream
 
 
 #: Prefix-space oversubscription of a sharded enumeration: the prefix
@@ -155,26 +378,33 @@ def iter_valid_valuations(tableau: Tableau, adom: ActiveDomain,
     A valuation is valid when every variable takes a value from its
     candidate list and all residual ``≠`` side conditions hold
     (equivalently: ``Q(μ(T_Q))`` is nonempty).  The valuations come in
-    depth-first order over :meth:`Tableau.ordered_variables`, each
-    variable's candidates in list order; inequalities are checked as soon
-    as both endpoints are bound, pruning the search tree.
+    lexicographic order over :meth:`Tableau.ordered_variables`, each
+    variable's candidates in list order.  Each ``≠`` atom is checked as
+    soon as both endpoints are bound, and between those pruning points
+    the variables run as one ``itertools.product`` (see the module
+    docstring).
 
     *row_filter*, when given, is a predicate ``(relation, row) → bool``
-    applied to each tableau row as soon as all its variables are bound;
-    branches producing a rejected row are pruned.  The RCDP decider uses
-    this for IND constraints, whose violation is tuple-local: any single
-    instantiated row whose projection falls outside the master projection
-    can never be part of a constraint-satisfying extension.
+    on the instantiated tableau rows; valuations producing a rejected
+    row are pruned as soon as the test is decidable.  The RCDP decider
+    uses this for IND constraints, whose violation is tuple-local: any
+    single instantiated row whose projection falls outside the master
+    projection can never be part of a constraint-satisfying extension.
+    A :class:`ProjectionFilter` is tested by set membership on the rows
+    of the relations it constrains, as soon as their projected columns
+    are bound; any other predicate on every row, once the row is bound.
 
+    Without a *shard*, each valuation is a dict from variable to value.
     With a *shard* (a :class:`~repro.core.search.ShardSpec`), only that
-    shard's slice is enumerated, as ``(prefix_index, position,
-    valuation)`` triples.  The valuation tree is split at a *prefix
-    depth* ``k``: the raw combinations of the first ``k`` variables'
-    candidates are numbered ``prefix_index = 0, 1, 2, ...`` in
-    lexicographic order (a prefix failing a pruning check keeps its
-    number but yields nothing), shard ``i`` of ``n`` owns the prefixes
-    with ``prefix_index % n == i``, and *position* numbers the valid
-    valuations below one prefix.  Hence:
+    shard's slice is enumerated, as ``(prefix_index, position, values)``
+    triples, *values* being the value tuple a :class:`TableauTemplates`
+    of *tableau* reads.  The stream is split at a *prefix depth* ``k``:
+    the raw combinations of the first ``k`` variables' candidates are
+    numbered ``prefix_index = 0, 1, 2, ...`` in lexicographic order (a
+    prefix failing a pruning check keeps its number but yields nothing),
+    shard ``i`` of ``n`` owns the prefixes with ``prefix_index % n ==
+    i``, and *position* numbers the valid valuations below one prefix.
+    Hence:
 
     * the union of all shards' valuations is the unsharded stream, for
       every shard count, since ownership is a function of the prefix
@@ -196,82 +426,34 @@ def iter_valid_valuations(tableau: Tableau, adom: ActiveDomain,
     if not tableau.satisfiable:
         return
     variables = tableau.ordered_variables()
-    candidates = {
-        v: adom.candidates_for(tableau, v, fresh=fresh, extra=extra)
-        for v in variables}
-    order_index = {v: i for i, v in enumerate(variables)}
-
-    # Pre-compile inequality checks: for each variable, the checks that
-    # become decidable once it is bound (both endpoints bound or constant).
-    checks_at: dict[Var, list[tuple[Any, Any]]] = {v: [] for v in variables}
-    for left, right in tableau.inequalities:
-        endpoints = [t for t in (left, right) if isinstance(t, Var)]
-        if not endpoints:
-            continue  # ground inequalities handled by Tableau construction
-        latest = max(endpoints, key=lambda v: order_index[v])
-        checks_at[latest].append((left, right))
-
-    # Pre-compile row-completion points: each tableau row is checked at the
-    # moment its last (per order) variable is bound.
-    rows_at: dict[Var, list] = {v: [] for v in variables}
-    if row_filter is not None:
-        for row in tableau.rows:
-            row_vars = row.variables()
-            if not row_vars:
-                if not row_filter(row.relation, row.instantiate({})):
-                    return
-            else:
-                latest = max(row_vars, key=lambda v: order_index[v])
-                rows_at[latest].append(row)
-
-    valuation: Valuation = {}
-
-    def value_of(term: Any) -> Any:
-        if isinstance(term, Var):
-            return valuation[term]
-        return term.value
-
-    def descend(index: int, stop: int) -> Iterator[Valuation]:
-        """The depth-first search: bind ``variables[index:stop]`` through
-        the pruning checks, yielding the live *valuation* at each
-        complete binding."""
-        if index == stop:
-            yield valuation
-            return
-        variable = variables[index]
-        checks, rows = checks_at[variable], rows_at[variable]
-        for candidate in candidates[variable]:
-            valuation[variable] = candidate
-            if checks and not all(value_of(left) != value_of(right)
-                                  for left, right in checks):
-                continue
-            if rows and not all(
-                    row_filter(row.relation, row.instantiate(valuation))
-                    for row in rows):
-                continue
-            yield from descend(index + 1, stop)
-        del valuation[variable]
+    candidates = [tuple(adom.candidates_for(tableau, v, fresh=fresh,
+                                            extra=extra))
+                  for v in variables]
+    position = {v: i for i, v in enumerate(variables)}
+    checks = _pruning_checks(tableau, position, row_filter)
+    if checks is None:
+        return
+    width = len(variables)
 
     if shard is None:
-        yield from map(dict, descend(0, len(variables)))
+        yield from map(dict, map(zip, itertools.repeat(variables),
+                                 _completions(candidates, checks, 0, width)))
         return
 
     depth, space = 0, 1
     target = shard.count * _OVERSUBSCRIBE if shard.count > 1 else 1
-    while depth < len(variables) and space < target:
-        space *= len(candidates[variables[depth]])
+    while depth < width and space < target:
+        space *= len(candidates[depth])
         depth += 1
     # A prefix's number in the raw product: mixed radix, one digit per
     # prefix variable (its candidate's list position).
-    digits = [{value: i for i, value in enumerate(candidates[v])}
-              for v in variables[:depth]]
-    for _ in descend(0, depth):
-        prefix = 0
-        for variable, digit in zip(variables, digits):
-            prefix = prefix * len(digit) + digit[valuation[variable]]
-        if not shard.owns(prefix):
-            continue
-        # (prefix, position, valuation) triples, built without a Python
-        # frame per valuation.
-        yield from zip(itertools.repeat(prefix), itertools.count(),
-                       map(dict, descend(depth, len(variables))))
+    digits = [{value: i for i, value in enumerate(values)}
+              for values in candidates[:depth]]
+    for prefix in _completions(candidates, checks, 0, depth):
+        number = 0
+        for value, digit in zip(prefix, digits):
+            number = number * len(digit) + digit[value]
+        if shard.owns(number):
+            yield from zip(itertools.repeat(number), itertools.count(),
+                           _completions(candidates, checks, depth, width,
+                                        prefix))

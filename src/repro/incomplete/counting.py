@@ -34,7 +34,9 @@ from repro.core.rcdp import (assert_decidable_configuration,
                              missing_answers_report, resolve_context,
                              split_ind_constraints)
 from repro.core.results import SearchStatistics
-from repro.core.valuations import ActiveDomain, iter_valid_valuations
+from repro.core.search import ShardSpec
+from repro.core.valuations import (ActiveDomain, TableauTemplates,
+                                   iter_valid_valuations)
 from repro.engine import EvaluationContext
 from repro.errors import ExecutionInterrupted
 from repro.obs import obs_of, obs_span, traced
@@ -168,15 +170,19 @@ def count_completing_extensions(
             for tableau in tableaux:
                 if not tableau.satisfiable:
                     continue
-                for valuation in iter_valid_valuations(
-                        tableau, adom, fresh="own", row_filter=row_filter):
+                templates = TableauTemplates(tableau)
+                summary_of = templates.summary
+                # Shard 0 of 1: the whole stream, as value tuples.
+                for _, _, values in iter_valid_valuations(
+                        tableau, adom, fresh="own", row_filter=row_filter,
+                        shard=ShardSpec()):
                     if governor is not None:
                         governor.tick("valuations")
                     examined += 1
-                    summary = tableau.summary_under(valuation)
+                    summary = summary_of(values)
                     if summary in answers:
                         continue
-                    delta = tableau.instantiate(valuation)
+                    delta = templates.facts(values)
                     # A valuation landing entirely inside D would have
                     # summary ∈ Q(D); surviving deltas add ≥ 1 fact.
                     fresh = frozenset(

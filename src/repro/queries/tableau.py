@@ -143,7 +143,7 @@ class Tableau:
     """
 
     __slots__ = ("query", "rows", "summary", "inequalities", "satisfiable",
-                 "_domains")
+                 "_domains", "_finite")
 
     def __init__(self, query: ConjunctiveQuery,
                  schema: DatabaseSchema) -> None:
@@ -190,37 +190,42 @@ class Tableau:
                 inequalities.append((left, right))
         self.inequalities = tuple(inequalities)
         self.satisfiable = consistent
-        self._domains = self._column_domains(schema)
+        self._column_domains(schema)
 
     # ------------------------------------------------------------------
     # Domains
     # ------------------------------------------------------------------
 
-    def _column_domains(self, schema: DatabaseSchema) -> dict[Var, Domain]:
+    def _column_domains(self, schema: DatabaseSchema) -> None:
+        """Record each variable's effective domain and, when it occurs in
+        finite-domain columns, the values all of those domains share."""
         domains: dict[Var, Domain] = {}
+        finite: dict[Var, frozenset] = {}
         for row in self.rows:
             relation = schema.relation(row.relation)
             for pos, term in enumerate(row.terms):
                 if not isinstance(term, Var):
                     continue
                 domain = relation.domain_at(pos)
+                if not domain.is_infinite:
+                    values = domain.values  # type: ignore[attr-defined]
+                    finite[term] = finite.get(term, values) & values
                 current = domains.get(term)
                 if current is None or current.is_infinite:
                     domains[term] = domain
                 elif not domain.is_infinite:
-                    intersection = (current.values  # type: ignore[attr-defined]
-                                    & domain.values)
-                    if len(intersection) < 2:
-                        # Degenerate; keep the smaller original domain and
-                        # let valuation filtering reject out-of-domain values.
-                        domains[term] = (current
-                                         if len(current.values) <= len(domain.values)
-                                         else domain)
-                    else:
+                    shared = finite[term]
+                    if len(shared) >= 2:
                         domains[term] = FiniteDomain(
-                            intersection,
-                            name=f"{current!r}∩{domain!r}")
-        return domains
+                            shared, name=f"{current!r}∩{domain!r}")
+                    else:
+                        # A FiniteDomain holds at least two values, so a
+                        # smaller intersection keeps the smaller column
+                        # domain here; the candidate lists read the exact
+                        # intersection from finite_values().
+                        domains[term] = min(current, domain,
+                                            key=len)  # type: ignore[arg-type]
+        self._domains, self._finite = domains, finite
 
     def domain_of(self, variable: Var) -> Domain:
         """Effective domain of *variable* (see module docstring)."""
@@ -229,6 +234,15 @@ class Tableau:
         except KeyError:
             raise QueryError(
                 f"{variable!r} is not a variable of this tableau") from None
+
+    def finite_values(self, variable: Var) -> frozenset | None:
+        """The values *variable* can take when it occurs in finite-domain
+        columns: those all of their domains share, which may be fewer
+        than two or none.  None when it occurs only in infinite-domain
+        columns."""
+        if self.domain_of(variable).is_infinite:
+            return None
+        return self._finite[variable]
 
     def has_finite_domain(self, variable: Var) -> bool:
         """True when *variable* occurs in a finite-domain column."""

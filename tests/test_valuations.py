@@ -7,14 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constraints.ind import InclusionDependency
-from repro.core.rcdp import split_ind_constraints
+from repro.core.bounded import brute_force_rcdp
+from repro.core.rcdp import decide_rcdp, split_ind_constraints
+from repro.core.results import RCDPStatus
 from repro.core.search import ShardSpec
-from repro.core.valuations import ActiveDomain, iter_valid_valuations
+from repro.core.valuations import (ActiveDomain, TableauTemplates,
+                                   _row_checks, iter_valid_valuations)
 from repro.queries.atoms import eq, neq, rel
 from repro.queries.cq import cq
 from repro.queries.tableau import Tableau
 from repro.queries.terms import Var, var
-from repro.relational.domain import BOOLEAN, is_fresh
+from repro.relational.domain import BOOLEAN, FiniteDomain, is_fresh
 from repro.relational.instance import Instance
 from repro.relational.schema import (Attribute, DatabaseSchema,
                                      RelationSchema)
@@ -186,4 +189,187 @@ def test_shards_partition_the_valuation_stream(query, db, use_filter):
             assert all(a < b for a, b in zip(ranks, ranks[1:]))
             union.extend(ranked)
         union.sort(key=lambda item: item[:2])
-        assert [valuation for _, _, valuation in union] == stream
+        variables = tableau.ordered_variables()
+        assert [dict(zip(variables, values))
+                for _, _, values in union] == stream
+
+
+# ---------------------------------------------------------------------
+# Compiled templates and checks agree with the tableau
+# ---------------------------------------------------------------------
+
+def _assert_compiled_agrees(tableau, adom, row_filters):
+    """Over every raw combination of the candidate lists: the compiled
+    summary and facts equal the tableau's, and each compiled row test
+    (fed the value prefix it sees during enumeration) equals the filter
+    on the instantiated row."""
+    templates = TableauTemplates(tableau)
+    variables = templates.variables
+    compiled = {
+        row_filter: [_row_checks(row, templates.position, row_filter)
+                     for row in tableau.rows]
+        for row_filter in row_filters}
+    lists = [adom.candidates_for(tableau, v) for v in variables]
+    for values in itertools.product(*lists):
+        valuation = dict(zip(variables, values))
+        assert templates.summary(values) == tableau.summary_under(valuation)
+        assert templates.facts(values) == tableau.instantiate(valuation)
+        for row_filter, per_row in compiled.items():
+            for row, checks in zip(tableau.rows, per_row):
+                passed = checks is not None and all(
+                    check(values[:point + 1]) for point, check in checks)
+                assert passed == row_filter(row.relation,
+                                            row.instantiate(valuation))
+
+
+def _plain(relation, row):
+    """The IND filter as a plain predicate (the full-row path)."""
+    return IND_ROW_FILTER(relation, row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(query=strategies.conjunctive_queries(), db=strategies.instances())
+def test_compiled_templates_agree_with_the_tableau(query, db):
+    tableau = Tableau(query, strategies.SCHEMA)
+    adom = ActiveDomain.build(instances=(db, DM), queries=[query],
+                              tableaux=[tableau])
+    _assert_compiled_agrees(tableau, adom, [IND_ROW_FILTER, _plain])
+
+
+# T[x, y] ⊆ N[c, d] beside R[b] ⊆ M[c]: a two-column projection.
+PAIR_MASTER_SCHEMA = DatabaseSchema([RelationSchema("M", ["c"]),
+                                     RelationSchema("N", ["c", "d"])])
+PAIR_DM = Instance(PAIR_MASTER_SCHEMA, {
+    "M": {(0,), (1,)}, "N": {(0, 1), (1, 1), (2, 0), (0, 2)}})
+PAIR_ROW_FILTER, _ = split_ind_constraints([
+    InclusionDependency("R", ["b"], "M", ["c"]).to_containment_constraint(
+        strategies.SCHEMA, PAIR_MASTER_SCHEMA),
+    InclusionDependency("T", ["x", "y"], "N", ["c", "d"])
+    .to_containment_constraint(strategies.SCHEMA, PAIR_MASTER_SCHEMA)],
+    PAIR_DM)
+
+
+@pytest.mark.parametrize("query", [
+    # a projected column holding a constant
+    cq([var("v")], [rel("T", 0, var("v"), var("w"))]),
+    # a variable repeated inside the projected columns
+    cq([var("v")], [rel("T", var("v"), var("v"), var("w"))]),
+    # a one-column IND: scalar membership, beside a two-column one
+    cq([var("u"), var("v")], [rel("R", var("u"), var("v")),
+                              rel("T", var("v"), var("u"), 2)]),
+    # a ground head, pinned by = and written as a constant
+    cq([var("u"), 1], [rel("R", var("u"), var("v")), eq(var("u"), 2)]),
+], ids=["constant-column", "repeated-variable", "scalar", "ground-head"])
+def test_compiled_templates_fixed_cases(query):
+    tableau = Tableau(query, strategies.SCHEMA)
+    adom = ActiveDomain.build(instances=(PAIR_DM,), queries=[query],
+                              tableaux=[tableau])
+    _assert_compiled_agrees(
+        tableau, adom,
+        [PAIR_ROW_FILTER, lambda r, row: PAIR_ROW_FILTER(r, row)])
+
+
+# ---------------------------------------------------------------------
+# Enumerator edge cases at every shard count
+# ---------------------------------------------------------------------
+
+SHARD_COUNTS = (1, 2, 3, 5)
+
+
+def _shard_streams(tableau, adom, row_filter, count):
+    return [list(iter_valid_valuations(tableau, adom, row_filter=row_filter,
+                                       shard=ShardSpec(index, count)))
+            for index in range(count)]
+
+
+def _assert_partitions(tableau, adom, row_filter, expected):
+    """The unsharded stream is *expected*, and at every shard count the
+    shards' ranked slices merge back into it."""
+    assert list(iter_valid_valuations(tableau, adom,
+                                      row_filter=row_filter)) == expected
+    variables = tableau.ordered_variables()
+    for count in SHARD_COUNTS:
+        union = sorted(
+            (item for stream in _shard_streams(tableau, adom, row_filter,
+                                               count)
+             for item in stream), key=lambda item: item[:2])
+        assert [dict(zip(variables, values))
+                for _, _, values in union] == expected
+
+
+def test_ground_tableau_yields_from_shard_zero_only():
+    query = cq([], [rel("R", 1, 0)])
+    tableau = Tableau(query, strategies.SCHEMA)
+    adom = ActiveDomain.build(instances=(DM,), queries=[query])
+    _assert_partitions(tableau, adom, IND_ROW_FILTER, [{}])
+    for count in SHARD_COUNTS:
+        streams = _shard_streams(tableau, adom, IND_ROW_FILTER, count)
+        assert streams[0] == [(0, 0, ())]
+        assert not any(streams[1:])
+
+
+@pytest.mark.parametrize("atoms", [
+    [rel("R", 1, 5)],
+    [rel("R", 1, 5), rel("R", var("v0"), var("v1"))],
+], ids=["ground", "ground-row-beside-variables"])
+def test_ground_row_failing_the_filter_yields_nothing(atoms):
+    query = cq([], atoms)
+    tableau = Tableau(query, strategies.SCHEMA)
+    adom = ActiveDomain.build(instances=(DM,), queries=[query],
+                              tableaux=[tableau])
+    _assert_partitions(tableau, adom, IND_ROW_FILTER, [])
+    _assert_partitions(tableau, adom, _plain, [])
+
+
+def test_only_pruning_point_is_the_last_variable():
+    query = cq([var("v0")], [rel("T", var("v0"), var("v1"), var("v2")),
+                             rel("R", var("v2"), var("v3")),
+                             neq(var("v3"), var("v0"))])
+    tableau = Tableau(query, strategies.SCHEMA)
+    adom = ActiveDomain.build(instances=(DM,), queries=[query],
+                              tableaux=[tableau])
+    expected = _product_oracle(tableau, adom, None)
+    assert expected and len(expected) < len(adom.candidates_for(
+        tableau, Var("v0"))) ** 4
+    _assert_partitions(tableau, adom, None, expected)
+
+
+# ---------------------------------------------------------------------
+# Variables in several finite-domain columns
+# ---------------------------------------------------------------------
+
+def _domain_case(second_domain):
+    """``Q(x) :- A(x), B(x)`` with ``A.x`` boolean and ``B.y`` over
+    *second_domain*, on ``D = {A(1), B(min(second_domain))}`` and an
+    empty master."""
+    schema = DatabaseSchema([
+        RelationSchema("A", [Attribute("x", BOOLEAN)]),
+        RelationSchema("B", [Attribute("y", FiniteDomain(second_domain))]),
+    ])
+    query = cq([var("x")], [rel("A", var("x")), rel("B", var("x"))])
+    database = Instance(schema, {"A": {(1,)},
+                                 "B": {(min(second_domain),)}})
+    master = Instance.empty(MASTER_SCHEMA)
+    return query, database, master
+
+
+@pytest.mark.parametrize("second_domain, expected", [
+    ({1, 2}, [1]), ({2, 3}, [])], ids=["one-shared", "disjoint"])
+def test_variable_ranges_over_the_shared_finite_values(second_domain,
+                                                       expected):
+    query, database, master = _domain_case(second_domain)
+    tableau = Tableau(query, database.schema)
+    adom = ActiveDomain.build(instances=(database,), queries=[query],
+                              tableaux=[tableau])
+    assert adom.candidates_for(tableau, Var("x")) == expected
+    _assert_partitions(tableau, adom, None,
+                       [{Var("x"): value} for value in expected])
+
+
+def test_one_shared_finite_value_is_complete_like_brute_force():
+    query, database, master = _domain_case({1, 2})
+    assert decide_rcdp(query, database, master, []).status \
+        is RCDPStatus.COMPLETE
+    assert brute_force_rcdp(query, database, master, [],
+                            max_extra_facts=2).status \
+        is RCDPStatus.COMPLETE_UP_TO_BOUND
