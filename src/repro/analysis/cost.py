@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Collection, Mapping, NamedTuple, Sequence
 
 from repro.constraints.containment import ContainmentConstraint
 from repro.queries.terms import Const, Var
@@ -306,17 +306,27 @@ def _variable_counts(tableau: Any, adom: Any) -> dict[Var, int]:
     return counts
 
 
+class _Cap(NamedTuple):
+    """An IND row filter's joint cap on one tableau row: *variables*
+    (in row order) take the values of one of *rows*, the matching
+    master-projection rows."""
+
+    variables: tuple[Var, ...]
+    rows: frozenset[tuple]
+    joint: int
+    description: str
+
+
 def _ind_caps(tableau: Any, counts: Mapping[Var, int],
               constraints: Sequence[ContainmentConstraint],
               master: Instance,
-              ) -> tuple[list[tuple[frozenset, int, str]], bool]:
+              ) -> tuple[list[_Cap], bool]:
     """Joint caps induced by IND row filters on this tableau.
 
-    Returns ``(caps, viable)`` where each cap is ``(variable group, joint
-    count, description)`` and *viable* is False when a fully ground row
+    Returns ``(caps, viable)``; *viable* is False when a fully ground row
     can never pass its filter (zero valid valuations).
     """
-    caps: list[tuple[frozenset, int, str]] = []
+    caps: list[_Cap] = []
     viable = True
     for constraint in constraints:
         if not constraint.is_ind():
@@ -362,11 +372,44 @@ def _ind_caps(tableau: Any, counts: Mapping[Var, int],
             raw = math.prod(counts.get(v, 1) for v in group_vars)
             joint = min(len(matching), raw)
             names = ", ".join(v.name for v in group_vars)
-            caps.append((frozenset(group_vars), joint,
-                         f"{constraint.name}: ({names}) jointly range "
-                         f"over ≤ {joint} rows of the master projection "
-                         f"(raw {raw})"))
+            caps.append(_Cap(tuple(group_vars), frozenset(matching), joint,
+                             f"{constraint.name}: ({names}) jointly range "
+                             f"over ≤ {joint} rows of the master "
+                             f"projection (raw {raw})"))
     return caps, viable
+
+
+def _fan_out(cap: _Cap, admitted: dict[Var, set[Any]],
+             counts: Mapping[Var, int]) -> int:
+    """The factor *cap* multiplies the valuation count by, after the
+    caps in *admitted* (variable -> the values they leave it; updated
+    here to include *cap*).
+
+    A cap sharing no variable with earlier ones contributes its joint
+    count.  Otherwise it contributes its fan-out: the most rows that
+    agree with one assignment of the shared variables, counting only
+    rows whose values the earlier caps admit and never more than the
+    product of the new variables' counts.  Either way the product stays
+    an upper bound on the valuations that pass every filter.
+    """
+    shared = [i for i, v in enumerate(cap.variables) if v in admitted]
+    rows: Collection[tuple] = cap.rows
+    if not shared:
+        factor = cap.joint
+    else:
+        rows = [row for row in rows
+                if all(row[i] in admitted[cap.variables[i]]
+                       for i in shared)]
+        fresh = [i for i in range(len(cap.variables)) if i not in shared]
+        agreeing: dict[tuple, set[tuple]] = {}
+        for row in rows:
+            agreeing.setdefault(tuple(row[i] for i in shared), set()).add(
+                tuple(row[i] for i in fresh))
+        factor = min(max(map(len, agreeing.values()), default=0),
+                     math.prod(counts[cap.variables[i]] for i in fresh))
+    for i, variable in enumerate(cap.variables):
+        admitted[variable] = {row[i] for row in rows}
+    return factor
 
 
 def _disjunct_cost(tableau: Any, adom: Any,
@@ -386,18 +429,18 @@ def _disjunct_cost(tableau: Any, adom: Any,
             raw_product=raw, predicted=0, bound=Interval.zero(),
             caps=("a ground tableau row leaves the master projection; "
                   "no valuation survives the IND filter",))
-    assigned: set[Var] = set()
+    admitted: dict[Var, set[Any]] = {}
     capped = 1
     applied: list[str] = []
-    for group, joint, description in sorted(
-            caps, key=lambda c: (c[1], sorted(v.name for v in c[0]))):
-        if group & assigned:
-            continue
-        capped *= joint
-        assigned |= group
-        applied.append(description)
+    for cap in sorted(caps, key=lambda c: (
+            c.joint, sorted(v.name for v in c.variables))):
+        chained = not admitted.keys().isdisjoint(cap.variables)
+        factor = _fan_out(cap, admitted, counts)
+        capped *= factor
+        applied.append(f"{cap.description}; chained on earlier caps: "
+                       f"×{factor}" if chained else cap.description)
     for variable in ordered:
-        if variable not in assigned:
+        if variable not in admitted:
             capped *= counts[variable]
     predicted = capped
     for left, right in tableau.inequalities:

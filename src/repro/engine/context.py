@@ -12,7 +12,9 @@ candidate extensions.  The context is the object that makes that cheap:
 * **master projections** ``p(Dm)`` per ``(projection, master)`` pair —
   previously recomputed on every single constraint check;
 * **delta evaluation** ``Q(D ∪ Δ)`` from cached ``Q(D)`` via the
-  semi-naive rule (at least one atom must match a new Δ-fact).
+  semi-naive rule (at least one atom must match a new Δ-fact);
+* **violation checks** ``Q(D ∪ Δ) ⊆ p(Dm)`` that stop at the first
+  answer outside ``p(Dm)``.
 
 Instances cannot be weak-referenced (``__slots__`` without
 ``__weakref__``), so caches are keyed by ``id()`` with the instance
@@ -26,6 +28,7 @@ and creates no cross-call state when none is given.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.engine.executor import (ChainSource, DeltaSource, IndexedSource,
@@ -103,8 +106,8 @@ class EvaluationContext:
     accounting identical to the pre-engine code.
 
     ``backend`` selects the storage backend every evaluation routes
-    through (:mod:`repro.relational.backends`): ``"python"`` keeps the
-    original tuple-at-a-time executor and semi-naive delta rule;
+    through (:mod:`repro.relational.backends`): ``"python"`` runs the
+    tuple-at-a-time slot executor and the semi-naive delta rule;
     ``"columnar"`` and ``"sqlite"`` run set-at-a-time / pushed-down SQL
     plans with identical answers.  ``None`` resolves via the
     ``REPRO_BACKEND`` environment variable.
@@ -284,14 +287,10 @@ class EvaluationContext:
                            delta_facts: Iterable[Fact]) -> frozenset[tuple]:
         """``Q(base ∪ Δ)`` without materializing the union.
 
-        For the monotone engine languages this uses the semi-naive rule:
-        every genuinely new answer has at least one atom matched by a new
-        Δ-fact, so for each disjunct and each atom position ``j`` a delta
-        plan is run in which atom ``j`` ranges over ``Δ \\ D`` only,
-        atoms at earlier body positions over ``D`` only, and later ones
-        over ``D ∪ Δ`` — partitioning the new bindings by their minimal
-        Δ-atom so none is enumerated twice.  Non-monotone languages
-        (FO, FP) materialize the union and evaluate it directly.
+        For the monotone engine languages this is the cached ``Q(base)``
+        plus the answers the semi-naive rule derives from Δ
+        (:meth:`_new_answers`).  Non-monotone languages (FO, FP)
+        materialize the union and evaluate it directly.
         """
         new_rows = self._new_rows(base, delta_facts)
         if getattr(query, "language", None) not in ENGINE_LANGUAGES:
@@ -306,50 +305,77 @@ class EvaluationContext:
             self.statistics.full_evaluations += 1
             return query.evaluate(extend_unvalidated(base, delta))
         base_answers = self.evaluate(query, base)
-        if not new_rows:
+        if not self._derives_new(query, base_answers, new_rows):
             return base_answers
-        if getattr(query, "arity", None) == 0 and base_answers:
-            # Boolean query already true on the base; monotonicity keeps
-            # it true under any extension.
-            return base_answers
+        if self.backend == "python":
+            return base_answers.union(
+                self._new_answers(query, base, new_rows))
         self.statistics.delta_evaluations += 1
-        if self.backend != "python":
-            storage = self.storage_for(base)
-            on_build = self._storage_on_build(base)
-            answers = set(base_answers)
-            for disjunct in query.to_cq_disjuncts():
-                answers.update(storage.plan_rows_extended(
-                    self.plan_for(disjunct), new_rows,
-                    on_build=on_build))
-            return frozenset(answers)
+        storage = self.storage_for(base)
+        on_build = self._storage_on_build(base)
+        answers = set(base_answers)
+        for disjunct in query.to_cq_disjuncts():
+            answers.update(storage.plan_rows_extended(
+                self.plan_for(disjunct), new_rows, on_build=on_build))
+        return frozenset(answers)
+
+    @staticmethod
+    def _derives_new(query: Any, base_answers: frozenset[tuple],
+                     new_rows: dict[str, list[tuple]]) -> bool:
+        """Whether Δ can add answers to ``Q(base)``: it has new rows,
+        and ``Q`` is not a Boolean query already true on the base
+        (monotonicity keeps that one true under any extension)."""
+        return bool(new_rows) and not (
+            getattr(query, "arity", None) == 0 and base_answers)
+
+    def _new_answers(self, query: Any, base: Instance,
+                     new_rows: dict[str, list[tuple]]) -> Iterator[tuple]:
+        """The answers of ``Q(base ∪ Δ)`` derived from Δ, lazily.
+
+        Every genuinely new answer has at least one atom matched by a
+        new Δ-fact, so for each disjunct and each atom position ``j`` a
+        delta plan is run in which atom ``j`` ranges over ``Δ \\ D``
+        only, atoms at earlier body positions over ``D`` only, and later
+        ones over ``D ∪ Δ`` — partitioning the new bindings by their
+        minimal Δ-atom so none is enumerated twice (answers already in
+        ``Q(base)`` may come out again).  Every delta plan is compiled
+        before this returns, so a caller that stops at the first answer
+        compiles and counts the same plans as one that drains the
+        iterator; indexes are built only by the searches that run.
+        """
+        self.statistics.delta_evaluations += 1
         base_source = IndexedSource(self.indexes_for(base))
         delta_source = DeltaSource(new_rows)
         chain_source = ChainSource(base_source, delta_source)
-        answers = set(base_answers)
+        searches = []
         for disjunct in query.to_cq_disjuncts():
-            atoms = disjunct.relation_atoms
-            for j, atom in enumerate(atoms):
+            for j, atom in enumerate(disjunct.relation_atoms):
                 if atom.relation not in new_rows:
                     continue
                 plan = self.plan_for(disjunct, first_atom=j)
-                sources = tuple(
+                sources = tuple([
                     delta_source if step.atom_index == j
                     else base_source if step.atom_index < j
                     else chain_source
-                    for step in plan.steps)
-                answers.update(iter_rows(plan, sources))
-        return frozenset(answers)
+                    for step in plan.steps])
+                searches.append(iter_rows(plan, sources))
+        return chain.from_iterable(searches)
 
     @staticmethod
     def _new_rows(base: Instance, delta_facts: Iterable[Fact],
                   ) -> dict[str, list[tuple]]:
-        """Δ-facts grouped by relation, minus rows already in *base*."""
-        new_rows: dict[str, list[tuple]] = {}
+        """Δ-facts grouped by relation, minus rows already in *base*
+        (each row once, in order of first occurrence)."""
+        distinct: dict[Fact, None] = {}
         for name, row in delta_facts:
-            row = tuple(row)
+            distinct[name, tuple(row)] = None
+        new_rows: dict[str, list[tuple]] = {}
+        for name, row in distinct:
             if row not in base.relation(name):
-                rows = new_rows.setdefault(name, [])
-                if row not in rows:
+                rows = new_rows.get(name)
+                if rows is None:
+                    new_rows[name] = [row]
+                else:
                     rows.append(row)
         return new_rows
 
@@ -359,20 +385,26 @@ class EvaluationContext:
         """Whether ``Q(base ∪ Δ) ⊆ p(master)`` — the containment
         constraint check on a candidate extension.
 
-        On the non-python backends this is the pushdown fast path: the
-        storage decides *violation* directly (``plan_violates``), so an
-        at-most-``k`` constraint (empty target) becomes a single
-        existence probe that stops at the first answer instead of
-        materializing ``Q(base ∪ Δ)``.  The python backend (and
-        non-engine languages) keep the exact original evaluation, so
-        verdicts and counters there are byte-identical to the
-        pre-backend code.
+        The check decides *violation* instead of computing
+        ``Q(base ∪ Δ)``: it stops at the first answer outside
+        ``p(master)``, or at any answer when the target is empty.  On
+        the python backend it tests the cached ``Q(base)`` once, then
+        draws the semi-naive new answers one at a time.  ``p(master)``
+        is read only once some answer exists and every delta plan is
+        compiled up front, so the counters equal those of the
+        materializing check except ``index_builds``, which can only be
+        lower (a search cut short builds fewer indexes).  On the other
+        backends the storage decides violation itself
+        (``plan_violates``: an at-most-``k`` constraint becomes a single
+        existence probe).  Non-engine languages (FO, FP) materialize
+        ``Q(base ∪ Δ)`` and test it.
         """
-        if (self.backend != "python"
-                and getattr(query, "language", None) in ENGINE_LANGUAGES):
-            delta_facts = list(delta_facts)
+        new_answers: Iterable[tuple] = ()
+        if getattr(query, "language", None) not in ENGINE_LANGUAGES:
+            answers = self.evaluate_extension(query, base, delta_facts)
+        else:
             new_rows = self._new_rows(base, delta_facts)
-            if new_rows:
+            if self.backend != "python" and new_rows:
                 storage = self.storage_for(base)
                 on_build = self._storage_on_build(base)
                 allowed = (None if projection.is_empty_target
@@ -384,12 +416,26 @@ class EvaluationContext:
                                              on_build=on_build):
                         return False
                 return True
-        answers = self.evaluate_extension(query, base, delta_facts)
-        if not answers:
-            return True
+            answers = self.evaluate(query, base)
+            if self._derives_new(query, answers, new_rows):
+                new_answers = self._new_answers(query, base, new_rows)
         if projection.is_empty_target:
-            return False
-        return answers <= self.projection_rows(projection, master)
+            if answers:
+                return False
+            for _ in new_answers:
+                return False
+            return True
+        allowed = None
+        if answers:
+            allowed = self.projection_rows(projection, master)
+            if not answers <= allowed:
+                return False
+        for answer in new_answers:
+            if allowed is None:
+                allowed = self.projection_rows(projection, master)
+            if answer not in allowed:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Master projections

@@ -1,10 +1,12 @@
 """Plan execution: indexed backtracking join over pluggable row sources.
 
-The executor walks a :class:`~repro.engine.plan.CompiledPlan` step by
-step.  For each step it resolves the key (constants and already-bound
-variables), asks the step's :class:`RowSource` for the matching rows,
-binds the step's output variables, verifies intra-atom repeats and any
-comparison that just became decidable, and recurses.
+The executor runs a plan's :class:`~repro.engine.plan.SlotProgram` over
+one list of values per call, indexed by slot (constants pre-filled).
+For each step it reads the key from its slots, asks the step's row
+source for the matching rows, writes the step's outputs into their
+slots, verifies intra-atom repeats and any comparison that just became
+decidable, and recurses.  Slots are overwritten, never cleared: a step
+reads only slots that the constants or earlier steps have filled.
 
 Row sources are what make the same executor serve both evaluation modes:
 
@@ -15,6 +17,9 @@ Row sources are what make the same executor serve both evaluation modes:
   ``j`` to the base instance only, and the rest to base ∪ Δ
   (:class:`ChainSource`) — exactly the partition that makes each new
   answer of ``Q(D ∪ Δ)`` counted once (see ``docs/ENGINE.md``).
+
+Answers stream out one at a time, so a caller that needs only the first
+(a violation check) stops the search there.
 """
 
 from __future__ import annotations
@@ -22,13 +27,10 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from repro.engine.indexes import InstanceIndexes
-from repro.engine.plan import CompiledPlan, PlanStep
-from repro.queries.terms import Const, Var
+from repro.engine.plan import CompiledPlan, PlanStep, SlotStep
 
 __all__ = ["IndexedSource", "DeltaSource", "ChainSource",
            "iter_rows", "evaluate_plan", "plan_holds"]
-
-Binding = dict[Var, Any]
 
 
 class IndexedSource:
@@ -82,56 +84,45 @@ class ChainSource:
         return base + extra
 
 
-def _resolve_key(step: PlanStep, binding: Binding) -> tuple:
-    return tuple(term.value if isinstance(term, Const) else binding[term]
-                 for term in step.key_terms)
-
-
-def _comparisons_hold(step: PlanStep, binding: Binding) -> bool:
-    for comparison in step.comparisons:
-        left = (comparison.left.value
-                if isinstance(comparison.left, Const)
-                else binding[comparison.left])
-        right = (comparison.right.value
-                 if isinstance(comparison.right, Const)
-                 else binding[comparison.right])
-        if not comparison.holds(left, right):
-            return False
-    return True
-
-
-def iter_rows(plan: CompiledPlan, sources: tuple[Any, ...],
-              binding: Binding | None = None) -> Iterator[tuple]:
+def iter_rows(plan: CompiledPlan,
+              sources: tuple[Any, ...]) -> Iterator[tuple]:
     """Yield the head row of every satisfying binding (with duplicates;
     callers build sets).  *sources* supplies rows per step, parallel to
     ``plan.steps``."""
     if not plan.satisfiable:
-        return
-    if binding is None:
-        binding = {}
-    yield from _search(plan, sources, 0, binding)
+        return iter(())
+    program = plan.program
+    if not program.steps:  # no relation atom: the one (empty) binding
+        return iter([tuple([program.initial[s] for s in program.head])])
+    return _search(program.steps, sources, 0, list(program.initial),
+                   program.head)
 
 
-def _search(plan: CompiledPlan, sources: tuple[Any, ...],
-            depth: int, binding: Binding) -> Iterator[tuple]:
-    if depth == len(plan.steps):
-        yield tuple(term.value if isinstance(term, Const)
-                    else binding[term] for term in plan.head)
-        return
-    step = plan.steps[depth]
-    key = _resolve_key(step, binding)
-    for row in sources[depth].rows(step, key):
-        ok = True
-        for position, variable in step.outputs:
-            binding[variable] = row[position]
-        for position, variable in step.intra_checks:
-            if row[position] != binding[variable]:
-                ok = False
+def _search(steps: tuple[SlotStep, ...], sources: tuple[Any, ...],
+            depth: int, values: list[Any],
+            head: tuple[int, ...]) -> Iterator[tuple]:
+    step, key, outputs, repeats, equal, unequal = steps[depth]
+    last = depth + 1 == len(steps)
+    for row in sources[depth].rows(step, tuple([values[s] for s in key])):
+        for position, slot in outputs:
+            values[slot] = row[position]
+        for position, slot in repeats:
+            if row[position] != values[slot]:
                 break
-        if ok and _comparisons_hold(step, binding):
-            yield from _search(plan, sources, depth + 1, binding)
-        for _, variable in step.outputs:
-            del binding[variable]
+        else:
+            for left, right in equal:
+                if values[left] != values[right]:
+                    break
+            else:
+                for left, right in unequal:
+                    if values[left] == values[right]:
+                        break
+                else:
+                    if last:
+                        yield tuple([values[s] for s in head])
+                    else:
+                        yield from _search(steps, sources, depth + 1,
+                                           values, head)
 
 
 def evaluate_plan(plan: CompiledPlan,

@@ -43,19 +43,29 @@ def relation_atoms(draw) -> RelAtom:
 @st.composite
 def conjunctive_queries(draw, max_atoms: int = 3,
                         allow_inequalities: bool = True,
+                        max_comparisons: int = 1,
                         ) -> ConjunctiveQuery:
-    """A safe random CQ: head variables drawn from the body atoms."""
+    """A safe random CQ: head variables drawn from the body atoms.
+
+    Up to *max_comparisons* comparisons, each between a variable and a
+    variable or constant; above the default of 1 the sides may be
+    swapped, so a constant can sit on either side.
+    """
     atoms = [draw(relation_atoms())
              for _ in range(draw(st.integers(1, max_atoms)))]
     body_vars = sorted(
         {v for atom in atoms for v in atom.variables()},
         key=lambda v: v.name)
     comparisons = []
-    if body_vars and draw(st.booleans()):
+    for _ in range(max_comparisons):
+        if not (body_vars and draw(st.booleans())):
+            break
         left = draw(st.sampled_from(body_vars))
         right = draw(st.one_of(
             st.sampled_from(body_vars),
             st.sampled_from(_CONSTANTS).map(Const)))
+        if max_comparisons > 1 and draw(st.booleans()):
+            left, right = right, left
         kind = Neq if (allow_inequalities and draw(st.booleans())) else Eq
         if not (kind is Neq and left == right):
             comparisons.append(kind(left, right))
@@ -68,14 +78,17 @@ def conjunctive_queries(draw, max_atoms: int = 3,
 @st.composite
 def union_queries(draw, max_disjuncts: int = 2,
                   allow_inequalities: bool = True,
+                  max_comparisons: int = 1,
                   ) -> UnionOfConjunctiveQueries:
     """A random UCQ whose disjuncts share one arity."""
     first = draw(conjunctive_queries(
-        allow_inequalities=allow_inequalities))
+        allow_inequalities=allow_inequalities,
+        max_comparisons=max_comparisons))
     disjuncts = [first]
     for _ in range(draw(st.integers(0, max_disjuncts - 1))):
         candidate = draw(conjunctive_queries(
-            allow_inequalities=allow_inequalities))
+            allow_inequalities=allow_inequalities,
+            max_comparisons=max_comparisons))
         if candidate.arity == first.arity:
             disjuncts.append(candidate)
     return UnionOfConjunctiveQueries(disjuncts, name="Urand")

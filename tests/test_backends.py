@@ -21,6 +21,7 @@ import random
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.constraints.containment import (Projection, satisfies_all,
                                            satisfies_all_extension)
@@ -111,7 +112,7 @@ class TestResolution:
 
 class TestEvaluationConformance:
     @settings(max_examples=60, deadline=None)
-    @given(query=conjunctive_queries(), db=instances())
+    @given(query=conjunctive_queries(max_comparisons=3), db=instances())
     def test_cq_matches_naive_oracle(self, query, db):
         expected = query.evaluate_naive(db)
         for backend in BACKEND_NAMES:
@@ -119,7 +120,7 @@ class TestEvaluationConformance:
             assert context.evaluate(query, db) == expected, backend
 
     @settings(max_examples=40, deadline=None)
-    @given(query=union_queries(), db=instances())
+    @given(query=union_queries(max_comparisons=3), db=instances())
     def test_ucq_matches_naive_oracle(self, query, db):
         expected = query.evaluate_naive(db)
         for backend in BACKEND_NAMES:
@@ -127,7 +128,7 @@ class TestEvaluationConformance:
             assert context.evaluate(query, db) == expected, backend
 
     @settings(max_examples=60, deadline=None)
-    @given(query=conjunctive_queries(), db=instances(),
+    @given(query=conjunctive_queries(max_comparisons=3), db=instances(),
            delta=extension_facts())
     def test_extension_matches_materialized_union(self, query, db, delta):
         expected = query.evaluate_naive(extend_unvalidated(db, delta))
@@ -145,8 +146,8 @@ class TestEvaluationConformance:
 
 class TestConstraintConformance:
     @settings(max_examples=60, deadline=None)
-    @given(query=conjunctive_queries(), db=instances(),
-           delta=extension_facts())
+    @given(query=st.one_of(conjunctive_queries(), union_queries()),
+           db=instances(), delta=extension_facts())
     def test_extension_check_matches_contextless(self, query, db, delta):
         """Both projection shapes per draw: the R[b] ⊆ M[c] IND (the
         allowed-set path) and q ⊆ ∅ (the existence-probe pushdown)."""

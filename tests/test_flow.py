@@ -266,9 +266,11 @@ class TestCostModel:
         assert a.scaled(10) == Interval(lo=20, hi=30)
 
     def test_full_enumeration_prediction_is_within_4x(self):
-        # The bench gates the whole corpus; in-tree we pin the two
+        # The bench gates the whole corpus; in-tree we pin the six
         # bundles whose enumerations finish in seconds.
-        for name in ("crm_q2_supported_ind", "crm_q0_area_code"):
+        for name in ("crm_q2_supported_ind", "crm_q0_area_code",
+                     "gen_crm_golden", "gen_erp_golden",
+                     "gen_hierarchy_golden", "gen_scm_golden"):
             bundle = _bundle(name)
             estimate = estimate_decision(
                 "missing", bundle["query"], bundle["database"],

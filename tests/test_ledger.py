@@ -40,7 +40,7 @@ from repro.obs.progress import ProgressReporter
 from repro.queries.atoms import rel
 from repro.queries.cq import cq
 from repro.queries.terms import var
-from repro.relational.backends import BACKEND_NAMES
+from repro.relational.backends import BACKEND_NAMES, resolve_backend_name
 from repro.relational.instance import Instance
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
@@ -515,7 +515,8 @@ class TestReportCommand:
                      "--prom", str(prom)]) == 0
         report = load_bench_report(str(out))
         assert report["name"] == "ledger"
-        assert report["rows"][0]["name"] == "rcdp/bundle/python/w1"
+        assert report["rows"][0]["name"] == \
+            f"rcdp/bundle/{resolve_backend_name()}/w1"
         assert "repro_ledger_runs_rcdp_total 1" in prom.read_text(
             encoding="utf-8")
 
