@@ -25,25 +25,30 @@ engine act on.
   (also exposed as rule ``RC202``).
 """
 
-from repro.analysis.boundedness import (BoundednessReport, VariableReport,
-                                        VariableStatus,
-                                        analyze_boundedness)
-from repro.analysis.cost import (CostEstimate, DisjunctCost, Interval,
-                                 PlanEstimate, StepEstimate,
-                                 estimate_decision, estimate_plan,
-                                 suggested_budget)
-from repro.analysis.diagnostics import (AnalysisFacts, Diagnostic, Fixit,
-                                        Report, Severity, Span)
-from repro.analysis.driver import (analyze, lint_bundle, lint_path,
-                                   validate_for_decision)
-from repro.analysis.interaction import (ChaseClass, InteractionEdge,
-                                        InteractionGraph,
-                                        build_interaction_graph,
-                                        drop_inapplicable,
-                                        forced_empty_relations,
-                                        inapplicable_constraints)
-from repro.analysis.planlint import PlanFinding, lint_plan
-from repro.analysis.rules import RULES, LintRule, RuleContext, lint_rule
+from typing import TYPE_CHECKING, Any
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.boundedness import (BoundednessReport, VariableReport,
+                                            VariableStatus,
+                                            analyze_boundedness)
+    from repro.analysis.cost import (CostEstimate, DisjunctCost, Interval,
+                                     PlanEstimate, StepEstimate,
+                                     estimate_decision, estimate_plan,
+                                     suggested_budget)
+    from repro.analysis.diagnostics import (AnalysisFacts, Diagnostic, Fixit,
+                                            Report, Severity, Span)
+    from repro.analysis.driver import (analyze, lint_bundle, lint_path,
+                                       validate_for_decision)
+    from repro.analysis.interaction import (ChaseClass, InteractionEdge,
+                                            InteractionGraph,
+                                            build_interaction_graph,
+                                            drop_inapplicable,
+                                            forced_empty_relations,
+                                            inapplicable_constraints)
+    from repro.analysis.planlint import PlanFinding, lint_plan
+    from repro.analysis.rules import RULES, LintRule, RuleContext, lint_rule
 
 __all__ = [
     "Severity", "Span", "Fixit", "Diagnostic", "AnalysisFacts", "Report",
@@ -59,3 +64,32 @@ __all__ = [
     "suggested_budget",
     "PlanFinding", "lint_plan",
 ]
+
+_resolve, __dir__ = _lazy_exports(globals(), {
+    "repro.analysis.boundedness": ("BoundednessReport", "VariableReport",
+                                   "VariableStatus", "analyze_boundedness"),
+    "repro.analysis.cost": ("CostEstimate", "DisjunctCost", "Interval",
+                            "PlanEstimate", "StepEstimate",
+                            "estimate_decision", "estimate_plan",
+                            "suggested_budget"),
+    "repro.analysis.diagnostics": ("AnalysisFacts", "Diagnostic", "Fixit",
+                                   "Report", "Severity", "Span"),
+    "repro.analysis.driver": ("analyze", "lint_bundle", "lint_path",
+                              "validate_for_decision"),
+    "repro.analysis.interaction": ("ChaseClass", "InteractionEdge",
+                                   "InteractionGraph",
+                                   "build_interaction_graph",
+                                   "drop_inapplicable",
+                                   "forced_empty_relations",
+                                   "inapplicable_constraints"),
+    "repro.analysis.planlint": ("PlanFinding", "lint_plan"),
+    "repro.analysis.rules": ("RULES", "LintRule", "RuleContext", "lint_rule"),
+})
+
+
+def __getattr__(name: str) -> Any:
+    if name == "RULES":
+        # The registry holds the RC3xx/RC4xx rules only once the flow
+        # module has registered them, which importing it does.
+        import repro.analysis.flow  # noqa: F401
+    return _resolve(name)

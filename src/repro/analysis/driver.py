@@ -23,9 +23,6 @@ from typing import Any, Mapping
 
 from repro.analysis.diagnostics import Diagnostic, Report, Severity, Span
 from repro.analysis.rules import RULES, RuleContext, _diag
-# Importing the flow module registers the RC3xx/RC4xx whole-scenario
-# rules (cost="flow"); nothing is referenced directly.
-from repro.analysis import flow as _flow  # noqa: F401
 from repro.errors import (AnalysisError, ParseError, QueryError,
                           ReproError)
 from repro.queries.parser import (parse_query_spanned, parse_rules_spanned)
@@ -35,6 +32,11 @@ __all__ = ["analyze", "validate_for_decision", "lint_bundle", "lint_path"]
 
 def _run_rules(ctx: RuleContext, *, deep: bool,
                decider_only: bool, flow: bool = False) -> list[Diagnostic]:
+    if flow:
+        # Importing the flow module registers the RC3xx/RC4xx
+        # whole-scenario rules (cost="flow"); the deciders' pass never
+        # runs them, so it never imports the module.
+        import repro.analysis.flow  # noqa: F401
     diagnostics: list[Diagnostic] = []
     for code in sorted(RULES):
         rule = RULES[code]

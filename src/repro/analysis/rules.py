@@ -33,9 +33,8 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.analysis.diagnostics import (AnalysisFacts, Diagnostic, Fixit,
                                         Severity, Span)
-from repro.errors import ParseError, QueryError, ReproError
+from repro.errors import ParseError, ReproError
 from repro.queries.atoms import Eq, Neq, RelAtom
-from repro.queries.containment import is_ucq_contained_in, minimize
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.parser import RuleSpans
 from repro.queries.tableau import Tableau
@@ -385,6 +384,8 @@ def _check_disjunct_empty(ctx: RuleContext) -> Iterator[Diagnostic]:
            "Chandra–Merlin 1977 (cores); §3.2 cites CM for answer "
            "testing", cost="deep")
 def _check_redundant_atoms(ctx: RuleContext) -> Iterator[Diagnostic]:
+    from repro.queries.containment import minimize
+
     if (ctx.query is None or ctx.schema is None
             or not ctx.query_schema_ok or ctx.query_provably_empty):
         return
@@ -618,6 +619,8 @@ def _check_vacuous_constraints(ctx: RuleContext) -> Iterator[Diagnostic]:
            "Chandra–Merlin / Sagiv–Yannakakis containment; §2.1",
            cost="deep")
 def _check_subsumed_constraints(ctx: RuleContext) -> Iterator[Diagnostic]:
+    from repro.queries.containment import is_ucq_contained_in
+
     if ctx.schema is None:
         return
     candidates = [(i, c) for i, c in ctx.valid_constraints()

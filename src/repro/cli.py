@@ -113,17 +113,23 @@ import json
 import os
 import sys
 import time
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from repro import _IMPORT_STARTED
+# Only the modules ``rcdp``/``decide`` and ``missing`` run are imported
+# here; every other verb imports its own modules when it runs, so a
+# decision's start-up compiles none of them.
 from repro.core.rcdp import decide_rcdp, missing_answers_report
-from repro.core.rcqp import decide_rcqp
 from repro.core.results import RCDPStatus, RCQPStatus
-from repro.core.witness import make_complete
 from repro.errors import (AnalysisError, ExecutionInterrupted, ReproError,
                           WorkerPoolError)
 from repro.io.json_io import load_bundle
+from repro.obs import obs_of, obs_span
 from repro.relational.backends import BACKEND_NAMES
-from repro.runtime import EXHAUSTION_MODES, ExecutionGovernor, RetryPolicy
+from repro.runtime import EXHAUSTION_MODES, ExecutionGovernor
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.retry import RetryPolicy
 
 __all__ = ["main"]
 
@@ -209,17 +215,17 @@ def _observability_requested(args: argparse.Namespace) -> bool:
 
 
 def _ledger_path(args: argparse.Namespace) -> str | None:
-    """The run-ledger file: ``--ledger``, else ``$REPRO_LEDGER``."""
-    path = getattr(args, "ledger", None)
-    if path:
-        return path
-    from repro.obs.ledger import LEDGER_ENV
-
-    return os.environ.get(LEDGER_ENV) or None
+    """The run-ledger file: ``--ledger``, else ``$REPRO_LEDGER``
+    (:data:`repro.obs.ledger.LEDGER_ENV`, spelled out so that a run
+    without a ledger never imports that module)."""
+    return (getattr(args, "ledger", None)
+            or os.environ.get("REPRO_LEDGER") or None)
 
 
 def _retry_from_args(args: argparse.Namespace) -> "RetryPolicy | None":
     """The retry policy the flags ask for, or None for the default."""
+    from repro.runtime import RetryPolicy
+
     max_retries = getattr(args, "max_retries", None)
     heartbeat = getattr(args, "heartbeat", None)
     if getattr(args, "no_retry", False):
@@ -260,7 +266,10 @@ def _governor_from_args(args: argparse.Namespace) -> ExecutionGovernor | None:
     if observed:
         from repro.obs import Observation
 
-        Observation.attach(governor)
+        # Start-up, from ``import repro`` to this verb's first step; it
+        # rides to the decision's root span with the cost estimate.
+        Observation.attach(governor).annotate(
+            import_s=time.perf_counter() - _IMPORT_STARTED)
     if progressed:
         from repro.obs import ProgressReporter
 
@@ -290,8 +299,6 @@ def _finish_observability(args: argparse.Namespace,
     governor ledger and statistics are folded into the registry, the
     profile table is printed, and trace/metrics files are written.
     """
-    from repro.obs import obs_of, render_profile, trace_records, write_trace
-
     progress = getattr(governor, "progress", None)
     if progress is not None:
         progress.close()
@@ -303,6 +310,8 @@ def _finish_observability(args: argparse.Namespace,
             print(line)
     if observation is None:
         return
+    from repro.obs import render_profile, trace_records, write_trace
+
     observation.finalize(governor, statistics)
     payload = observation.payload()
     if getattr(args, "profile", False):
@@ -342,7 +351,7 @@ def _preflight(args: argparse.Namespace,
     if governor is None:
         return
     try:
-        from repro.analysis.cost import estimate_decision, suggested_budget
+        from repro.analysis.cost import estimate_decision
 
         if procedure == "rcqp":
             estimate = estimate_decision(
@@ -355,8 +364,6 @@ def _preflight(args: argparse.Namespace,
                 bundle["master"], bundle["constraints"])
     except Exception:
         return
-    from repro.obs import obs_of
-
     observation = obs_of(governor)
     if observation is not None:
         observation.annotate(
@@ -425,6 +432,13 @@ def _record_run(args: argparse.Namespace,
     print(f"run recorded in {path}", file=sys.stderr)
 
 
+def _load(args: argparse.Namespace,
+          governor: ExecutionGovernor | None) -> dict:
+    """Load the verb's bundle, in a ``load`` root span when observed."""
+    with obs_span(obs_of(governor), "load"):
+        return load_bundle(args.bundle, backend=args.backend)
+
+
 def _print_exhaustion(result) -> None:
     print(f"search interrupted: {result.interrupted}")
     if result.checkpoint is not None:
@@ -432,8 +446,8 @@ def _print_exhaustion(result) -> None:
 
 
 def _cmd_rcdp(args: argparse.Namespace) -> int:
-    bundle = load_bundle(args.bundle, backend=args.backend)
     governor = _governor_from_args(args)
+    bundle = _load(args, governor)
     _preflight(args, governor, bundle, "rcdp")
     started = time.perf_counter()
     result = decide_rcdp(bundle["query"], bundle["database"],
@@ -467,8 +481,10 @@ def _cmd_rcdp(args: argparse.Namespace) -> int:
 
 
 def _cmd_rcqp(args: argparse.Namespace) -> int:
-    bundle = load_bundle(args.bundle, backend=args.backend)
+    from repro.core.rcqp import decide_rcqp
+
     governor = _governor_from_args(args)
+    bundle = _load(args, governor)
     _preflight(args, governor, bundle, "rcqp")
     started = time.perf_counter()
     result = decide_rcqp(bundle["query"], bundle["master"],
@@ -501,8 +517,10 @@ def _cmd_rcqp(args: argparse.Namespace) -> int:
 
 
 def _cmd_complete(args: argparse.Namespace) -> int:
-    bundle = load_bundle(args.bundle, backend=args.backend)
+    from repro.core.witness import make_complete
+
     governor = _governor_from_args(args)
+    bundle = _load(args, governor)
     _preflight(args, governor, bundle, "complete")
     started = time.perf_counter()
     outcome = make_complete(bundle["query"], bundle["database"],
@@ -541,8 +559,8 @@ def _cmd_complete(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.mdm.audit import AuditVerdict, CompletenessAudit
 
-    bundle = load_bundle(args.bundle, backend=args.backend)
     governor = _governor_from_args(args)
+    bundle = _load(args, governor)
     audit = CompletenessAudit(
         master=bundle["master"], constraints=bundle["constraints"],
         schema=bundle["schema"],
@@ -575,8 +593,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_missing(args: argparse.Namespace) -> int:
-    bundle = load_bundle(args.bundle, backend=args.backend)
     governor = _governor_from_args(args)
+    bundle = _load(args, governor)
     _preflight(args, governor, bundle, "missing")
     started = time.perf_counter()
     report = missing_answers_report(

@@ -7,17 +7,21 @@ generation time and re-decided across the full backend × worker matrix
 by the runner.  See ``docs/CORPUS.md``.
 """
 
-from repro.corpus.diversity import (DiversityReport, check_diversity,
-                                    ensure_diverse)
-from repro.corpus.generate import (BuiltScenario, build_scenario,
-                                   generate_corpus)
-from repro.corpus.report import (build_report, check_report,
-                                 render_report)
-from repro.corpus.runner import (CellOutcome, CorpusRunResult,
-                                 ScenarioOutcome, run_corpus)
-from repro.corpus.spec import (CONSTRAINT_CLASSES, FAMILIES,
-                               GENERATOR_VERSION, SIZES, TARGETS, TIERS,
-                               ScenarioSpec, scenario_rng, spec_for)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.corpus.diversity import (DiversityReport, check_diversity,
+                                        ensure_diverse)
+    from repro.corpus.generate import (BuiltScenario, build_scenario,
+                                       generate_corpus)
+    from repro.corpus.report import build_report, check_report, render_report
+    from repro.corpus.runner import (CellOutcome, CorpusRunResult,
+                                     ScenarioOutcome, run_corpus)
+    from repro.corpus.spec import (CONSTRAINT_CLASSES, FAMILIES,
+                                   GENERATOR_VERSION, SIZES, TARGETS, TIERS,
+                                   ScenarioSpec, scenario_rng, spec_for)
 
 __all__ = [
     "BuiltScenario",
@@ -43,3 +47,16 @@ __all__ = [
     "scenario_rng",
     "spec_for",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.corpus.diversity": ("DiversityReport", "check_diversity",
+                               "ensure_diverse"),
+    "repro.corpus.generate": ("BuiltScenario", "build_scenario",
+                              "generate_corpus"),
+    "repro.corpus.report": ("build_report", "check_report", "render_report"),
+    "repro.corpus.runner": ("CellOutcome", "CorpusRunResult",
+                            "ScenarioOutcome", "run_corpus"),
+    "repro.corpus.spec": ("CONSTRAINT_CLASSES", "FAMILIES",
+                          "GENERATOR_VERSION", "SIZES", "TARGETS", "TIERS",
+                          "ScenarioSpec", "scenario_rng", "spec_for"),
+})

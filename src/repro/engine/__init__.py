@@ -15,14 +15,20 @@ rows, set-at-a-time columnar, SQL pushdown via :mod:`repro.engine.sql`
 — see ``docs/BACKENDS.md``).
 """
 
-from repro.engine.context import (ENGINE_LANGUAGES, EngineStatistics,
-                                  EvaluationContext)
-from repro.engine.executor import (ChainSource, DeltaSource, IndexedSource,
-                                   evaluate_plan, iter_rows, plan_holds)
-from repro.engine.indexes import InstanceIndexes, build_index
-from repro.engine.keys import decision_key, stable_key
-from repro.engine.plan import CompiledPlan, PlanStep, compile_plan
-from repro.engine.sql import LoweredPlan, lower_plan
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.context import (ENGINE_LANGUAGES, EngineStatistics,
+                                      EvaluationContext)
+    from repro.engine.executor import (ChainSource, DeltaSource,
+                                       IndexedSource, evaluate_plan,
+                                       iter_rows, plan_holds)
+    from repro.engine.indexes import InstanceIndexes, build_index
+    from repro.engine.keys import decision_key, stable_key
+    from repro.engine.plan import CompiledPlan, PlanStep, compile_plan
+    from repro.engine.sql import LoweredPlan, lower_plan
 
 __all__ = [
     "decision_key",
@@ -44,3 +50,14 @@ __all__ = [
     "LoweredPlan",
     "lower_plan",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.engine.context": ("ENGINE_LANGUAGES", "EngineStatistics",
+                             "EvaluationContext"),
+    "repro.engine.executor": ("ChainSource", "DeltaSource", "IndexedSource",
+                              "evaluate_plan", "iter_rows", "plan_holds"),
+    "repro.engine.indexes": ("InstanceIndexes", "build_index"),
+    "repro.engine.keys": ("decision_key", "stable_key"),
+    "repro.engine.plan": ("CompiledPlan", "PlanStep", "compile_plan"),
+    "repro.engine.sql": ("LoweredPlan", "lower_plan"),
+})

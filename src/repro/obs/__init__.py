@@ -27,23 +27,24 @@ import functools
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Callable, ContextManager
 
-from repro.obs.export import (event_records, prometheus_lines,
-                              render_events, render_prometheus,
-                              write_events, write_prometheus)
-from repro.obs.ledger import (LEDGER_ENV, LEDGER_VERSION, RunRecord,
-                              append_record, check_ledger,
-                              ledger_metrics, ledger_report,
-                              read_ledger, render_summary, run_key,
-                              statistics_fields, summarize_ledger)
-from repro.obs.metrics import MetricsRegistry, merged_span_ticks
-from repro.obs.profile import profile_rows, render_profile
-from repro.obs.progress import ProgressReporter
-from repro.obs.tracer import Span, Tracer
-from repro.obs.trace_io import (PROCEDURE_TICK_FIELDS, TRACE_VERSION,
-                                atomic_write_text, check_trace,
-                                read_trace, trace_records, write_trace)
+from repro import _lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.export import (event_records, prometheus_lines,
+                                  render_events, render_prometheus,
+                                  write_events, write_prometheus)
+    from repro.obs.ledger import (LEDGER_ENV, LEDGER_VERSION, RunRecord,
+                                  append_record, check_ledger,
+                                  ledger_metrics, ledger_report,
+                                  read_ledger, render_summary, run_key,
+                                  statistics_fields, summarize_ledger)
+    from repro.obs.metrics import MetricsRegistry, merged_span_ticks
+    from repro.obs.profile import profile_rows, render_profile
+    from repro.obs.progress import ProgressReporter
+    from repro.obs.tracer import Span, Tracer
+    from repro.obs.trace_io import (PROCEDURE_TICK_FIELDS, TRACE_VERSION,
+                                    atomic_write_text, check_trace,
+                                    read_trace, trace_records, write_trace)
     from repro.runtime.governor import ExecutionGovernor
 
 __all__ = [
@@ -61,6 +62,23 @@ __all__ = [
     "event_records", "render_events", "write_events",
 ]
 
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.obs.export": ("event_records", "prometheus_lines",
+                         "render_events", "render_prometheus",
+                         "write_events", "write_prometheus"),
+    "repro.obs.ledger": ("LEDGER_ENV", "LEDGER_VERSION", "RunRecord",
+                         "append_record", "check_ledger", "ledger_metrics",
+                         "ledger_report", "read_ledger", "render_summary",
+                         "run_key", "statistics_fields", "summarize_ledger"),
+    "repro.obs.metrics": ("MetricsRegistry", "merged_span_ticks"),
+    "repro.obs.profile": ("profile_rows", "render_profile"),
+    "repro.obs.progress": ("ProgressReporter",),
+    "repro.obs.tracer": ("Span", "Tracer"),
+    "repro.obs.trace_io": ("PROCEDURE_TICK_FIELDS", "TRACE_VERSION",
+                           "atomic_write_text", "check_trace", "read_trace",
+                           "trace_records", "write_trace"),
+})
+
 #: Shared, stateless "not tracing" context — ``nullcontext`` keeps no
 #: per-use state, so one instance serves every disabled span site.
 _NULL_SPAN: ContextManager[None] = nullcontext()
@@ -73,6 +91,11 @@ class Observation:
 
     def __init__(self, *, tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None) -> None:
+        # Imported here: every decider imports this package, and only an
+        # observed run needs the tracer and the registry.
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.tracer import Tracer
+
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Attributes queued for the next root span (see :meth:`annotate`).
@@ -88,6 +111,8 @@ class Observation:
         """Create an observation and bind it to *governor*: spans will
         diff the governor's budget ledger for tick attribution, and
         every instrumented site on the governor's path will see it."""
+        from repro.obs.tracer import Tracer
+
         observation = cls(tracer=Tracer(enabled=enabled,
                                         max_spans=max_spans))
         if governor.budget is not None:

@@ -24,20 +24,25 @@ cores), and a decision with one worker never loads it.  See
 obligations.
 """
 
-from repro.core.search import ShardOutcome, ShardSpec, resolve_workers
-from repro.parallel.api import (brute_force_rcdp_parallel,
-                                brute_force_rcqp_parallel,
-                                decide_rcdp_parallel,
-                                decide_rcqp_parallel,
-                                decide_rcqp_with_inds_parallel, fan_out,
-                                missing_answers_parallel)
-from repro.parallel.beacon import WitnessBeacon
-from repro.parallel.partition import (EventCancellation, GovernorSpec,
-                                      materialize_governor, split_governor,
-                                      suggest_workers)
-from repro.parallel.pool import merged_ticks, run_shards
-from repro.parallel.supervise import ShardSupervisor
-from repro.parallel.worker import ShardTask
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.search import ShardOutcome, ShardSpec, resolve_workers
+    from repro.parallel.api import (brute_force_rcdp_parallel,
+                                    brute_force_rcqp_parallel,
+                                    decide_rcdp_parallel,
+                                    decide_rcqp_parallel,
+                                    decide_rcqp_with_inds_parallel, fan_out,
+                                    missing_answers_parallel)
+    from repro.parallel.beacon import WitnessBeacon
+    from repro.parallel.partition import (EventCancellation, GovernorSpec,
+                                          materialize_governor,
+                                          split_governor, suggest_workers)
+    from repro.parallel.pool import merged_ticks, run_shards
+    from repro.parallel.supervise import ShardSupervisor
+    from repro.parallel.worker import ShardTask
 
 __all__ = [
     "fan_out",
@@ -61,3 +66,19 @@ __all__ = [
     "run_shards",
     "merged_ticks",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.core.search": ("ShardOutcome", "ShardSpec", "resolve_workers"),
+    "repro.parallel.api": ("brute_force_rcdp_parallel",
+                           "brute_force_rcqp_parallel",
+                           "decide_rcdp_parallel", "decide_rcqp_parallel",
+                           "decide_rcqp_with_inds_parallel", "fan_out",
+                           "missing_answers_parallel"),
+    "repro.parallel.beacon": ("WitnessBeacon",),
+    "repro.parallel.partition": ("EventCancellation", "GovernorSpec",
+                                 "materialize_governor", "split_governor",
+                                 "suggest_workers"),
+    "repro.parallel.pool": ("merged_ticks", "run_shards"),
+    "repro.parallel.supervise": ("ShardSupervisor",),
+    "repro.parallel.worker": ("ShardTask",),
+})

@@ -22,14 +22,19 @@ away the work it has done.  This package provides the machinery:
 See ``docs/RUNTIME.md`` for the full story.
 """
 
-from repro.runtime.budget import Budget
-from repro.runtime.checkpoint import SearchCheckpoint
-from repro.runtime.control import CancellationToken, Deadline
-from repro.runtime.faults import CRASH_EXIT_CODE, FaultInjector
-from repro.runtime.governor import (EXHAUSTION_MODES, ExecutionGovernor,
-                                    resolve_governor,
-                                    validate_exhaustion_mode)
-from repro.runtime.retry import POISON_MODES, RetryPolicy
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.budget import Budget
+    from repro.runtime.checkpoint import SearchCheckpoint
+    from repro.runtime.control import CancellationToken, Deadline
+    from repro.runtime.faults import CRASH_EXIT_CODE, FaultInjector
+    from repro.runtime.governor import (EXHAUSTION_MODES, ExecutionGovernor,
+                                        resolve_governor,
+                                        validate_exhaustion_mode)
+    from repro.runtime.retry import POISON_MODES, RetryPolicy
 
 __all__ = [
     "Budget",
@@ -45,3 +50,14 @@ __all__ = [
     "resolve_governor",
     "validate_exhaustion_mode",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.runtime.budget": ("Budget",),
+    "repro.runtime.checkpoint": ("SearchCheckpoint",),
+    "repro.runtime.control": ("CancellationToken", "Deadline"),
+    "repro.runtime.faults": ("CRASH_EXIT_CODE", "FaultInjector"),
+    "repro.runtime.governor": ("EXHAUSTION_MODES", "ExecutionGovernor",
+                               "resolve_governor",
+                               "validate_exhaustion_mode"),
+    "repro.runtime.retry": ("POISON_MODES", "RetryPolicy"),
+})

@@ -1,5 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -12,6 +18,7 @@ from repro.queries.terms import var
 from repro.relational.instance import Instance
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
+ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = DatabaseSchema([RelationSchema("S", ["eid", "cid"])])
 MASTER_SCHEMA = DatabaseSchema([RelationSchema("M", ["cid"])])
 
@@ -126,8 +133,6 @@ class TestMissingCommand:
 class TestObservabilityFlags:
     def test_decide_alias_with_trace_profile_stats(self, bundle_path,
                                                    tmp_path, capsys):
-        import json
-
         from repro.obs import check_trace, read_trace
 
         path = bundle_path({("e0", "c1")})
@@ -140,8 +145,17 @@ class TestObservabilityFlags:
         assert "statistics:" in out
         assert "plans_compiled" in out
         assert "phase" in out and "decide_rcdp" in out
+        # start-up: the bundle load is a root span of its own (a row
+        # of the profile), and the decision's root span carries the
+        # time from ``import repro`` to the verb
+        assert "load" in {line.split()[0] for line in out.splitlines()
+                          if line.strip()}
         records = read_trace(str(trace))
         assert check_trace(records) == []
+        spans = {r["name"]: r for r in records if r.get("type") == "span"}
+        assert spans["load"]["parent"] is None
+        assert spans["load"]["end"] <= spans["decide_rcdp"]["start"]
+        assert spans["decide_rcdp"]["attrs"]["import_s"] > 0
         snapshot = json.loads(metrics.read_text(encoding="utf-8"))
         assert "governor.ticks.valuations" in snapshot["counters"]
 
@@ -214,3 +228,53 @@ class TestTraceCommand:
                        encoding="utf-8")
         assert main(["trace", str(bad), "--check"]) == 2
         assert "orphan" in capsys.readouterr().out
+
+
+def _fresh_interpreter(script: str, *args: str) -> str:
+    """Run *script* in a new interpreter on this checkout's sources and
+    return its last line of standard output."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    return done.stdout.splitlines()[-1]
+
+
+class TestImportBoundary:
+    """A verb imports only the modules it runs: package ``__init__``s
+    resolve their re-exports on first access, and the other verbs'
+    modules are imported inside those verbs."""
+
+    #: Modules a ``decide`` process has no use for: other verbs, the
+    #: analyzer's flow and cost passes, the ledger and exporters, and
+    #: the worker pool (``workers=1`` runs in-process).
+    NOT_NEEDED_TO_DECIDE = (
+        "repro.corpus.generate", "repro.corpus.runner", "repro.mdm",
+        "repro.incomplete", "repro.analysis.cost", "repro.analysis.flow",
+        "repro.analysis.interaction", "repro.obs.ledger",
+        "repro.obs.export", "repro.obs.progress", "repro.core.rcqp",
+        "repro.core.bounded", "repro.core.witness", "repro.parallel",
+        "multiprocessing")
+
+    def test_decide_loads_only_the_decision_path(self):
+        script = (
+            "import json, runpy, sys\n"
+            "sys.argv = ['repro', 'decide', sys.argv[1]]\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__')\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+        bundle = ROOT / "examples" / "bundles" / "crm_q2_supported_ind.json"
+        loaded = json.loads(_fresh_interpreter(script, str(bundle)))
+        assert [m for m in self.NOT_NEEDED_TO_DECIDE if m in loaded] == []
+        ours = [m for m in loaded if m == "repro" or m.startswith("repro.")]
+        assert len(ours) <= 50
+
+    def test_importing_the_package_loads_no_submodule(self):
+        script = ("import json, sys\n"
+                  "import repro\n"
+                  "print(json.dumps([m for m in sys.modules\n"
+                  "                  if m.startswith('repro.')]))\n")
+        assert json.loads(_fresh_interpreter(script)) == []

@@ -189,6 +189,27 @@ class TestRegistry:
     def test_partial_closedness_not_in_decider_pass(self):
         assert RULES["RC201"].decider is False
 
+    def test_package_registry_has_the_flow_rules_in_a_fresh_process(self):
+        """The flow module, which registers RC3xx/RC4xx, is imported
+        lazily; reading ``RULES`` from the package must still see its
+        rules, or ``repro lint`` would silently drop them."""
+        import os
+        import subprocess
+        import sys
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(root / "src"),
+                          os.environ.get("PYTHONPATH")])))
+        script = ("from repro.analysis import RULES\n"
+                  "print(*sorted(code for code, rule in RULES.items()\n"
+                  "              if rule.cost == 'flow'))\n")
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=120, check=True)
+        assert done.stdout.split() == ["RC301", "RC302", "RC303", "RC401",
+                                       "RC402", "RC403", "RC404"]
+
 
 # ---------------------------------------------------------------------------
 # The crafted bad bundle
