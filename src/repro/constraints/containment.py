@@ -228,10 +228,15 @@ def satisfies_all_extension(base: Instance,
                             master: Instance,
                             constraints: Sequence[ContainmentConstraint], *,
                             context: Any = None) -> bool:
-    """``(base ∪ Δ, Dm) ⊨ V`` — the candidate-extension check the
-    decider hot loops run per valuation, on the delta path when a
-    context is supplied."""
+    """``(base ∪ Δ, Dm) ⊨ V`` — the candidate-extension check of the
+    searches without tableau templates, on the delta path when a context
+    is supplied, on the union materialized once without one."""
     delta_facts = list(delta_facts)
+    if context is None:
+        from repro.relational.instance import extend_unvalidated
+
+        return satisfies_all(extend_unvalidated(base, delta_facts), master,
+                             constraints)
     return all(c.is_satisfied_extension(base, delta_facts, master,
                                         context=context)
                for c in constraints)

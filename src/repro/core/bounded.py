@@ -24,7 +24,7 @@ from typing import Any, Iterable, Sequence
 from repro.constraints.containment import (ContainmentConstraint,
                                            satisfies_all,
                                            satisfies_all_extension)
-from repro.core.rcdp import (_extend_unvalidated, _extension_satisfies,
+from repro.core.rcdp import (_extend_unvalidated,
                              assert_decidable_configuration, decide_rcdp,
                              ensure_partially_closed, resolve_context)
 from repro.core.results import (IncompletenessCertificate, RCDPResult,
@@ -312,8 +312,8 @@ def _brute_rcqp_kernel(run: SearchRun, payload: dict[str, Any],
                     governor.tick("candidates")
                 run.examined += 1
                 facts = list(combo)
-                if not _extension_satisfies(empty, facts, master,
-                                            constraints, context):
+                if not satisfies_all_extension(empty, facts, master,
+                                               constraints, context=context):
                     run.consumed += 1
                     continue
                 candidate = _extend_unvalidated(empty, facts)

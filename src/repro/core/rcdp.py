@@ -43,7 +43,6 @@ from typing import Any, Callable, Sequence
 from repro.analysis.diagnostics import Report
 from repro.analysis.driver import validate_for_decision
 from repro.constraints.containment import (ContainmentConstraint,
-                                           satisfies_all,
                                            satisfies_all_extension,
                                            violated_constraints)
 from repro.core.results import (IncompletenessCertificate,
@@ -157,17 +156,20 @@ def ensure_partially_closed(
 _extend_unvalidated = extend_unvalidated
 
 
-def _extension_satisfies(database: Instance, delta: Sequence[Any],
-                         master: Instance,
-                         constraints: Sequence[ContainmentConstraint],
-                         context: EvaluationContext | None) -> bool:
-    """``(D ∪ Δ, Dm) ⊨ V`` — on the engine's delta path with a context,
-    by materializing ``D ∪ Δ`` without one."""
+def _extension_check(context: EvaluationContext | None,
+                     templates: TableauTemplates, database: Instance,
+                     master: Instance,
+                     constraints: Sequence[ContainmentConstraint],
+                     ) -> Callable[[tuple], bool]:
+    """``values ↦ (D ∪ templates.facts(values), Dm) ⊨ V``: the context's
+    check program for the tableau, or the materializing check without a
+    context.  Kernels build it at their first check of a tableau."""
     if context is not None:
-        return satisfies_all_extension(database, delta, master,
-                                       constraints, context=context)
-    return satisfies_all(extend_unvalidated(database, delta), master,
-                         constraints)
+        return context.check_program(templates, database, master,
+                                     constraints)
+    facts = templates.facts
+    return lambda values: satisfies_all_extension(
+        database, facts(values), master, constraints)
 
 
 def split_ind_constraints(
@@ -268,6 +270,7 @@ def _rcdp_kernel(run: SearchRun, payload: dict[str, Any]) -> ShardOutcome:
                     continue
                 templates = TableauTemplates(tableau)
                 summary_of = templates.summary
+                check = None
                 for prefix, position, values in iter_valid_valuations(
                         tableau, adom, fresh="own", row_filter=row_filter,
                         shard=run.shard):
@@ -286,13 +289,15 @@ def _rcdp_kernel(run: SearchRun, payload: dict[str, Any]) -> ShardOutcome:
                     if summary in answers:
                         run.consumed += 1
                         continue
-                    delta = templates.facts(values)
                     run.checks += 1
-                    if not other_constraints or _extension_satisfies(
-                            database, delta, master, other_constraints,
-                            context):
-                        return run.witness(rank, (tuple(delta), summary,
-                                                  tableau.query.name))
+                    if other_constraints and check is None:
+                        check = _extension_check(context, templates,
+                                                 database, master,
+                                                 other_constraints)
+                    if not other_constraints or check(values):
+                        return run.witness(rank, (
+                            tuple(templates.facts(values)), summary,
+                            tableau.query.name))
                     run.consumed += 1
     except ExecutionInterrupted as interrupt:
         return run.outcome("exhausted", reason=interrupt.reason)
@@ -318,6 +323,7 @@ def _missing_kernel(run: SearchRun, payload: dict[str, Any],
                     continue
                 templates = TableauTemplates(tableau)
                 summary_of = templates.summary
+                check = None
                 for prefix, position, values in iter_valid_valuations(
                         tableau, adom, fresh="own", row_filter=row_filter,
                         shard=run.shard):
@@ -335,9 +341,11 @@ def _missing_kernel(run: SearchRun, payload: dict[str, Any],
                         continue
                     if other_constraints:
                         run.checks += 1
-                        if not _extension_satisfies(
-                                database, templates.facts(values),
-                                master, other_constraints, context):
+                        if check is None:
+                            check = _extension_check(context, templates,
+                                                     database, master,
+                                                     other_constraints)
+                        if not check(values):
                             continue
                     found[summary] = ((tableau_index, prefix, position),
                                       summary)

@@ -48,7 +48,7 @@ from repro.analysis.driver import validate_for_decision
 from repro.constraints.containment import (ContainmentConstraint,
                                            satisfies_all,
                                            satisfies_all_extension)
-from repro.core.rcdp import (_extend_unvalidated, _extension_satisfies,
+from repro.core.rcdp import (_extend_unvalidated, _extension_check,
                              assert_decidable_configuration, decide_rcdp,
                              resolve_context)
 from repro.core.results import (RCDPStatus, RCQPResult, RCQPStatus,
@@ -129,11 +129,12 @@ def _inds_scan_kernel(run: SearchRun, payload: dict[str, Any],
     so the first one found settles it.  Ranks are ``(prefix_index,
     position)``."""
     tableau, adom = _inds_search_space(payload)
-    facts_of = TableauTemplates(tableau).facts
+    templates = TableauTemplates(tableau)
     master, constraints = payload["master"], payload["constraints"]
     empty_base = payload["empty_base"]
     context, governor = run.context, run.governor
     beacon, beat, skip = run.beacon, run.beat, run.shard.skip
+    check = None
     try:
         with run.governed():
             for prefix, position, values in iter_valid_valuations(
@@ -149,8 +150,10 @@ def _inds_scan_kernel(run: SearchRun, payload: dict[str, Any],
                 if governor is not None:
                     governor.tick("valuations")
                 run.examined += 1
-                if _extension_satisfies(empty_base, facts_of(values),
-                                        master, constraints, context):
+                if check is None:
+                    check = _extension_check(context, templates, empty_base,
+                                             master, constraints)
+                if check(values):
                     return run.witness(rank, True)
                 run.consumed += 1
     except ExecutionInterrupted as interrupt:
@@ -170,6 +173,7 @@ def _inds_build_kernel(run: SearchRun, payload: dict[str, Any],
     empty_base = payload["empty_base"]
     context, governor = run.context, run.governor
     beat, skip, found = run.beat, run.shard.skip, run.found
+    check = None
     try:
         with run.governed():
             for prefix, position, values in iter_valid_valuations(
@@ -184,11 +188,13 @@ def _inds_build_kernel(run: SearchRun, payload: dict[str, Any],
                 run.examined += 1
                 summary = templates.summary(values)
                 if summary not in found:
-                    delta = templates.facts(values)
-                    if _extension_satisfies(empty_base, delta, master,
-                                            constraints, context):
+                    if check is None:
+                        check = _extension_check(context, templates,
+                                                 empty_base, master,
+                                                 constraints)
+                    if check(values):
                         found[summary] = ((prefix, position), summary,
-                                          tuple(delta))
+                                          tuple(templates.facts(values)))
                 run.consumed += 1
     except ExecutionInterrupted as interrupt:
         return run.outcome("exhausted", reason=interrupt.reason)

@@ -218,12 +218,15 @@ class TableauTemplates:
     The search kernels compile one per tableau and decision and read each
     valuation the enumerator yields through it: ``summary(values)`` is
     :meth:`Tableau.summary_under` and ``facts(values)`` is
-    :meth:`Tableau.instantiate` on that valuation.
+    :meth:`Tableau.instantiate` on that valuation.  The check program
+    (:mod:`repro.engine.checks`) compiles tests on the instantiated rows
+    through :meth:`condition` and :meth:`membership`.
     """
 
-    __slots__ = ("variables", "position", "summary", "rows")
+    __slots__ = ("tableau", "variables", "position", "summary", "rows")
 
     def __init__(self, tableau: Tableau) -> None:
+        self.tableau = tableau
         self.variables = tableau.ordered_variables()
         self.position = {v: i for i, v in enumerate(self.variables)}
         width = len(self.variables)
@@ -235,6 +238,33 @@ class TableauTemplates:
     def facts(self, values: tuple) -> list[tuple[str, tuple]]:
         """``μ(T_Q)`` as ``(relation, tuple)`` pairs."""
         return [(relation, row(values)) for relation, row in self.rows]
+
+    def condition(self, left: Term, right: Term,
+                  equal: bool) -> "bool | Check":
+        """``μ(left) = μ(right)`` (``≠`` unless *equal*) for terms of the
+        tableau: a bool when it holds or fails for every valuation, else
+        a check on the value tuple."""
+        if left == right:
+            return equal
+        if isinstance(left, Const) and isinstance(right, Const):
+            return (left.value == right.value) == equal
+        if not equal:
+            return _inequality_check(left, right, self.position)
+        if isinstance(left, Const):
+            left, right = right, left
+        i = self.position[left]
+        if isinstance(right, Var):
+            j = self.position[right]
+            return lambda values: values[i] == values[j]
+        constant = right.value
+        return lambda values: values[i] == constant
+
+    def membership(self, terms: Sequence[Term], allowed: frozenset) -> Check:
+        """``μ(terms) ∈ allowed`` as a check on the value tuple."""
+        if all(isinstance(t, Const) for t in terms):
+            inside = tuple(t.value for t in terms) in allowed
+            return lambda values: inside
+        return _membership_check(terms, allowed, self.position)[1]
 
 
 def _inequality_check(left: Term, right: Term,

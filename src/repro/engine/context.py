@@ -14,7 +14,9 @@ candidate extensions.  The context is the object that makes that cheap:
 * **delta evaluation** ``Q(D ∪ Δ)`` from cached ``Q(D)`` via the
   semi-naive rule (at least one atom must match a new Δ-fact);
 * **violation checks** ``Q(D ∪ Δ) ⊆ p(Dm)`` that stop at the first
-  answer outside ``p(Dm)``.
+  answer outside ``p(Dm)``;
+* **check programs** deciding ``(D ∪ Δ, Dm) ⊨ V`` for every instance Δ
+  of one tableau, compiled once (:mod:`repro.engine.checks`).
 
 Instances cannot be weak-referenced (``__slots__`` without
 ``__weakref__``), so caches are keyed by ``id()`` with the instance
@@ -29,17 +31,21 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from itertools import chain
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator,
+                    Sequence)
 
+from repro.engine.checks import CheckProgram
 from repro.engine.executor import (ChainSource, DeltaSource, IndexedSource,
-                                   iter_rows)
+                                   delta_sources, group_delta, iter_rows)
 from repro.engine.indexes import InstanceIndexes
 from repro.engine.plan import CompiledPlan, compile_plan
 from repro.relational.backends import resolve_backend_name
 from repro.relational.instance import Instance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.constraints.containment import ContainmentConstraint
     from repro.core.results import SearchStatistics
+    from repro.core.valuations import TableauTemplates
     from repro.relational.backends import StorageBackend
     from repro.runtime.governor import ExecutionGovernor
 
@@ -292,7 +298,7 @@ class EvaluationContext:
         (:meth:`_new_answers`).  Non-monotone languages (FO, FP)
         materialize the union and evaluate it directly.
         """
-        new_rows = self._new_rows(base, delta_facts)
+        new_rows = group_delta(base, delta_facts)
         if getattr(query, "language", None) not in ENGINE_LANGUAGES:
             # Non-monotone fallback: materialize D ∪ Δ.  The union is
             # ephemeral (one per candidate), so it is not answer-cached.
@@ -353,31 +359,9 @@ class EvaluationContext:
                 if atom.relation not in new_rows:
                     continue
                 plan = self.plan_for(disjunct, first_atom=j)
-                sources = tuple([
-                    delta_source if step.atom_index == j
-                    else base_source if step.atom_index < j
-                    else chain_source
-                    for step in plan.steps])
-                searches.append(iter_rows(plan, sources))
+                searches.append(iter_rows(plan, delta_sources(
+                    plan, j, base_source, delta_source, chain_source)))
         return chain.from_iterable(searches)
-
-    @staticmethod
-    def _new_rows(base: Instance, delta_facts: Iterable[Fact],
-                  ) -> dict[str, list[tuple]]:
-        """Δ-facts grouped by relation, minus rows already in *base*
-        (each row once, in order of first occurrence)."""
-        distinct: dict[Fact, None] = {}
-        for name, row in delta_facts:
-            distinct[name, tuple(row)] = None
-        new_rows: dict[str, list[tuple]] = {}
-        for name, row in distinct:
-            if row not in base.relation(name):
-                rows = new_rows.get(name)
-                if rows is None:
-                    new_rows[name] = [row]
-                else:
-                    rows.append(row)
-        return new_rows
 
     def extension_satisfies(self, query: Any, base: Instance,
                             delta_facts: Iterable[Fact], projection: Any,
@@ -397,13 +381,14 @@ class EvaluationContext:
         backends the storage decides violation itself
         (``plan_violates``: an at-most-``k`` constraint becomes a single
         existence probe).  Non-engine languages (FO, FP) materialize
-        ``Q(base ∪ Δ)`` and test it.
+        ``Q(base ∪ Δ)`` and test it.  The template kernels decide all of
+        ``V`` per valuation through :meth:`check_program` instead.
         """
         new_answers: Iterable[tuple] = ()
         if getattr(query, "language", None) not in ENGINE_LANGUAGES:
             answers = self.evaluate_extension(query, base, delta_facts)
         else:
-            new_rows = self._new_rows(base, delta_facts)
+            new_rows = group_delta(base, delta_facts)
             if self.backend != "python" and new_rows:
                 storage = self.storage_for(base)
                 on_build = self._storage_on_build(base)
@@ -436,6 +421,19 @@ class EvaluationContext:
             if answer not in allowed:
                 return False
         return True
+
+    def check_program(self, templates: "TableauTemplates", base: Instance,
+                      master: Instance,
+                      constraints: "Sequence[ContainmentConstraint]",
+                      ) -> CheckProgram:
+        """``values ↦ (base ∪ templates.facts(values), master) ⊨
+        constraints``, compiled once for the tableau *templates* reads
+        (:class:`~repro.engine.checks.CheckProgram`).  A kernel builds
+        one at its first check of a tableau and calls it on every later
+        value tuple of that tableau.  Verdicts and counters are those of
+        :meth:`extension_satisfies` per constraint, except fewer cache
+        hits and, on columnar and sqlite, possibly fewer index builds."""
+        return CheckProgram(self, templates, base, master, constraints)
 
     # ------------------------------------------------------------------
     # Master projections

@@ -24,13 +24,13 @@ Answers stream out one at a time, so a caller that needs only the first
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.engine.indexes import InstanceIndexes
 from repro.engine.plan import CompiledPlan, PlanStep, SlotStep
 
-__all__ = ["IndexedSource", "DeltaSource", "ChainSource",
-           "iter_rows", "evaluate_plan", "plan_holds"]
+__all__ = ["IndexedSource", "DeltaSource", "ChainSource", "delta_sources",
+           "group_delta", "iter_rows", "evaluate_plan", "plan_holds"]
 
 
 class IndexedSource:
@@ -62,8 +62,10 @@ class DeltaSource:
         if not candidates:
             return []
         positions = step.key_positions
+        if not positions:
+            return candidates
         return [row for row in candidates
-                if tuple(row[p] for p in positions) == key]
+                if tuple([row[p] for p in positions]) == key]
 
 
 class ChainSource:
@@ -82,6 +84,36 @@ class ChainSource:
         if not extra:
             return base
         return base + extra
+
+
+def delta_sources(plan: CompiledPlan, atom: int, base: Any, delta: Any,
+                  chained: Any) -> tuple[Any, ...]:
+    """The row sources of *plan* as the delta plan of atom *atom*: that
+    atom reads *delta* (``Δ \\ D``), atoms at earlier body positions read
+    *base* and later ones *chained* (``D ∪ Δ``)."""
+    return tuple([delta if step.atom_index == atom
+                  else base if step.atom_index < atom
+                  else chained
+                  for step in plan.steps])
+
+
+def group_delta(base: Any, delta_facts: Iterable[tuple[str, tuple]],
+                ) -> dict[str, list[tuple]]:
+    """Δ-facts grouped by relation, minus rows already in *base* (each
+    row once, in order of first occurrence): the rows a
+    :class:`DeltaSource` serves."""
+    distinct: dict[tuple[str, tuple], None] = {}
+    for name, row in delta_facts:
+        distinct[name, tuple(row)] = None
+    new_rows: dict[str, list[tuple]] = {}
+    for name, row in distinct:
+        if row not in base.relation(name):
+            rows = new_rows.get(name)
+            if rows is None:
+                new_rows[name] = [row]
+            else:
+                rows.append(row)
+    return new_rows
 
 
 def iter_rows(plan: CompiledPlan,

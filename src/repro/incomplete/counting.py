@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.constraints.containment import (ContainmentConstraint,
-                                           satisfies_all,
                                            satisfies_all_extension)
 from repro.core.rcdp import (assert_decidable_configuration,
                              ensure_partially_closed,
@@ -41,7 +40,7 @@ from repro.engine import EvaluationContext
 from repro.errors import ExecutionInterrupted
 from repro.obs import obs_of, obs_span, traced
 from repro.queries.tableau import Tableau
-from repro.relational.instance import Instance, extend_unvalidated
+from repro.relational.instance import Instance
 from repro.runtime import (ExecutionGovernor, resolve_governor,
                            validate_exhaustion_mode)
 
@@ -172,6 +171,7 @@ def count_completing_extensions(
                     continue
                 templates = TableauTemplates(tableau)
                 summary_of = templates.summary
+                check = None
                 # Shard 0 of 1: the whole stream, as value tuples.
                 for _, _, values in iter_valid_valuations(
                         tableau, adom, fresh="own", row_filter=row_filter,
@@ -192,15 +192,17 @@ def count_completing_extensions(
                         continue
                     if other_constraints:
                         constraint_checks += 1
-                        if context is not None:
+                        if context is None:
                             if not satisfies_all_extension(
                                     database, delta, master,
-                                    other_constraints, context=context):
+                                    other_constraints):
                                 continue
                         else:
-                            candidate = extend_unvalidated(database, delta)
-                            if not satisfies_all(candidate, master,
-                                                 other_constraints):
+                            if check is None:
+                                check = context.check_program(
+                                    templates, database, master,
+                                    other_constraints)
+                            if not check(values):
                                 continue
                     extensions.add(fresh)
                     if (max_extensions is not None

@@ -36,10 +36,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["SQLiteStorage"]
 
-#: Above this many allowed rows the ``NOT IN (VALUES …)`` filter is
-#: abandoned for a full evaluation + subset test in Python (giant
-#: parameter lists cost more than they save).
-_ALLOWED_CAP = 500
+#: The most host parameters a violation probe binds: the plan's own
+#: plus one per selected column of each allowed row in the
+#: ``NOT IN (VALUES …)`` filter.  Above it the filter is abandoned for a
+#: full evaluation + subset test in Python.  999 is SQLite's default
+#: ``SQLITE_MAX_VARIABLE_NUMBER`` before 3.32.0, the smallest default a
+#: Python build may link.
+_PARAMETER_CAP = 999
 
 
 class SQLiteStorage(StorageBackend):
@@ -203,7 +206,9 @@ class SQLiteStorage(StorageBackend):
         if allowed is None:
             extra, extra_params = "", []
         else:
-            if len(allowed) > _ALLOWED_CAP:
+            # len(allowed) bounds the projected rows the filter binds.
+            if (len(lowered.params) + len(lowered.select_cols) * len(allowed)
+                    > _PARAMETER_CAP):
                 rows = self.plan_rows_extended(plan, delta,
                                                on_build=on_build)
                 return not rows <= allowed

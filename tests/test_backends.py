@@ -312,3 +312,101 @@ class TestStorageEdges:
         inst = Instance(SCHEMA, {})
         with pytest.raises(ReproError):
             create_storage("duckdb", inst)
+
+
+# ---------------------------------------------------------------------------
+# The sqlite violation probe at SQLite's host-parameter limit
+# ---------------------------------------------------------------------------
+
+_WIDE = DatabaseSchema([RelationSchema("W", ["a", "b", "c", "d"])])
+_WIDE_MASTER = DatabaseSchema([RelationSchema("WM", ["a", "b", "c", "d"])])
+
+
+def _wide_case(rows: int, head: list, body: list, columns: list[int]):
+    """A CC ``q(head) :- W(body) ⊆ π[columns](WM)`` over a master of
+    *rows* rows ``(a_i, b_i, c_i, d_i)``, so the allowed set has *rows*
+    rows; the base holds master row 0."""
+    from repro.constraints.containment import ContainmentConstraint
+    from repro.queries.atoms import RelAtom
+    from repro.queries.cq import ConjunctiveQuery
+
+    master = Instance(_WIDE_MASTER, {"WM": {
+        (f"a{i}", f"b{i}", f"c{i}", f"d{i}") for i in range(rows)}})
+    base = Instance(_WIDE, {"W": {("a0", "b0", "c0", "d0")}})
+    constraint = ContainmentConstraint(
+        ConjunctiveQuery(head, [RelAtom("W", body)], name="q"),
+        Projection.on("WM", columns), name="cap")
+    return constraint, base, master
+
+
+def _sqlite_verdicts(constraint, base, master) -> list[bool]:
+    """``is_satisfied_extension`` on sqlite under a 999-parameter limit
+    (SQLite's default before 3.32.0), for a Δ inside and a Δ outside
+    the master; each must equal the python backend's verdict."""
+    import sqlite3
+
+    base.storage("sqlite")._connection.setlimit(
+        sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 999)
+    verdicts = []
+    for delta in ([("W", ("a1", "b1", "c1", "d1"))],
+                  [("W", ("a1", "b1", "x", "y"))],
+                  [("W", ("z", "b1", "c1", "d1"))]):
+        sqlite = constraint.is_satisfied_extension(
+            base, delta, master, context=EvaluationContext(backend="sqlite"))
+        python = constraint.is_satisfied_extension(
+            base, delta, master, context=EvaluationContext(backend="python"))
+        assert sqlite == python, delta
+        verdicts.append(sqlite)
+    return verdicts
+
+
+class TestSQLiteParameterCap:
+    """The ``NOT IN (VALUES …)`` pushdown binds the plan's parameters
+    plus one per selected column of each allowed row; above 999 it falls
+    back to a full evaluation, so no probe exceeds the limit."""
+
+    @pytest.mark.parametrize("rows", [499, 500])
+    def test_two_columns_at_the_limit(self, rows):
+        from repro.queries.terms import Var
+
+        x, y, z, w = (Var(n) for n in "xyzw")
+        case = _wide_case(rows, [x, y], [x, y, z, w], [0, 1])
+        assert _sqlite_verdicts(*case) == [True, True, False]
+
+    @pytest.mark.parametrize("rows", [249, 250])
+    def test_four_columns_at_the_limit(self, rows):
+        from repro.queries.terms import Var
+
+        x, y, z, w = (Var(n) for n in "xyzw")
+        case = _wide_case(rows, [x, y, z, w], [x, y, z, w], [0, 1, 2, 3])
+        assert _sqlite_verdicts(*case) == [True, False, False]
+
+    @pytest.mark.parametrize("rows", [500, 501])
+    def test_one_column_past_the_former_row_cap(self, rows):
+        from repro.queries.terms import Var
+
+        x, y, z, w = (Var(n) for n in "xyzw")
+        case = _wide_case(rows, [x], [x, y, z, w], [0])
+        assert _sqlite_verdicts(*case) == [True, True, False]
+
+    @pytest.mark.parametrize("rows", [499, 500])
+    def test_plan_parameters_count_toward_the_limit(self, rows):
+        # One constant in the body: 2 × 499 + 1 = 999 binds, 2 × 500 + 1
+        # falls back.
+        from repro.queries.terms import Const, Var
+
+        x, y, w = Var("x"), Var("y"), Var("w")
+        case = _wide_case(rows, [x, y], [x, y, Const("c1"), w], [0, 1])
+        assert _sqlite_verdicts(*case) == [True, True, False]
+
+    @pytest.mark.parametrize("rows", [499, 1200])
+    def test_constant_head_covered_by_the_target(self, rows):
+        # An all-constant head selects no column: the probe is decided
+        # by whether the head itself is allowed, at any target size.
+        from repro.queries.terms import Const, Var
+
+        x, y, z, w = (Var(n) for n in "xyzw")
+        covered = _wide_case(rows, [Const("a3")], [x, y, z, w], [0])
+        assert _sqlite_verdicts(*covered) == [True, True, True]
+        outside = _wide_case(rows, [Const("zz")], [x, y, z, w], [0])
+        assert _sqlite_verdicts(*outside) == [False, False, False]

@@ -6,6 +6,8 @@ len(missing_answers_report(...).answers)``, the verdict bridge
 truncation, backend invariance, and governed interruption.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from repro.constraints.containment import satisfies_all
 from repro.constraints.ind import InclusionDependency
 from repro.core.rcdp import decide_rcdp, missing_answers_report
+from repro.core.results import SearchStatistics
 from repro.errors import ExecutionInterrupted, ReproError
 from repro.incomplete import (CountReport, count_completing_extensions,
                               count_missing_answers)
@@ -190,6 +193,13 @@ class TestBackendInvariance:
         ext_oracle = count_completing_extensions(*args, backend="python")
         ext = count_completing_extensions(*args, backend=backend)
         assert ext.count == ext_oracle.count
+        # The python counters are exact and pinned; a change to the
+        # check layer may lower only the cache hits.
+        assert replace(ext_oracle.statistics, engine_cache_hits=0) \
+            == SearchStatistics(valuations_examined=279841,
+                                constraint_checks=267674, plans_compiled=6,
+                                index_builds=5, delta_evaluations=534819,
+                                full_evaluations=4)
 
     def test_worker_invariance(self):
         scenario = CRMScenario.example()

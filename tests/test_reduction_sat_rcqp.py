@@ -1,11 +1,12 @@
 """Tests for the Theorem 4.5(1) reduction: 3SAT ⟶ co-RCQP(CQ, INDs)."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.core.rcqp import decide_rcqp_with_inds
-from repro.core.results import RCDPStatus, RCQPStatus
+from repro.core.results import RCDPStatus, RCQPStatus, SearchStatistics
 from repro.reductions.sat_to_rcqp import reduce_3sat_to_rcqp
 from repro.solvers.sat import CNF, dpll_satisfiable, random_3sat
 
@@ -27,8 +28,19 @@ class TestHandPicked:
         # x XOR-style contradiction over two variables (padded to width 3)
         cnf = CNF([(1, 2, 2), (-1, -2, -2), (1, -2, -2), (-1, 2, 2)])
         assert dpll_satisfiable(cnf) is None
-        result = _decide(reduce_3sat_to_rcqp(cnf))
+        instance = reduce_3sat_to_rcqp(cnf)
+        result = _decide(instance)
         assert result.status is RCQPStatus.NONEMPTY
+        # The E3 scan runs in full (no valuation satisfies the INDs);
+        # its python counters are exact and pinned, and a change to the
+        # check layer may lower only the cache hits.
+        python = decide_rcqp_with_inds(
+            instance.query, instance.master, list(instance.constraints),
+            instance.schema, backend="python")
+        assert replace(python.statistics, engine_cache_hits=0) \
+            == SearchStatistics(valuations_examined=48, plans_compiled=5,
+                                index_builds=4, delta_evaluations=60,
+                                full_evaluations=5)
 
     def test_nonempty_witness_is_verified_complete(self):
         cnf = CNF([(1, 2, 2), (-1, -2, -2), (1, -2, -2), (-1, 2, 2)])
