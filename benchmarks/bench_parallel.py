@@ -10,6 +10,10 @@ run's exactly).
 For each size the decider runs serially and at each ``--workers`` count;
 verdicts, explanations, and ``valuations_examined`` are cross-checked
 for worker-count invariance, and the speedup over serial is reported.
+Both modes gate on the largest rung, n=8 (769 valuations, ~673,000 work
+units): at ``workers > 1`` a search first spends
+``repro.core.search.HEAD_START`` units in-process, and n=5 (~7,200
+units) ends there without reaching the pool.
 
 Run from the repository root::
 
@@ -184,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
 
     cores = os.cpu_count() or 1
     if args.smoke:
-        sizes, worker_counts, repeats = [5, 6], [2], 1
+        sizes, worker_counts, repeats = [5, 6, 8], [2], 1
     else:
         sizes, worker_counts, repeats = [6, 7, 8], [2, 4], 2
 

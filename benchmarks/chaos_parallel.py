@@ -8,7 +8,10 @@ and asserts the supervised pool's contract on each run:
 * the verdict, explanation, and exact full-enumeration statistics
   equal the serial run's (full differential equality);
 * the supervision counters account for what happened (a crash was
-  either retried or quarantined, never dropped);
+  either retried or quarantined, never dropped), and the traced seed
+  saw at least one crash and one retry: the workload (n=6 by default,
+  ~33,000 work units) is large enough to leave the in-process head
+  start (``repro.core.search.HEAD_START``) and reach the pool;
 * the final seed's run is traced, and the trace passes the full
   ``check_trace`` accounting (span tree, per-lane overlap, root tick
   deltas vs. the governor ledger, ledger vs. statistics) — validate
@@ -70,8 +73,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, default=3)
     parser.add_argument("--workers", type=int, default=3)
     parser.add_argument("--crash-probability", type=float, default=0.2)
-    parser.add_argument("--size", type=int, default=5, metavar="N",
-                        help="universal variables in the workload")
+    parser.add_argument("--size", type=int, default=6, metavar="N",
+                        help="universal variables in the workload (the "
+                             "search must outlast the head start to "
+                             "reach the pool)")
     parser.add_argument("--trace-out", default="CHAOS_trace.jsonl")
     args = parser.parse_args(argv)
     if not 0.0 <= args.crash_probability < 1.0:
@@ -124,6 +129,12 @@ def main(argv: list[str] | None = None) -> int:
             if crashes > retries + quarantines:
                 print(f"  FAIL: {crashes} crash(es) but only {retries} "
                       f"retry(s) + {quarantines} quarantine(s)",
+                      file=sys.stderr)
+                failed += 1
+            if not (crashes and retries):
+                print(f"  FAIL: {crashes} crash(es) and {retries} "
+                      f"retry(s): the faults never reached a worker "
+                      f"(does the search outlast the head start?)",
                       file=sys.stderr)
                 failed += 1
 

@@ -423,12 +423,14 @@ def _record_run(args: argparse.Namespace,
                   ("metrics", getattr(args, "metrics", None)),
                   ("prom", getattr(args, "prom", None)))
                  if value}
+    fan_out = getattr(governor, "fan_out", None)
     append_record(path, RunRecord(
         procedure=procedure, label=label, key=key, verdict=verdict,
         backend=backend, workers=getattr(args, "workers", 1),
         wall_s=wall_s, exhausted=exhausted, interrupted=interrupted,
         ticks=ticks, statistics=statistics_fields(statistics),
-        artifacts=artifacts))
+        artifacts=artifacts,
+        **(fan_out.attributes() if fan_out is not None else {})))
     print(f"run recorded in {path}", file=sys.stderr)
 
 

@@ -33,7 +33,7 @@ from repro.core.results import (IncompletenessCertificate, RCDPResult,
 from repro.core.search import (SearchRun, ShardOutcome, best_witness,
                                exhausted_result, first_exhausted,
                                fresh_shards, owned, resolve_workers,
-                               resume_point, resume_shards, run_inline,
+                               resume_point, resume_shards, run_search,
                                search_checkpoint, subsets,
                                total_statistics)
 from repro.engine import EvaluationContext, decision_key
@@ -148,7 +148,7 @@ def _brute_rcdp_kernel(run: SearchRun, payload: dict[str, Any],
             for position, combo in owned(run.shard, subsets(
                     payload["pool"], 1, payload["max_extra_facts"])):
                 if beat is not None and beat.due:
-                    run.heartbeat()
+                    run.heartbeat((position,))
                 if beacon is not None and beacon.superseded((position,)):
                     return run.outcome("superseded")
                 if governor is not None:
@@ -209,7 +209,7 @@ def brute_force_rcdp(query: Any, database: Instance, master: Instance,
     and FP, where this is the only procedure available.
 
     Governed like the exact deciders (``"extensions"`` ticks, one per
-    candidate ``Δ``); the checkpoint cursor is ``(workers,)``, with each
+    candidate ``Δ``); the checkpoint cursor is ``(shards,)``, with each
     shard's count of extension sets already examined, in deterministic
     smallest-first order, in its payload.  *workers* shards the
     enumeration across processes (``docs/PARALLEL.md``); the verdict is
@@ -233,22 +233,16 @@ def brute_force_rcdp(query: Any, database: Instance, master: Instance,
         if fact not in existing)
 
     stats = SearchStatistics()
-    shards = fresh_shards(count)
+    shards = fresh_shards()
     if resume_from is not None:
         _, shards, _ = resume_point(resume_from, "brute-rcdp", count)
         stats = resume_from.base_statistics()
     payload = dict(query=query, database=database, master=master,
                    constraints=tuple(constraints),
                    max_extra_facts=max_extra_facts, pool=pool)
-    if count == 1:
-        outcomes = [run_inline(_brute_rcdp_kernel, payload, shards[0],
-                               governor, context)]
-    else:
-        from repro.parallel.api import brute_force_rcdp_parallel
-
-        outcomes = brute_force_rcdp_parallel(
-            "brute-rcdp", _brute_rcdp_kernel, payload, shards,
-            governor=governor, context=context)
+    outcomes = run_search("brute_force_rcdp_parallel", "brute-rcdp",
+                          _brute_rcdp_kernel, payload, shards, count=count,
+                          governor=governor, context=context)
     stats = stats.merged(total_statistics(outcomes))
     if context is not None:
         stats = stats.merged(context.statistics.since(engine_base))
@@ -305,7 +299,7 @@ def _brute_rcqp_kernel(run: SearchRun, payload: dict[str, Any],
             for position, combo in owned(run.shard, subsets(
                     payload["pool"], 0, payload["max_database_size"])):
                 if beat is not None and beat.due:
-                    run.heartbeat()
+                    run.heartbeat((position,))
                 if beacon is not None and beacon.superseded((position,)):
                     return run.outcome("superseded")
                 if governor is not None:
@@ -373,7 +367,7 @@ def brute_force_rcqp(query: Any, master: Instance,
 
     Governed (``"candidates"`` ticks, one per candidate database, with the
     nested completeness checks charging the same governor); the checkpoint
-    cursor is ``(workers,)``, with each shard's count of candidate
+    cursor is ``(shards,)``, with each shard's count of candidate
     databases fully processed in its payload.  *workers* shards the
     candidate enumeration across processes (``docs/PARALLEL.md``); the
     verdict is worker-count invariant.
@@ -399,7 +393,7 @@ def brute_force_rcqp(query: Any, master: Instance,
                 "an explicit completeness_bound") from exc
 
     stats = SearchStatistics()
-    shards = fresh_shards(count)
+    shards = fresh_shards()
     if resume_from is not None:
         _, shards, _ = resume_point(resume_from, "brute-rcqp", count)
         stats = resume_from.base_statistics()
@@ -409,15 +403,9 @@ def brute_force_rcqp(query: Any, master: Instance,
                    values=tuple(values),
                    completeness_bound=completeness_bound,
                    decidable=decidable)
-    if count == 1:
-        outcomes = [run_inline(_brute_rcqp_kernel, payload, shards[0],
-                               governor, context)]
-    else:
-        from repro.parallel.api import brute_force_rcqp_parallel
-
-        outcomes = brute_force_rcqp_parallel(
-            "brute-rcqp", _brute_rcqp_kernel, payload, shards,
-            governor=governor, context=context)
+    outcomes = run_search("brute_force_rcqp_parallel", "brute-rcqp",
+                          _brute_rcqp_kernel, payload, shards, count=count,
+                          governor=governor, context=context)
     stats = stats.merged(total_statistics(outcomes))
     if context is not None:
         stats = stats.merged(context.statistics.since(engine_base))

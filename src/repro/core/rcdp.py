@@ -19,7 +19,8 @@ CQ), Corollary 3.4 (C3 for INDs), and Corollary 3.5 (C4 for UCQ):
    ``D`` is COMPLETE.
 
 Steps 1–5 are one search kernel (:func:`_rcdp_kernel`), run in-process as
-shard 0 of 1 or, with ``workers > 1``, once per shard across a worker pool
+shard 0 of 1 or, with ``workers > 1``, in-process for a head start and then,
+if the search is still running, once per shard across a worker pool
 (:mod:`repro.core.search`, ``docs/PARALLEL.md``).
 
 The enumeration is *governed* (:mod:`repro.runtime`): a budget, deadline,
@@ -51,7 +52,7 @@ from repro.core.results import (IncompletenessCertificate,
 from repro.core.search import (SearchRun, ShardOutcome, best_witness,
                                exhausted_result, first_exhausted,
                                fresh_shards, merged_finds, resolve_workers,
-                               resume_point, resume_shards, run_inline,
+                               resume_point, resume_shards, run_search,
                                search_checkpoint, total_statistics)
 from repro.core.valuations import (ActiveDomain, ProjectionFilter,
                                    TableauTemplates, iter_valid_valuations)
@@ -273,12 +274,13 @@ def _rcdp_kernel(run: SearchRun, payload: dict[str, Any]) -> ShardOutcome:
                 check = None
                 for prefix, position, values in iter_valid_valuations(
                         tableau, adom, fresh="own", row_filter=row_filter,
-                        shard=run.shard):
+                        shard=run.shard, outer=(tableau_index,),
+                        meter=run.meter):
                     if skip:
                         skip -= 1
                         continue
                     if beat is not None and beat.due:
-                        run.heartbeat()
+                        run.heartbeat((tableau_index, prefix), position)
                     rank = (tableau_index, prefix, position)
                     if beacon is not None and beacon.superseded(rank):
                         return run.outcome("superseded")
@@ -326,12 +328,13 @@ def _missing_kernel(run: SearchRun, payload: dict[str, Any],
                 check = None
                 for prefix, position, values in iter_valid_valuations(
                         tableau, adom, fresh="own", row_filter=row_filter,
-                        shard=run.shard):
+                        shard=run.shard, outer=(tableau_index,),
+                        meter=run.meter):
                     if skip:
                         skip -= 1
                         continue
                     if beat is not None and beat.due:
-                        run.heartbeat()
+                        run.heartbeat((tableau_index, prefix), position)
                     if governor is not None:
                         governor.tick("valuations")
                     run.examined += 1
@@ -426,10 +429,11 @@ def decide_rcdp(query: Any, database: Instance, master: Instance,
         decider returns an ``EXHAUSTED`` result instead.
     resume_from:
         A checkpoint from a previous interrupted ``decide_rcdp`` run *on
-        the same inputs* and with the same worker count; the enumeration
-        fast-forwards past the already-examined (and rejected) prefix
-        without charging the governor, and statistics are reported
-        cumulatively.
+        the same inputs*: one taken before the search fanned out (one
+        shard) resumes with any worker count, one taken after it with
+        the same count.  The enumeration fast-forwards past the
+        already-examined (and rejected) prefix without charging the
+        governor, and statistics are reported cumulatively.
     use_engine:
         When True (default), evaluation runs on the
         :mod:`repro.engine` — compiled plans, hash-indexed joins, and
@@ -465,8 +469,9 @@ def decide_rcdp(query: Any, database: Instance, master: Instance,
     workers:
         Shard the valuation search across this many worker processes
         (``1`` = in-process, ``0`` = all cores; see
-        ``docs/PARALLEL.md``).  The verdict — including which witness is
-        reported — is identical for every worker count.
+        ``docs/PARALLEL.md``), after an in-process head start that
+        small searches end in.  The verdict — including which witness
+        is reported — is identical for every worker count.
 
     Returns
     -------
@@ -474,7 +479,7 @@ def decide_rcdp(query: Any, database: Instance, master: Instance,
         COMPLETE, INCOMPLETE with an
         :class:`~repro.core.results.IncompletenessCertificate`, or
         EXHAUSTED (only under ``on_exhausted="partial"``) with a
-        checkpoint.  The checkpoint cursor is ``(workers,)``; its payload
+        checkpoint.  The checkpoint cursor is ``(shards,)``; its payload
         holds each shard's resume point (valuations consumed, slice
         done).
     """
@@ -506,22 +511,16 @@ def decide_rcdp(query: Any, database: Instance, master: Instance,
                 "relatively complete"),
             statistics=stats)
 
-    shards = fresh_shards(count)
+    shards = fresh_shards()
     if resume_from is not None:
         _, shards, _ = resume_point(resume_from, "rcdp", count)
         stats = stats.merged(resume_from.base_statistics())
     payload = dict(query=query, database=database, master=master,
                    constraints=tuple(constraints),
                    use_ind_pruning=use_ind_pruning)
-    if count == 1:
-        outcomes = [run_inline(_rcdp_kernel, payload, shards[0], governor,
-                               context)]
-    else:
-        from repro.parallel.api import decide_rcdp_parallel
-
-        outcomes = decide_rcdp_parallel(
-            "rcdp", _rcdp_kernel, payload, shards, governor=governor,
-            context=context)
+    outcomes = run_search("decide_rcdp_parallel", "rcdp", _rcdp_kernel,
+                          payload, shards, count=count, governor=governor,
+                          context=context)
     stats = stats.merged(total_statistics(outcomes))
     if context is not None:
         stats = stats.merged(context.statistics.since(engine_base))
@@ -593,7 +592,7 @@ def missing_answers_report(query: Any, database: Instance,
     been found; a *budget*/*governor* interrupts it mid-search.  In both
     cases ``exhaustive`` is False and the answer set is a lower bound; an
     interrupted report additionally carries a resumable checkpoint (cursor
-    ``(workers,)``) whose per-shard resume points preserve the answers
+    ``(shards,)``) whose per-shard resume points preserve the answers
     already found.  *on_exhausted* defaults to ``"partial"`` here — a
     truncated margin is still useful — but ``"error"`` gives strict-mode
     callers the historical raising behavior with the partial report
@@ -620,21 +619,16 @@ def missing_answers_report(query: Any, database: Instance,
         return MissingAnswersReport(answers=frozenset(),
                                     exhaustive=True, statistics=stats)
 
-    shards = fresh_shards(count)
+    shards = fresh_shards()
     if resume_from is not None:
         _, shards, _ = resume_point(resume_from, "missing", count)
         stats = stats.merged(resume_from.base_statistics())
     payload = dict(query=query, database=database, master=master,
                    constraints=tuple(constraints), limit=limit)
-    if count == 1:
-        outcomes = [run_inline(_missing_kernel, payload, shards[0],
-                               governor, context)]
-    else:
-        from repro.parallel.api import missing_answers_parallel
-
-        outcomes = missing_answers_parallel(
-            "missing", _missing_kernel, payload, shards, governor=governor,
-            context=context, use_beacon=False)
+    outcomes = run_search("missing_answers_parallel", "missing",
+                          _missing_kernel, payload, shards, count=count,
+                          governor=governor, context=context,
+                          use_beacon=False)
     stats = stats.merged(total_statistics(outcomes))
     if context is not None:
         stats = stats.merged(context.statistics.since(engine_base))

@@ -26,8 +26,9 @@ verdict is exact; otherwise it is reported as ``EMPTY_UP_TO_BOUND``.
 
 Each scan is one search kernel (:func:`_inds_scan_kernel`,
 :func:`_inds_build_kernel`, :func:`_rcqp_sets_kernel`), run in-process as
-shard 0 of 1 or, with ``workers > 1``, once per shard across a worker
-pool (:mod:`repro.core.search`, ``docs/PARALLEL.md``).
+shard 0 of 1 or, with ``workers > 1``, in-process for a head start and
+then, if the scan is still running, once per shard across a worker pool
+(:mod:`repro.core.search`, ``docs/PARALLEL.md``).
 
 Both engines are *governed* (:mod:`repro.runtime`): one
 :class:`~repro.runtime.ExecutionGovernor` is threaded through the unit
@@ -57,7 +58,7 @@ from repro.core.search import (SearchRun, ShardOutcome, best_witness,
                                exhausted_result, first_exhausted,
                                fresh_shards, merged_finds, owned,
                                resolve_workers, resume_point, resume_shards,
-                               run_inline, search_checkpoint, subsets,
+                               run_search, search_checkpoint, subsets,
                                total_statistics)
 from repro.engine import EvaluationContext
 from repro.core.valuations import (ActiveDomain, TableauTemplates,
@@ -138,12 +139,13 @@ def _inds_scan_kernel(run: SearchRun, payload: dict[str, Any],
     try:
         with run.governed():
             for prefix, position, values in iter_valid_valuations(
-                    tableau, adom, fresh="own", shard=run.shard):
+                    tableau, adom, fresh="own", shard=run.shard,
+                    meter=run.meter):
                 if skip:
                     skip -= 1
                     continue
                 if beat is not None and beat.due:
-                    run.heartbeat()
+                    run.heartbeat((prefix,), position)
                 rank = (prefix, position)
                 if beacon is not None and beacon.superseded(rank):
                     return run.outcome("superseded")
@@ -177,12 +179,13 @@ def _inds_build_kernel(run: SearchRun, payload: dict[str, Any],
     try:
         with run.governed():
             for prefix, position, values in iter_valid_valuations(
-                    tableau, adom, fresh="own", shard=run.shard):
+                    tableau, adom, fresh="own", shard=run.shard,
+                    meter=run.meter):
                 if skip:
                     skip -= 1
                     continue
                 if beat is not None and beat.due:
-                    run.heartbeat()
+                    run.heartbeat((prefix,), position)
                 if governor is not None:
                     governor.tick("valuations")
                 run.examined += 1
@@ -228,7 +231,7 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
     tableau producing it.
 
     Governed like :func:`decide_rcdp`; the checkpoint cursor is
-    ``(workers, phase, index)`` where phase 0 is the relevance/
+    ``(shards, phase, index)`` where phase 0 is the relevance/
     boundedness scan (index into the tableau list) and phase 1 the
     witness construction (index into the relevant-tableau list); its
     payload holds the current scan's per-shard resume points, the
@@ -252,7 +255,7 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
     query.validate(schema)
     tableaux = _query_tableaux(query, schema)
 
-    phase, start, shards = 0, 0, fresh_shards(count)
+    phase, start, shards = 0, 0, fresh_shards()
     relevant: list[int] = []
     witness_facts: list[Fact] = []
     base_stats = SearchStatistics()
@@ -292,14 +295,10 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
 
     def _scan(kind: str, kernel: Any, tableau_index: int,
               shards: list, use_beacon: bool) -> list[ShardOutcome]:
-        task = dict(payload, tableau_index=tableau_index)
-        if count == 1:
-            return [run_inline(kernel, task, shards[0], governor, context)]
-        from repro.parallel.api import decide_rcqp_with_inds_parallel
-
-        return decide_rcqp_with_inds_parallel(
-            kind, kernel, task, shards, governor=governor,
-            context=context, use_beacon=use_beacon)
+        return run_search("decide_rcqp_with_inds_parallel", kind, kernel,
+                          dict(payload, tableau_index=tableau_index),
+                          shards, count=count, governor=governor,
+                          context=context, use_beacon=use_beacon)
 
     prev_governor = context.governor if context is not None else None
     if context is not None:
@@ -310,7 +309,7 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
                 for t_index in range(start, len(tableaux)):
                     outcomes = _scan("inds-scan", _inds_scan_kernel,
                                      t_index, shards, True)
-                    shards = fresh_shards(count)
+                    shards = fresh_shards()
                     searched = searched.merged(total_statistics(outcomes))
                     if best_witness(outcomes) is None:
                         exhausted = first_exhausted(outcomes)
@@ -339,7 +338,7 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
                                     f"covered by any IND (conditions "
                                     f"E3/E4 both fail)"),
                                 statistics=_stats())
-            start, shards = 0, fresh_shards(count)
+            start, shards = 0, fresh_shards()
 
         witness = None
         if construct_witness:
@@ -347,7 +346,7 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
                 for r_pos in range(start, len(relevant)):
                     outcomes = _scan("inds-build", _inds_build_kernel,
                                      relevant[r_pos], shards, False)
-                    shards = fresh_shards(count)
+                    shards = fresh_shards()
                     searched = searched.merged(total_statistics(outcomes))
                     exhausted = first_exhausted(outcomes)
                     if exhausted is not None:
@@ -366,7 +365,7 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
                 except ExecutionInterrupted as interrupt:
                     # Verification restarts from scratch on resume: the
                     # cursor points past the whole build.
-                    return _exhausted(1, len(relevant), fresh_shards(count),
+                    return _exhausted(1, len(relevant), fresh_shards(),
                                       interrupt.reason)
                 if verdict.status is not RCDPStatus.COMPLETE:
                     raise ReproError(
@@ -600,7 +599,7 @@ def _rcqp_sets_kernel(run: SearchRun, payload: dict[str, Any],
             for position, combo in owned(run.shard, subsets(
                     payload["units"], 0, payload["max_size"])):
                 if beat is not None and beat.due:
-                    run.heartbeat()
+                    run.heartbeat((position,))
                 if beacon is not None and beacon.superseded((position,)):
                     return run.outcome("superseded")
                 if governor is not None:
@@ -660,7 +659,7 @@ def decide_rcqp(query: Any, master: Instance,
     The shared *governor* spans unit enumeration (``"units"`` ticks), the
     candidate-set loop (``"candidate_sets"`` ticks), and every nested
     bounding check, completion, and RCDP verification (``"valuations"``
-    ticks).  The checkpoint cursor is ``(workers, phase, n)``: phase 0 is
+    ticks).  The checkpoint cursor is ``(shards, phase, n)``: phase 0 is
     the unit enumeration (*n* partial valuations built), phase 1 the
     candidate-set search, whose per-shard resume points (candidate sets
     fully processed) the payload holds.
@@ -710,7 +709,7 @@ def decide_rcqp(query: Any, master: Instance,
             statistics=SearchStatistics(
                 analysis_warnings=fresh_warnings))
 
-    phase, start_units, shards = 0, 0, fresh_shards(count)
+    phase, start_units, shards = 0, 0, fresh_shards()
     base_stats = SearchStatistics()
     if resume_from is not None:
         (phase, start_units), shards, _ = resume_point(resume_from, "rcqp",
@@ -773,15 +772,10 @@ def decide_rcqp(query: Any, master: Instance,
                        max_size=min(max_valuation_set_size, len(units)),
                        max_completion_rounds=max_completion_rounds,
                        verify_witness=verify_witness)
-        if count == 1:
-            outcomes = [run_inline(_rcqp_sets_kernel, payload, shards[0],
-                                   governor, context)]
-        else:
-            from repro.parallel.api import decide_rcqp_parallel
-
-            outcomes = decide_rcqp_parallel(
-                "rcqp-sets", _rcqp_sets_kernel, payload, shards,
-                governor=governor, context=context)
+        outcomes = run_search("decide_rcqp_parallel", "rcqp-sets",
+                              _rcqp_sets_kernel, payload, shards,
+                              count=count, governor=governor,
+                              context=context)
     except ExecutionInterrupted as interrupt:
         stats = _stats()
         return exhausted_result(RCQPResult(
@@ -792,7 +786,7 @@ def decide_rcqp(query: Any, master: Instance,
                 f"the checkpoint to continue"),
             statistics=stats,
             checkpoint=search_checkpoint(
-                "rcqp", fresh_shards(count), stats,
+                "rcqp", fresh_shards(), stats,
                 position=(0, frontier["units"])),
             interrupted=interrupt.reason), on_exhausted)
     finally:

@@ -55,7 +55,7 @@ from repro.relational.domain import FreshValue, FreshValueSupply
 from repro.relational.instance import Instance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.search import ShardSpec
+    from repro.core.search import HeadStart, ShardSpec
 
 __all__ = ["ActiveDomain", "ProjectionFilter", "TableauTemplates",
            "iter_valid_valuations"]
@@ -372,18 +372,31 @@ def _extend(lists: Sequence[tuple], checks: Sequence[Check],
     return stream
 
 
+def _metered(extend: Callable[[tuple], Iterator[tuple]],
+             meter: "HeadStart") -> Callable[[tuple], Iterator[tuple]]:
+    """*extend*, counting each partial valuation it extends into
+    *meter*."""
+    def counted(prefix: tuple) -> Iterator[tuple]:
+        meter.extensions += 1
+        return extend(prefix)
+    return counted
+
+
 def _completions(candidates: Sequence[tuple], checks: Sequence[list[Check]],
                  start: int, stop: int, prefix: tuple = (),
-                 ) -> Iterator[tuple]:
+                 meter: "HeadStart | None" = None) -> Iterator[tuple]:
     """Valid extensions of *prefix* (binding variables ``< start``) to
     the variables ``< stop``, in lexicographic order: one product per run
-    of variables ending at a pruning point (or at *stop*), chained."""
+    of variables ending at a pruning point (or at *stop*), chained.  A
+    *meter* counts every partial valuation a run extends."""
     stream: Iterator[tuple] | None = None
     begin = start
     for index in range(start, stop):
         if not checks[index] and index < stop - 1:
             continue
         extend = partial(_extend, candidates[begin:index + 1], checks[index])
+        if meter is not None:
+            extend = _metered(extend, meter)
         stream = (extend(prefix) if stream is None
                   else itertools.chain.from_iterable(map(extend, stream)))
         begin = index + 1
@@ -402,6 +415,8 @@ def iter_valid_valuations(tableau: Tableau, adom: ActiveDomain,
                           extra: Iterable[Any] = (),
                           row_filter=None,
                           shard: "ShardSpec | None" = None,
+                          outer: tuple[int, ...] = (),
+                          meter: "HeadStart | None" = None,
                           ) -> Iterator[Any]:
     """Enumerate the *valid* valuations of *tableau* over *adom*.
 
@@ -446,9 +461,19 @@ def iter_valid_valuations(tableau: Tableau, adom: ActiveDomain,
 
     ``k`` is the smallest depth whose raw prefix space reaches
     ``n × _OVERSUBSCRIBE`` combinations (capped at the variable count;
-    ``0`` for a single shard): sharding only the top variable would cap
-    the useful parallelism at its candidate-list size, which is 2 for
-    boolean columns.
+    ``0`` for a single shard), ``n`` being the shard's layout count
+    (:attr:`~repro.core.search.ShardSpec.layout`): sharding only the top
+    variable would cap the useful parallelism at its candidate-list
+    size, which is 2 for boolean columns.  A head (shard 0 of 1 in the
+    layout of ``n`` shards) numbers its valuations exactly as the shards
+    it hands over to.
+
+    The shard's slice starts at :meth:`~repro.core.search.ShardSpec.
+    first` of *outer*, the rank components before the prefix number (a
+    tableau index): prefixes below it belong to a head.  A *meter* (a
+    head's :class:`~repro.core.search.HeadStart`) counts the partial
+    valuations the plan extends, and the enumerator hands over at the
+    next owned prefix once the meter is due.
 
     Unsatisfiable tableaux yield nothing; a ground tableau yields the
     empty valuation (from shard 0).
@@ -470,8 +495,12 @@ def iter_valid_valuations(tableau: Tableau, adom: ActiveDomain,
                                  _completions(candidates, checks, 0, width)))
         return
 
+    first = shard.first(*outer)
+    if first is None:
+        return
+    layout = shard.layout or shard.count
     depth, space = 0, 1
-    target = shard.count * _OVERSUBSCRIBE if shard.count > 1 else 1
+    target = layout * _OVERSUBSCRIBE if layout > 1 else 1
     while depth < width and space < target:
         space *= len(candidates[depth])
         depth += 1
@@ -479,11 +508,14 @@ def iter_valid_valuations(tableau: Tableau, adom: ActiveDomain,
     # prefix variable (its candidate's list position).
     digits = [{value: i for i, value in enumerate(values)}
               for values in candidates[:depth]]
-    for prefix in _completions(candidates, checks, 0, depth):
+    for prefix in _completions(candidates, checks, 0, depth, meter=meter):
         number = 0
         for value, digit in zip(prefix, digits):
             number = number * len(digit) + digit[value]
-        if shard.owns(number):
-            yield from zip(itertools.repeat(number), itertools.count(),
-                           _completions(candidates, checks, depth, width,
-                                        prefix))
+        if number < first or not shard.owns(number):
+            continue
+        if meter is not None and meter.due:
+            meter.stop((*outer, number))
+        yield from zip(itertools.repeat(number), itertools.count(),
+                       _completions(candidates, checks, depth, width,
+                                    prefix, meter))

@@ -10,7 +10,10 @@ backtracking search.
 
 Lowering rules (see ``docs/BACKENDS.md``):
 
-* every plan step ``i`` contributes ``FROM <table> AS s{i}``;
+* every plan step ``i`` contributes ``<table> AS s{i}`` to the ``FROM``
+  clause, joined by ``CROSS JOIN``, which SQLite never reorders: the
+  statement runs the plan's own (greedy, index-aware) join order
+  instead of one SQLite's planner picks for a wide join on its own;
 * a step's bound key positions become ``WHERE`` conjuncts — against a
   ``?`` parameter for constants, against the *defining column* of the
   variable (the ``s{j}.c{p}`` of its first occurrence) otherwise;
@@ -125,7 +128,7 @@ def lower_plan(plan: CompiledPlan,
         head_pattern.append(("col", index))
 
     return LoweredPlan(
-        from_clause="FROM " + ", ".join(tables),
+        from_clause="FROM " + " CROSS JOIN ".join(tables),
         where=tuple(where),
         params=tuple(params),
         select_cols=tuple(select_cols),

@@ -67,6 +67,12 @@ class RunRecord:
     #: Artifact paths (``{"trace": ..., "metrics": ..., "prom": ...}``).
     artifacts: dict[str, str] = dataclasses.field(default_factory=dict)
     extra: dict = dataclasses.field(default_factory=dict)
+    #: At ``workers > 1``: the work units the searches' in-process heads
+    #: spent, whether any search fanned out to the worker pool, and why
+    #: (:class:`repro.core.search.FanOut`); ``None`` when no head ran.
+    head_units: int = 0
+    fanned_out: bool = False
+    fan_out_reason: str | None = None
 
     def to_payload(self) -> dict:
         payload = dataclasses.asdict(self)
@@ -223,8 +229,11 @@ def summarize_ledger(records: Sequence[RunRecord]) -> dict:
             keys.add(record.key)
         bucket = procedures.setdefault(record.procedure, {
             "walls": [], "verdicts": {}, "statistics": {},
-            "exhausted": 0})
+            "exhausted": 0, "headed": 0, "fanned_out": 0})
         bucket["walls"].append(record.wall_s)
+        if record.fan_out_reason is not None:
+            bucket["headed"] += 1
+            bucket["fanned_out"] += record.fanned_out
         if record.verdict:
             bucket["verdicts"][record.verdict] = \
                 bucket["verdicts"].get(record.verdict, 0) + 1
@@ -246,6 +255,11 @@ def summarize_ledger(records: Sequence[RunRecord]) -> dict:
         rate = _cache_hit_rate(bucket["statistics"])
         if rate is not None:
             summary["cache_hit_rate"] = round(rate, 4)
+        if bucket["headed"]:
+            # Of the runs whose searches started with a head (workers >
+            # 1), how many reached the worker pool.
+            summary["fan_out"] = {"headed": bucket["headed"],
+                                  "fanned_out": bucket["fanned_out"]}
         return summary
 
     return {
@@ -273,6 +287,10 @@ def render_summary(summary: dict) -> str:
             line += f", exhausted×{proc['exhausted']}"
         if "cache_hit_rate" in proc:
             line += f", cache hit rate {proc['cache_hit_rate']:.0%}"
+        if "fan_out" in proc:
+            fan_out = proc["fan_out"]
+            line += (f", fanned out {fan_out['fanned_out']}/"
+                     f"{fan_out['headed']}")
         lines.append(line)
     backend_bits = ", ".join(
         f"{name} p50 {stats['wall_p50_s']:.4f}s ({stats['runs']})"

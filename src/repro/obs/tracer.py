@@ -149,6 +149,12 @@ class Tracer:
             for hook in self.on_span_end:
                 hook(span)
 
+    def annotate_root(self, **attributes: Any) -> None:
+        """Set *attributes* on the outermost open span (the decision's
+        root span), if one is open."""
+        if self._stack:
+            self._stack[0].attributes.update(attributes)
+
     def to_records(self) -> list[dict]:
         return [span.to_record() for span in self.spans]
 

@@ -19,8 +19,9 @@ of once in-process, without changing any verdict:
 
 Users normally never import this package: every decider and the CLI
 expose a ``workers=`` / ``--workers`` knob (1 = in-process, 0 = all
-cores), and a decision with one worker never loads it.  See
-``docs/PARALLEL.md`` for the sharding model and its determinism proof
+cores), and a search that ends in its in-process head start (every
+search at one worker) never loads it.  See ``docs/PARALLEL.md`` for the
+sharding model, the head start, and their determinism proof
 obligations.
 """
 

@@ -1,9 +1,12 @@
 """The workers > 1 step of every exact search: one kernel per shard.
 
 A decider in :mod:`repro.core` validates and prepares its search once,
-then runs its kernel (:mod:`repro.core.search`) in-process as shard 0 of
-1 when ``workers`` resolves to 1, or calls its step here otherwise.  The
-step splits the parent governor's remaining allowance across the shards
+then hands its kernel to :func:`repro.core.search.run_search`, which
+runs it in-process as shard 0 of 1 when ``workers`` resolves to 1 and,
+at ``workers > 1``, first in-process as a head start; only a search
+still running after it reaches its step here, by name
+(``decide_rcdp_parallel`` and so on).  The step splits the parent
+governor's remaining allowance across the shards
 (:func:`~repro.parallel.partition.split_governor`), runs one
 :class:`~repro.parallel.worker.ShardTask` per shard under the supervised
 pool (:func:`~repro.parallel.pool.run_shards`), and absorbs the workers'
@@ -27,7 +30,8 @@ Determinism contract (see ``docs/PARALLEL.md``):
   the shared absolute deadline, and a cancellation adapter; consumed
   ticks are absorbed back into the parent governor, and per-shard resume
   points make interrupted runs resumable — with the same worker count,
-  since shard ownership is a function of it.
+  since shard ownership is a function of it (a checkpoint taken before
+  the fan-out has one shard and resumes with any count).
 * **Fault tolerance**: worker death does not change any of the above.
   The pool's :class:`~repro.parallel.supervise.ShardSupervisor` respawns
   crashed or silent shards from their last progress snapshot, and

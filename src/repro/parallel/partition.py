@@ -21,6 +21,7 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
+from repro.core.search import HEAD_START
 from repro.obs import Observation, obs_of
 from repro.runtime import Budget, Deadline, ExecutionGovernor
 
@@ -31,30 +32,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["suggest_workers", "GovernorSpec", "split_governor",
            "materialize_governor", "EventCancellation"]
 
-#: Below this many predicted ticks per worker, adding a process costs
-#: more (spawn + pickle + merge) than the slice it would own.
-MIN_TICKS_PER_WORKER = 25_000
-
-
 def suggest_workers(estimate: Any, *,
                     cpu_count: int | None = None) -> int:
     """A ``workers=`` suggestion from a static cost estimate.
 
     *estimate* is anything with a ``total_predicted`` tick count (a
     `repro.analysis.cost.CostEstimate`) or a plain integer.  The
-    suggestion gives every worker at least :data:`MIN_TICKS_PER_WORKER`
-    predicted ticks — pool startup dominates below that — and never
-    exceeds the machine's cores.  ``PYTHONPATH=src python
-    benchmarks/bench_parallel.py`` measures the pool against serial
-    runs and writes ``BENCH_parallel.json``, which is not committed;
-    its smoke mode last read 1.43×, 0.94× and 1.61× at 2 workers on a
-    2-core host, for decisions of ~0.12 s that are mostly set-up.
+    suggestion gives every worker at least
+    :data:`~repro.core.search.HEAD_START` predicted ticks, the work one
+    pool round costs (a search ends in its in-process head below that),
+    and never exceeds the machine's cores.  H was sized from a measured
+    pool round: on a 2-core x86-64 host a 2-worker round cost a median
+    20.7 ms over the in-process run of the 7 shipped bundles, which is
+    8,192 units at 2.5 µs per unit (in-process searches measured 0.5 to
+    3.7 µs per unit; ``docs/PARALLEL.md``).
     """
     ticks = int(getattr(estimate, "total_predicted", estimate))
     cores = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
     if ticks <= 0 or cores <= 1:
         return 1
-    return max(1, min(cores, ticks // MIN_TICKS_PER_WORKER))
+    return max(1, min(cores, ticks // HEAD_START))
 
 
 def _shares(total: int | None, order: Sequence[int],

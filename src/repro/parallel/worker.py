@@ -86,7 +86,7 @@ class _Beat:
         while not self._stop.wait(interval):
             self.due = True
 
-    def publish(self, outcome: ShardOutcome) -> None:
+    def publish(self, outcome: ShardOutcome, *position: Any) -> None:
         self.due = False
         outcome.attempt = self.attempt
         self.queue.put(outcome)

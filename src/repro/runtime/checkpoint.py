@@ -40,7 +40,8 @@ class SearchCheckpoint:
         ``"rcqp-inds"``, ``"brute-rcdp"``, ``"brute-rcqp"``); deciders
         refuse checkpoints from a different procedure.
     cursor:
-        Enumeration position: the worker count, then any procedure-
+        Enumeration position: the number of shards the search ran as
+        (1 until it fanned out to a worker pool), then any procedure-
         specific phase/position entries.
     statistics:
         :class:`~repro.core.results.SearchStatistics` accumulated up to

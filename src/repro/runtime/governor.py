@@ -50,7 +50,7 @@ class ExecutionGovernor:
     """
 
     __slots__ = ("budget", "deadline", "cancellation", "faults", "ticks",
-                 "obs", "retry", "progress")
+                 "obs", "retry", "progress", "fan_out")
 
     def __init__(self, budget: Budget | None = None,
                  deadline: Deadline | None = None,
@@ -80,6 +80,11 @@ class ExecutionGovernor:
         #: supervisor forwards heartbeat snapshots to it, and
         #: :meth:`tick` never consults it.
         self.progress = progress
+        #: :class:`repro.core.search.FanOut`, set once a search this
+        #: governor runs at ``workers > 1`` has run its in-process head:
+        #: the heads' work units and whether (and why) the pool ran.
+        #: Parent-side and observation-only, like ``progress``.
+        self.fan_out: object | None = None
 
     @classmethod
     def from_limits(cls, *, budget: int | None = None,

@@ -195,6 +195,7 @@ def _crm_problem(num_domestic: int = 3):
 
 
 class TestDeciderDifferential:
+    @pytest.mark.usefixtures("no_head_start")
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rcdp_complete_verdict_invariant(self, backend, workers):
@@ -208,6 +209,7 @@ class TestDeciderDifferential:
         assert (result.statistics.constraint_checks
                 == baseline.statistics.constraint_checks)
 
+    @pytest.mark.usefixtures("no_head_start")
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rcdp_incomplete_certificate_invariant(self, backend, workers):
@@ -224,6 +226,7 @@ class TestDeciderDifferential:
         assert (result.certificate.new_answer
                 == baseline.certificate.new_answer)
 
+    @pytest.mark.usefixtures("no_head_start")
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     @pytest.mark.parametrize("workers", [1, 2])
     def test_missing_answers_invariant(self, backend, workers):
@@ -410,3 +413,33 @@ class TestSQLiteParameterCap:
         assert _sqlite_verdicts(*covered) == [True, True, True]
         outside = _wide_case(rows, [Const("zz")], [x, y, z, w], [0])
         assert _sqlite_verdicts(*outside) == [False, False, False]
+
+
+# ---------------------------------------------------------------------------
+# The sqlite lowering keeps the compiled join order
+# ---------------------------------------------------------------------------
+
+
+class TestSQLiteJoinOrder:
+    def test_explain_visits_the_tables_in_plan_order(self):
+        """The Theorem 4.5 witness query for 30 clauses joins 36 atoms;
+        lowered with comma joins, SQLite re-plans it (s12, s19, s13,
+        s31, ...), while ``CROSS JOIN`` keeps the compiled order."""
+        import re
+
+        from repro.engine.plan import compile_plan
+        from repro.reductions.sat_to_rcqp import reduce_3sat_to_rcqp
+        from repro.solvers.sat import random_3sat
+
+        instance = reduce_3sat_to_rcqp(random_3sat(5, 30, random.Random(1)))
+        plan = compile_plan(instance.query)
+        storage = Instance.empty(instance.schema).storage("sqlite")
+        lowered = storage._lowered(plan)
+        storage._ensure_indexes(plan, None)
+        rows = storage._connection.execute(
+            "EXPLAIN QUERY PLAN " + lowered.sql_rows(),
+            storage._encode_params(lowered.params)).fetchall()
+        visited = [match.group(1) for *_, detail in rows
+                   if (match := re.search(r"\b(s\d+)\b", detail))]
+        assert len(plan.steps) == 36
+        assert visited == [f"s{i}" for i in range(len(plan.steps))]

@@ -22,6 +22,10 @@ from repro.core.rcdp import decide_rcdp
 from repro.io.json_io import load_bundle
 from repro.mdm.audit import CompletenessAudit
 
+# The pool is this suite's subject: hand every search at workers > 1
+# to it at the first candidate instead of finishing in-process.
+pytestmark = pytest.mark.usefixtures("no_head_start")
+
 BUNDLES = sorted(
     (Path(__file__).resolve().parent.parent / "examples"
      / "bundles").glob("*.json"))

@@ -167,6 +167,7 @@ class TestObservabilityFlags:
                        str(tmp_path / "t.jsonl")])
         assert traced == plain == 0
 
+    @pytest.mark.usefixtures("no_head_start")
     def test_workers_two_trace_validates(self, bundle_path, tmp_path,
                                          capsys):
         from repro.obs import check_trace, read_trace
@@ -248,7 +249,8 @@ class TestImportBoundary:
 
     #: Modules a ``decide`` process has no use for: other verbs, the
     #: analyzer's flow and cost passes, the ledger and exporters, and
-    #: the worker pool (``workers=1`` runs in-process).
+    #: the worker pool (``workers=1`` runs in-process, and so does a
+    #: search that ends in its head at ``workers > 1``).
     NOT_NEEDED_TO_DECIDE = (
         "repro.corpus.generate", "repro.corpus.runner", "repro.mdm",
         "repro.incomplete", "repro.analysis.cost", "repro.analysis.flow",
@@ -257,20 +259,29 @@ class TestImportBoundary:
         "repro.core.bounded", "repro.core.witness", "repro.parallel",
         "multiprocessing")
 
-    def test_decide_loads_only_the_decision_path(self):
+    def _decide_loads(self, *flags: str) -> list[str]:
         script = (
             "import json, runpy, sys\n"
-            "sys.argv = ['repro', 'decide', sys.argv[1]]\n"
+            "sys.argv = ['repro', 'decide', *sys.argv[1:]]\n"
             "try:\n"
             "    runpy.run_module('repro', run_name='__main__')\n"
             "except SystemExit:\n"
             "    pass\n"
             "print(json.dumps(sorted(sys.modules)))\n")
         bundle = ROOT / "examples" / "bundles" / "crm_q2_supported_ind.json"
-        loaded = json.loads(_fresh_interpreter(script, str(bundle)))
+        return json.loads(_fresh_interpreter(script, str(bundle), *flags))
+
+    def test_decide_loads_only_the_decision_path(self):
+        loaded = self._decide_loads()
         assert [m for m in self.NOT_NEEDED_TO_DECIDE if m in loaded] == []
         ours = [m for m in loaded if m == "repro" or m.startswith("repro.")]
         assert len(ours) <= 50
+
+    def test_two_workers_ending_in_the_head_load_no_pool(self):
+        """At ``--workers 2`` this decision ends in its in-process head
+        (51 work units), so the pool is never imported."""
+        loaded = self._decide_loads("--workers", "2")
+        assert [m for m in self.NOT_NEEDED_TO_DECIDE if m in loaded] == []
 
     def test_importing_the_package_loads_no_submodule(self):
         script = ("import json, sys\n"

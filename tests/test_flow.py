@@ -20,6 +20,7 @@ from repro.cli import main
 from repro.constraints.containment import (ContainmentConstraint,
                                            Projection)
 from repro.core.rcdp import decide_rcdp, missing_answers_report
+from repro.core.search import HEAD_START
 from repro.io.json_io import load_bundle
 from repro.parallel import suggest_workers
 from repro.queries.atoms import eq, rel
@@ -330,7 +331,9 @@ class TestCostModel:
 
     def test_suggest_workers_floors_small_estimates(self):
         assert suggest_workers(100, cpu_count=8) == 1
-        assert suggest_workers(100_000, cpu_count=8) == 4
+        # Every worker gets at least one pool round's worth of ticks.
+        assert suggest_workers(2 * HEAD_START - 1, cpu_count=8) == 1
+        assert suggest_workers(4 * HEAD_START, cpu_count=8) == 4
         assert suggest_workers(10_000_000, cpu_count=8) == 8
         assert suggest_workers(10_000_000, cpu_count=1) == 1
 

@@ -445,6 +445,7 @@ class TestProgress:
 # ---------------------------------------------------------------------
 
 class TestLedgerDifferential:
+    @pytest.mark.usefixtures("no_head_start")
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     @pytest.mark.parametrize("workers", [1, 2])
     def test_recorded_run_is_bit_identical(self, backend, workers,

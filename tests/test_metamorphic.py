@@ -38,6 +38,10 @@ from tests.strategies import (SCHEMA, conjunctive_queries,
 
 import pytest
 
+# The pool is this suite's subject: hand every search at workers > 1
+# to it at the first candidate instead of finishing in-process.
+pytestmark = pytest.mark.usefixtures("no_head_start")
+
 MASTER_SCHEMA = DatabaseSchema([RelationSchema("M", ["c"])])
 DM = Instance(MASTER_SCHEMA, {"M": {(0,), (1,)}})
 IND = InclusionDependency(

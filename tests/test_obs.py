@@ -362,6 +362,7 @@ class TestTracedEqualsUntraced:
         _assert_same_decision(plain, traced)
         assert traced.statistics == plain.statistics
 
+    @pytest.mark.usefixtures("no_head_start")
     @settings(max_examples=10, deadline=None)
     @given(query=conjunctive_queries(allow_inequalities=False),
            db=instances())
@@ -379,6 +380,7 @@ class TestTracedEqualsUntraced:
             assert (traced.statistics.valuations_examined
                     == plain.statistics.valuations_examined)
 
+    @pytest.mark.usefixtures("no_head_start")
     @settings(max_examples=15, deadline=None)
     @given(query=conjunctive_queries(allow_inequalities=False),
            db=instances(), after=st.integers(0, 20),
@@ -469,6 +471,7 @@ def test_traced_corpus_is_nonempty():
         "examples/bundles/ should ship bundles with 'trace' blocks")
 
 
+@pytest.mark.usefixtures("no_head_start")
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("path", TRACED_BUNDLES,
                          ids=[path.stem for path in TRACED_BUNDLES])
@@ -478,6 +481,7 @@ def test_corpus_traces_are_well_formed(path, workers):
     assert problems == [], f"{path.name} at workers={workers}: {problems}"
 
 
+@pytest.mark.usefixtures("no_head_start")
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("path", TRACED_BUNDLES,
                          ids=[path.stem for path in TRACED_BUNDLES])
@@ -500,6 +504,7 @@ def test_corpus_traces_carry_expected_phases(path, workers):
                     if name.startswith("parallel.")]
 
 
+@pytest.mark.usefixtures("no_head_start")
 @pytest.mark.parametrize("path", TRACED_BUNDLES,
                          ids=[path.stem for path in TRACED_BUNDLES])
 def test_corpus_worker_spans_carry_lanes(path):

@@ -39,6 +39,10 @@ from tests.strategies import SCHEMA, conjunctive_queries, instances
 
 import pytest
 
+# The pool is this suite's subject: hand every search at workers > 1
+# to it at the first candidate instead of finishing in-process.
+pytestmark = pytest.mark.usefixtures("no_head_start")
+
 MASTER_SCHEMA = DatabaseSchema([RelationSchema("M", ["c"])])
 DM = Instance(MASTER_SCHEMA, {"M": {(0,), (1,)}})
 
@@ -288,6 +292,8 @@ class TestWorkerKnob:
                         workers=-1)
 
     def test_checkpoint_binds_worker_count(self):
+        """Once a search fans out, ownership of its slices depends on
+        the worker count."""
         partial = decide_rcdp(
             COMPLETE_QUERY, COMPLETE_DB, DM, [IND], workers=2,
             governor=ExecutionGovernor.from_limits(budget=2),
@@ -298,15 +304,22 @@ class TestWorkerKnob:
             decide_rcdp(COMPLETE_QUERY, COMPLETE_DB, DM, [IND],
                         workers=3, resume_from=partial.checkpoint)
 
-    def test_serial_checkpoint_binds_worker_count(self):
+    def test_serial_checkpoint_resumes_with_more_workers(self):
+        """One slice has no shard layout to bind: a workers=1
+        checkpoint resumes at workers=2 (as the head, which hands the
+        rest of the stream to the pool) with the serial statistics."""
+        serial = decide_rcdp(COMPLETE_QUERY, COMPLETE_DB, DM, [IND])
         partial = decide_rcdp(
             COMPLETE_QUERY, COMPLETE_DB, DM, [IND],
             governor=ExecutionGovernor.from_limits(budget=2),
             on_exhausted="partial")
         assert partial.status is RCDPStatus.EXHAUSTED
-        with pytest.raises(ReproError, match="workers=1.*workers=2"):
-            decide_rcdp(COMPLETE_QUERY, COMPLETE_DB, DM, [IND],
-                        workers=2, resume_from=partial.checkpoint)
+        assert partial.checkpoint.cursor[0] == 1
+        resumed = decide_rcdp(COMPLETE_QUERY, COMPLETE_DB, DM, [IND],
+                              workers=2, resume_from=partial.checkpoint)
+        _assert_same_rcdp(serial, resumed)
+        assert resumed.statistics.constraint_checks == \
+            serial.statistics.constraint_checks
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_exhausted_statistics_are_cumulative_across_legs(self, workers):

@@ -31,6 +31,10 @@ from tests.test_parallel_differential import (COMPLETE_DB, COMPLETE_QUERY,
                                               WITNESS_QUERY,
                                               _assert_same_rcdp)
 
+# The pool is this suite's subject: hand every search at workers > 1
+# to it at the first candidate instead of finishing in-process.
+pytestmark = pytest.mark.usefixtures("no_head_start")
+
 #: Fast-failure policy for tests: tiny backoff, tight heartbeat.
 FAST = dict(backoff_base=0.001, backoff_cap=0.01, heartbeat=0.02)
 
