@@ -3,14 +3,17 @@
 Times the Table-1 RCDP workload that motivated the engine — ``Q2`` under
 the Example 2.1 constraints ``supt⊆dcust`` (IND) and ``φ1`` (at-most-k,
 a (k+1)-way ``Supt`` self-join with pairwise inequalities) on generated
-CRM scenarios — in two decider modes:
+CRM scenarios — three ways:
 
-* **naive** — ``decide_rcdp(use_engine=False)``: the pre-engine
-  backtracking evaluators, full-relation rescans, every candidate
-  extension materialized and re-evaluated from scratch;
-* **engine** — ``decide_rcdp(use_engine=True)``: compiled plans,
-  hash-indexed joins, memoized master projections, and semi-naive delta
-  evaluation of the per-valuation extension checks.
+* **naive** — the materializing reference
+  (:func:`reference_rcdp.reference_rcdp`: the decider's candidates, each
+  ``D ∪ Δ`` materialized and checked from scratch) on the pre-engine
+  backtracking evaluators;
+* **indexed** — the same reference on the engine-backed ``evaluate``
+  (compiled plans over per-call indexes, no shared context);
+* **engine** — ``decide_rcdp``: compiled plans, hash-indexed joins,
+  memoized master projections, and a check program per tableau deciding
+  each valuation's extension check on the delta path.
 
 A second section isolates the evaluation strategies on the φ1 check
 itself (the decider hot loop's unit of work): naive re-evaluation vs
@@ -19,7 +22,8 @@ indexed re-evaluation vs the semi-naive delta rule.
 A third section pins the observability contract: a governed decider run
 with a *disabled* :class:`~repro.obs.Observation` attached must stay
 within ``OBS_OFF_OVERHEAD`` of the same run with no observation at all
-(the enabled-tracing cost is reported informationally).
+(the enabled-tracing cost is reported informationally), and so must the
+same run plus one run-ledger append, timed where the search dominates.
 
 Run from the repository root::
 
@@ -27,23 +31,29 @@ Run from the repository root::
 
 Writes ``BENCH_engine.json`` (normalized ``report_schema`` shape) and,
 unless ``--smoke``, gates on the engine's ≥ 5× speedup over naive at
-the largest scenario size and on the disabled-observation overhead.
+the largest scenario size and on the disabled-observation and ledger
+overheads.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
+import statistics
 import sys
+import tempfile
 import time
 from contextlib import contextmanager
 
+from reference_rcdp import reference_rcdp
 from report_schema import (bench_gate, bench_report, bench_row,
                            check_gates, write_report)
 from repro.core.rcdp import decide_rcdp
 from repro.engine import EvaluationContext
 from repro.mdm.generators import GeneratorConfig, generate_scenario
 from repro.obs import Observation
+from repro.obs.ledger import RunRecord, append_record, run_key
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational.instance import extend_unvalidated
@@ -81,6 +91,23 @@ def _scenario(num_domestic: int):
     return generate_scenario(config, random.Random(42))
 
 
+def _workload(num_domestic: int) -> tuple:
+    """``(Q2, D, Dm, V)`` at *num_domestic* customers: every employee
+    supports exactly ``k = num_domestic - 1`` of them while master data
+    holds one more, so every candidate extension the search proposes
+    passes the IND prefilter and must be rejected by the (k+1)-way φ1
+    self-join — the decider certifies COMPLETE through the expensive
+    constraint-check path."""
+    scenario = _scenario(num_domestic)
+    spare = f"c{num_domestic - 1}"
+    database = scenario.database(
+        missing_support=[(f"e{i}", spare) for i in range(3)])
+    constraints = [scenario.supt_cid_ind(),
+                   scenario.phi1_at_most_k(num_domestic - 1)]
+    return (scenario.q2_all_supported_by("e0"), database, scenario.master(),
+            constraints)
+
+
 def _time(fn, repeats: int) -> tuple[float, object]:
     """Best-of-*repeats* wall time and the last return value."""
     best = float("inf")
@@ -93,42 +120,25 @@ def _time(fn, repeats: int) -> tuple[float, object]:
 
 
 def bench_rcdp(num_domestic: int, repeats: int) -> dict:
-    """Full decider, engine on vs off, verdicts cross-checked.
-
-    Every employee supports exactly ``k = num_domestic - 1`` customers
-    while master data holds one more, so every candidate extension the
-    search proposes passes the IND prefilter and must be rejected by the
-    (k+1)-way φ1 self-join — the decider certifies COMPLETE through the
-    expensive constraint-check path, which is exactly what the engine's
-    delta rule accelerates.
-    """
-    scenario = _scenario(num_domestic)
-    spare = f"c{num_domestic - 1}"
-    missing = [(f"e{i}", spare) for i in range(3)]
-    database = scenario.database(missing_support=missing)
-    master = scenario.master()
-    k = num_domestic - 1
-    constraints = [scenario.supt_cid_ind(), scenario.phi1_at_most_k(k)]
-    query = scenario.q2_all_supported_by("e0")
-
+    """The decider against the materializing reference on the naive and
+    the indexed evaluators; verdicts and constraint checks
+    cross-checked."""
+    inputs = _workload(num_domestic)
     with seed_evaluators():
-        naive_s, naive = _time(
-            lambda: decide_rcdp(query, database, master, constraints,
-                                use_engine=False), repeats)
-    indexed_s, indexed = _time(
-        lambda: decide_rcdp(query, database, master, constraints,
-                            use_engine=False), repeats)
-    engine_s, engine = _time(
-        lambda: decide_rcdp(query, database, master, constraints),
-        repeats)
-    assert engine.status is indexed.status is naive.status, (
-        f"verdict mismatch at n={num_domestic}: engine {engine.status}, "
-        f"indexed {indexed.status}, naive {naive.status}")
+        naive_s, naive = _time(lambda: reference_rcdp(*inputs), repeats)
+    indexed_s, indexed = _time(lambda: reference_rcdp(*inputs), repeats)
+    engine_s, engine = _time(lambda: decide_rcdp(*inputs), repeats)
     stats = engine.statistics
+    decided = (engine.status, stats.constraint_checks)
+    for name, (status, _, checks) in (("naive", naive),
+                                      ("indexed", indexed)):
+        assert (status, checks) == decided, (
+            f"{name} reference reads {status} after {checks} checks at "
+            f"n={num_domestic}; the decider {decided}")
     return {
         "num_domestic": num_domestic,
-        "k": k,
-        "supt_rows": len(database.relation("Supt")),
+        "k": num_domestic - 1,
+        "supt_rows": len(inputs[1].relation("Supt")),
         "verdict": engine.status.value,
         "naive_s": round(naive_s, 6),
         "indexed_s": round(indexed_s, 6),
@@ -184,61 +194,32 @@ def bench_extension_check(num_domestic: int, repeats: int) -> dict:
     }
 
 
+def _governed_decide(inputs: tuple, attach: bool | None = None):
+    """One governed decision on a fresh governor with an unlimited tick
+    ledger, with an :class:`Observation` attached (enabled or disabled)
+    unless *attach* is None."""
+    governor = ExecutionGovernor(budget=Budget())
+    if attach is not None:
+        Observation.attach(governor, enabled=attach)
+    return decide_rcdp(*inputs, governor=governor), governor
+
+
 def bench_obs_overhead(num_domestic: int, repeats: int) -> dict:
-    """The same governed decider run four ways: no observation,
+    """The same governed decider run three ways: no observation,
     observation attached but disabled (what every governed production
-    run pays), observation enabled (full span capture), and the
-    run-ledger path (decide + one crash-safe ``RunRecord`` append —
-    what ``--ledger`` adds to a production run).
+    run pays), and observation enabled (full span capture).
 
-    Each timed call builds a fresh governor with an unlimited tick
-    ledger so the variants differ *only* in the attachment — the
-    disabled case exercises the ``obs_of``/null-span fast path at every
-    instrumented site, and the ledger case pins that persistence is an
-    O(1) post-verdict append, not an in-loop cost.
+    The variants differ *only* in the attachment — the disabled case
+    exercises the ``obs_of``/null-span fast path at every instrumented
+    site.
     """
-    scenario = _scenario(num_domestic)
-    spare = f"c{num_domestic - 1}"
-    missing = [(f"e{i}", spare) for i in range(3)]
-    database = scenario.database(missing_support=missing)
-    master = scenario.master()
-    constraints = [scenario.supt_cid_ind(),
-                   scenario.phi1_at_most_k(num_domestic - 1)]
-    query = scenario.q2_all_supported_by("e0")
-
-    def run(attach: bool | None):
-        governor = ExecutionGovernor(budget=Budget())
-        if attach is not None:
-            Observation.attach(governor, enabled=attach)
-        return decide_rcdp(query, database, master, constraints,
-                           governor=governor)
-
-    import os
-    import tempfile
-
-    from repro.obs.ledger import RunRecord, append_record, run_key
-
-    def run_with_ledger(ledger_path: str):
-        governor = ExecutionGovernor(budget=Budget())
-        result = decide_rcdp(query, database, master, constraints,
-                             governor=governor)
-        append_record(ledger_path, RunRecord(
-            procedure="rcdp", label=f"bench-n{num_domestic}",
-            key=run_key("rcdp", query, database, master, constraints),
-            verdict=result.status.value,
-            ticks=dict(governor.budget.snapshot()),
-            statistics={"valuations_examined":
-                        result.statistics.valuations_examined}))
-        return result
-
-    gov_s, bare = _time(lambda: run(None), repeats)
-    obs_off_s, off = _time(lambda: run(False), repeats)
-    obs_on_s, on = _time(lambda: run(True), repeats)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        ledger_path = os.path.join(tmp, "ledger.jsonl")
-        ledger_s, led = _time(lambda: run_with_ledger(ledger_path),
+    inputs = _workload(num_domestic)
+    gov_s, (bare, _) = _time(lambda: _governed_decide(inputs), repeats)
+    obs_off_s, (off, _) = _time(lambda: _governed_decide(inputs, False),
+                                repeats)
+    obs_on_s, (on, _) = _time(lambda: _governed_decide(inputs, True),
                               repeats)
-    assert bare.status is off.status is on.status is led.status, (
+    assert bare.status is off.status is on.status, (
         f"verdict changed under observation at n={num_domestic}")
     return {
         "num_domestic": num_domestic,
@@ -247,10 +228,57 @@ def bench_obs_overhead(num_domestic: int, repeats: int) -> dict:
         "gov_s": round(gov_s, 6),
         "obs_off_s": round(obs_off_s, 6),
         "obs_on_s": round(obs_on_s, 6),
-        "ledger_s": round(ledger_s, 6),
         "off_overhead": round(obs_off_s / gov_s, 4) if gov_s else None,
         "on_overhead": round(obs_on_s / gov_s, 4) if gov_s else None,
-        "ledger_overhead": round(ledger_s / gov_s, 4) if gov_s else None,
+    }
+
+
+def bench_ledger_overhead(num_domestic: int, pairs: int) -> dict:
+    """The governed decide against the same decide plus one crash-safe
+    ``RunRecord`` append (what ``--ledger`` adds to a production run),
+    at a size where the search dominates.
+
+    The two run in alternating pairs, each pair in the opposite order
+    to the last, after one untimed warm-up of each; the gate reads the
+    median of the per-pair ratios, so a slow spell on the host moves
+    both halves of a pair instead of one side of a best-of.
+    """
+    inputs = _workload(num_domestic)
+    key = run_key("rcdp", *inputs)
+
+    def with_ledger(path: str):
+        result, governor = _governed_decide(inputs)
+        append_record(path, RunRecord(
+            procedure="rcdp", label=f"bench-n{num_domestic}", key=key,
+            verdict=result.status.value,
+            ticks=dict(governor.budget.snapshot()),
+            statistics={"valuations_examined":
+                        result.statistics.valuations_examined}))
+        return result, governor
+
+    times: dict[str, list[float]] = {"bare": [], "ledger": []}
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
+        path = os.path.join(tmp, "ledger.jsonl")
+        variants = [("bare", lambda: _governed_decide(inputs)),
+                    ("ledger", lambda: with_ledger(path))]
+        for _, fn in variants:
+            fn()
+        for index in range(pairs):
+            for name, fn in variants[::-1 if index % 2 else 1]:
+                start = time.perf_counter()
+                result, _ = fn()
+                times[name].append(time.perf_counter() - start)
+    ratios = [led / bare for bare, led in zip(times["bare"],
+                                              times["ledger"])]
+    return {
+        "num_domestic": num_domestic,
+        "verdict": result.status.value,
+        "valuations": result.statistics.valuations_examined,
+        "pairs": pairs,
+        "bare_s": round(statistics.median(times["bare"]), 6),
+        "ledger_s": round(statistics.median(times["ledger"]), 6),
+        "ratios": [round(ratio, 4) for ratio in ratios],
+        "ledger_overhead": round(statistics.median(ratios), 4),
     }
 
 
@@ -270,6 +298,10 @@ def main(argv: list[str] | None = None) -> int:
     # rounds than the ablation rows.
     obs_size = 3 if args.smoke else 5
     obs_repeats = 2 if args.smoke else 5
+    # The ledger append is a fixed cost, so its gate runs where the
+    # search takes ~0.2 s, in alternating pairs.
+    ledger_size = 3 if args.smoke else 8
+    ledger_pairs = 3 if args.smoke else 11
 
     rcdp_rows = []
     for size in rcdp_sizes:
@@ -299,6 +331,12 @@ def main(argv: list[str] | None = None) -> int:
           f"obs-on {obs_row['obs_on_s']:.4f}s "
           f"({obs_row['on_overhead']}x)")
 
+    ledger_row = bench_ledger_overhead(ledger_size, ledger_pairs)
+    print(f"ledger-overhead n={ledger_size}: governed "
+          f"{ledger_row['bare_s']:.4f}s, with ledger "
+          f"{ledger_row['ledger_s']:.4f}s, median of "
+          f"{ledger_pairs} pair ratios {ledger_row['ledger_overhead']}x")
+
     largest = rcdp_rows[-1]
     rows = [bench_row(f"rcdp/n={row['num_domestic']}", row["engine_s"],
                       ticks={"valuations":
@@ -313,6 +351,11 @@ def main(argv: list[str] | None = None) -> int:
                           ticks={"valuations": obs_row["valuations"]},
                           verdicts={obs_row["verdict"]: 1},
                           extra=obs_row))
+    rows.append(bench_row(f"ledger-overhead/n={ledger_size}",
+                          ledger_row["ledger_s"],
+                          ticks={"valuations": ledger_row["valuations"]},
+                          verdicts={ledger_row["verdict"]: 1},
+                          extra=ledger_row))
     gates = [
         bench_gate("engine_speedup", required=REQUIRED_SPEEDUP,
                    measured=largest["speedup"],
@@ -321,10 +364,11 @@ def main(argv: list[str] | None = None) -> int:
                    measured=obs_row["off_overhead"],
                    higher_is_better=False, enforced=not args.smoke),
         bench_gate("ledger_overhead", required=OBS_OFF_OVERHEAD,
-                   measured=obs_row["ledger_overhead"],
+                   measured=ledger_row["ledger_overhead"],
                    higher_is_better=False, enforced=not args.smoke,
-                   note="decide + one RunRecord append vs bare "
-                        "governed decide"),
+                   note=f"decide + one RunRecord append vs bare governed "
+                        f"decide at n={ledger_size}, median of "
+                        f"{ledger_pairs} alternating pairs"),
     ]
     report = bench_report(
         "engine", rows, smoke=args.smoke, gates=gates,

@@ -22,7 +22,6 @@ import itertools
 from typing import Any, Iterable, Sequence
 
 from repro.constraints.containment import (ContainmentConstraint,
-                                           satisfies_all,
                                            satisfies_all_extension)
 from repro.core.rcdp import (_extend_unvalidated,
                              assert_decidable_configuration, decide_rcdp,
@@ -101,13 +100,13 @@ def resolve_value_pool(query: Any,
                        schema: DatabaseSchema,
                        instances: Sequence[Instance],
                        values: Sequence[Any] | None,
-                       context: EvaluationContext | None = None,
+                       context: EvaluationContext,
                        ) -> Sequence[Any]:
     """The brute-force value pool for one decision, memoized by content.
 
     A caller-supplied *values* sequence wins.  Otherwise the default pool
-    is built from *instances* and the query/constraint constants, and —
-    when a shared context is available — memoized under a
+    is built from *instances* and the query/constraint constants, and
+    memoized on *context* under a
     :func:`~repro.engine.keys.decision_key`.  Content-based keys make the
     memo entry independent of object identity, so the key is picklable
     and stays valid across process boundaries (the parallel workers
@@ -122,8 +121,6 @@ def resolve_value_pool(query: Any,
     def _build_pool() -> list[Any]:
         return default_value_pool(schema, instances, queries)
 
-    if context is None:
-        return _build_pool()
     return context.memo(
         decision_key("value-pool", schema, *instances, query, *constraints),
         _build_pool,
@@ -140,8 +137,7 @@ def _brute_rcdp_kernel(run: SearchRun, payload: dict[str, Any],
     context, governor = run.context, run.governor
     obs = obs_of(governor)
     with obs_span(obs, "evaluate_Q"):
-        baseline = (context.evaluate(query, database)
-                    if context is not None else query.evaluate(database))
+        baseline = context.evaluate(query, database)
     beacon, beat = run.beacon, run.beat
     try:
         with run.governed(), obs_span(obs, "enumerate_extensions"):
@@ -158,19 +154,11 @@ def _brute_rcdp_kernel(run: SearchRun, payload: dict[str, Any],
                 run.checks += 1
                 # Evaluate Q(D ∪ Δ) at most once per candidate; the !=
                 # test (not ⊋) also catches FO answer *loss*.
-                if context is not None:
-                    compatible = satisfies_all_extension(
-                        database, delta, master, constraints,
-                        context=context)
-                    extended_answers = (
-                        context.evaluate_extension(query, database, delta)
-                        if compatible else None)
-                else:
-                    extended = _extend_unvalidated(database, delta)
-                    compatible = satisfies_all(extended, master,
-                                               constraints)
-                    extended_answers = (query.evaluate(extended)
-                                        if compatible else None)
+                compatible = satisfies_all_extension(
+                    database, delta, master, constraints, context=context)
+                extended_answers = (
+                    context.evaluate_extension(query, database, delta)
+                    if compatible else None)
                 if compatible and extended_answers != baseline:
                     new_answers = extended_answers - baseline
                     answer = next(iter(new_answers)) if new_answers else ()
@@ -192,7 +180,6 @@ def brute_force_rcdp(query: Any, database: Instance, master: Instance,
                      governor: ExecutionGovernor | None = None,
                      on_exhausted: str = "error",
                      resume_from: SearchCheckpoint | None = None,
-                     use_engine: bool = True,
                      context: EvaluationContext | None = None,
                      backend: str | None = None,
                      workers: int | None = 1,
@@ -219,9 +206,8 @@ def brute_force_rcdp(query: Any, database: Instance, master: Instance,
     validate_exhaustion_mode(on_exhausted)
     governor = resolve_governor(governor, budget)
     obs = obs_of(governor)
-    context = resolve_context(context, use_engine, backend)
-    engine_base = (context.statistics.copy() if context is not None
-                   else None)
+    context = resolve_context(context, backend)
+    engine_base = context.statistics.copy()
     if check_partially_closed:
         with obs_span(obs, "check_ccs"):
             ensure_partially_closed(database, master, constraints, context)
@@ -244,8 +230,7 @@ def brute_force_rcdp(query: Any, database: Instance, master: Instance,
                           _brute_rcdp_kernel, payload, shards, count=count,
                           governor=governor, context=context)
     stats = stats.merged(total_statistics(outcomes))
-    if context is not None:
-        stats = stats.merged(context.statistics.since(engine_base))
+    stats = stats.merged(context.statistics.since(engine_base))
 
     best = best_witness(outcomes)
     if best is not None:
@@ -315,7 +300,7 @@ def _brute_rcqp_kernel(run: SearchRun, payload: dict[str, Any],
                     verdict = decide_rcdp(
                         query, candidate, master, constraints,
                         check_partially_closed=False, governor=governor,
-                        context=context, use_engine=context is not None)
+                        context=context)
                     sound = verdict.status is RCDPStatus.COMPLETE
                 else:
                     verdict = brute_force_rcdp(
@@ -323,7 +308,7 @@ def _brute_rcqp_kernel(run: SearchRun, payload: dict[str, Any],
                         max_extra_facts=payload["completeness_bound"],
                         values=payload["values"],
                         check_partially_closed=False, governor=governor,
-                        context=context, use_engine=context is not None)
+                        context=context)
                     sound = verdict.status is RCDPStatus.COMPLETE_UP_TO_BOUND
                 if sound:
                     return run.witness((position,), candidate)
@@ -344,7 +329,6 @@ def brute_force_rcqp(query: Any, master: Instance,
                      governor: ExecutionGovernor | None = None,
                      on_exhausted: str = "error",
                      resume_from: SearchCheckpoint | None = None,
-                     use_engine: bool = True,
                      context: EvaluationContext | None = None,
                      backend: str | None = None,
                      workers: int | None = 1,
@@ -375,9 +359,8 @@ def brute_force_rcqp(query: Any, master: Instance,
     count = resolve_workers(workers)
     validate_exhaustion_mode(on_exhausted)
     governor = resolve_governor(governor, budget)
-    context = resolve_context(context, use_engine, backend)
-    engine_base = (context.statistics.copy() if context is not None
-                   else None)
+    context = resolve_context(context, backend)
+    engine_base = context.statistics.copy()
     values = resolve_value_pool(query, constraints, schema, (master,),
                                 values, context)
     pool = tuple(candidate_fact_pool(schema, values))
@@ -407,8 +390,7 @@ def brute_force_rcqp(query: Any, master: Instance,
                           _brute_rcqp_kernel, payload, shards, count=count,
                           governor=governor, context=context)
     stats = stats.merged(total_statistics(outcomes))
-    if context is not None:
-        stats = stats.merged(context.statistics.since(engine_base))
+    stats = stats.merged(context.statistics.since(engine_base))
 
     best = best_witness(outcomes)
     if best is not None:

@@ -68,7 +68,11 @@ from repro.runtime import (ExecutionGovernor, SearchCheckpoint,
 __all__ = ["decide_rcdp", "enumerate_missing_answers",
            "missing_answers_report", "split_ind_constraints",
            "assert_decidable_configuration", "ensure_partially_closed",
-           "resolve_context", "resolve_analysis"]
+           "resolve_context", "resolve_analysis",
+           # Re-exported: the benchmark's traced mode (perfbench/layers.py)
+           # patches this name here; the kernels check through the
+           # context's check programs instead.
+           "satisfies_all_extension"]
 
 _DECIDABLE = frozenset({"CQ", "UCQ", "EFO"})
 
@@ -76,20 +80,13 @@ RowFilter = Callable[[str, tuple], bool]
 
 
 def resolve_context(context: EvaluationContext | None,
-                    use_engine: bool,
-                    backend: str | None = None) -> EvaluationContext | None:
-    """Normalize a decider's ``(context, use_engine, backend)`` triple.
-
-    ``use_engine=False`` forces the pre-engine evaluation paths (for
-    ablation and the engine-equivalence property tests); otherwise a
-    private context is created when the caller did not supply a shared
-    one, running on *backend* (one of
+                    backend: str | None = None) -> EvaluationContext:
+    """The context a decider runs on: the caller's shared one, or a
+    private one on *backend* (one of
     :data:`~repro.relational.backends.BACKEND_NAMES`, ``None`` resolving
     via ``$REPRO_BACKEND``).  A caller-supplied context keeps its own
     backend.
     """
-    if not use_engine:
-        return None
     return context if context is not None else EvaluationContext(
         backend=backend)
 
@@ -157,22 +154,6 @@ def ensure_partially_closed(
 _extend_unvalidated = extend_unvalidated
 
 
-def _extension_check(context: EvaluationContext | None,
-                     templates: TableauTemplates, database: Instance,
-                     master: Instance,
-                     constraints: Sequence[ContainmentConstraint],
-                     ) -> Callable[[tuple], bool]:
-    """``values ↦ (D ∪ templates.facts(values), Dm) ⊨ V``: the context's
-    check program for the tableau, or the materializing check without a
-    context.  Kernels build it at their first check of a tableau."""
-    if context is not None:
-        return context.check_program(templates, database, master,
-                                     constraints)
-    facts = templates.facts
-    return lambda values: satisfies_all_extension(
-        database, facts(values), master, constraints)
-
-
 def split_ind_constraints(
         constraints: Sequence[ContainmentConstraint], master: Instance,
         *, use_ind_pruning: bool = True,
@@ -207,13 +188,13 @@ def split_ind_constraints(
 
 def _prepare_search(query: Any, database: Instance, master: Instance,
                     constraints: Sequence[ContainmentConstraint],
-                    context: EvaluationContext | None,
+                    context: EvaluationContext,
                     ) -> tuple[list[Tableau], ActiveDomain]:
     """Tableaux and active domain for one ``(Q, D, Dm, V)`` decision.
 
-    With a shared context these are memoized, so repeated decisions on
-    the same inputs (audits, completion loops, benchmarks) stop paying
-    the per-entry rebuild cost."""
+    They are memoized on the context, so repeated decisions on the same
+    inputs with a shared context (audits, completion loops, benchmarks)
+    stop paying the per-entry rebuild cost."""
 
     def build() -> tuple[list[Tableau], ActiveDomain]:
         disjuncts = query.to_cq_disjuncts()
@@ -224,8 +205,6 @@ def _prepare_search(query: Any, database: Instance, master: Instance,
             tableaux=[t for t in tableaux if t.satisfiable])
         return tableaux, adom
 
-    if context is None:
-        return build()
     # Content-based key: identical across processes, so parallel workers
     # that rebuild the search space from pickled inputs hit the same memo
     # entry a resumed or repeated run would.
@@ -246,8 +225,7 @@ def _prepare_kernel(run: SearchRun, payload: dict[str, Any],
         tableaux, adom = _prepare_search(query, database, master,
                                          constraints, context)
     with obs_span(obs, "evaluate_Q"):
-        answers = (context.evaluate(query, database)
-                   if context is not None else query.evaluate(database))
+        answers = context.evaluate(query, database)
     row_filter, other_constraints = split_ind_constraints(
         constraints, master, use_ind_pruning=use_ind_pruning,
         context=context)
@@ -293,9 +271,8 @@ def _rcdp_kernel(run: SearchRun, payload: dict[str, Any]) -> ShardOutcome:
                         continue
                     run.checks += 1
                     if other_constraints and check is None:
-                        check = _extension_check(context, templates,
-                                                 database, master,
-                                                 other_constraints)
+                        check = context.check_program(
+                            templates, database, master, other_constraints)
                     if not other_constraints or check(values):
                         return run.witness(rank, (
                             tuple(templates.facts(values)), summary,
@@ -345,9 +322,8 @@ def _missing_kernel(run: SearchRun, payload: dict[str, Any],
                     if other_constraints:
                         run.checks += 1
                         if check is None:
-                            check = _extension_check(context, templates,
-                                                     database, master,
-                                                     other_constraints)
+                            check = context.check_program(
+                                templates, database, master, other_constraints)
                         if not check(values):
                             continue
                     found[summary] = ((tableau_index, prefix, position),
@@ -364,7 +340,7 @@ def _missing_kernel(run: SearchRun, payload: dict[str, Any],
 
 def _validate_rcdp(query: Any, database: Instance, master: Instance,
                    constraints: Sequence[ContainmentConstraint], obs: Any,
-                   context: EvaluationContext | None,
+                   context: EvaluationContext,
                    check_partially_closed: bool, analysis: Report | None,
                    analyze: bool) -> Report | None:
     """The checks every RCDP-style decision makes before it searches."""
@@ -388,7 +364,6 @@ def decide_rcdp(query: Any, database: Instance, master: Instance,
                 governor: ExecutionGovernor | None = None,
                 on_exhausted: str = "error",
                 resume_from: SearchCheckpoint | None = None,
-                use_engine: bool = True,
                 context: EvaluationContext | None = None,
                 backend: str | None = None,
                 analyze: bool = True,
@@ -434,17 +409,13 @@ def decide_rcdp(query: Any, database: Instance, master: Instance,
         the same count.  The enumeration fast-forwards past the
         already-examined (and rejected) prefix without charging the
         governor, and statistics are reported cumulatively.
-    use_engine:
-        When True (default), evaluation runs on the
-        :mod:`repro.engine` — compiled plans, hash-indexed joins, and
-        semi-naive delta evaluation of each candidate's ``(D ∪ Δ, Dm)
-        ⊨ V`` check.  False forces the pre-engine naive paths (ablation
-        and equivalence testing); the verdict is identical.
     context:
-        A shared :class:`~repro.engine.EvaluationContext` carrying
-        plan/index/answer caches across calls (audits, completion
-        loops).  Defaults to a fresh private context when the engine is
-        enabled.  The decider attaches its governor to the context only
+        The :class:`~repro.engine.EvaluationContext` the decision runs
+        on — compiled plans, hash-indexed joins, and a check program
+        per tableau deciding each candidate's ``(D ∪ Δ, Dm) ⊨ V``.  A
+        shared one carries plan/index/answer caches across calls
+        (audits, completion loops); defaults to a fresh private
+        context.  The decider attaches its governor to the context only
         while the search loop runs, so engine work during setup is
         never charged.
     backend:
@@ -487,9 +458,8 @@ def decide_rcdp(query: Any, database: Instance, master: Instance,
     validate_exhaustion_mode(on_exhausted)
     governor = resolve_governor(governor, budget)
     obs = obs_of(governor)
-    context = resolve_context(context, use_engine, backend)
-    engine_base = (context.statistics.copy() if context is not None
-                   else None)
+    context = resolve_context(context, backend)
+    engine_base = context.statistics.copy()
     analysis = _validate_rcdp(query, database, master, constraints, obs,
                               context, check_partially_closed, analysis,
                               analyze)
@@ -500,8 +470,7 @@ def decide_rcdp(query: Any, database: Instance, master: Instance,
         if analysis is not None and resume_from is None else 0))
 
     if analysis is not None and analysis.facts.query_provably_empty:
-        if context is not None:
-            stats = stats.merged(context.statistics.since(engine_base))
+        stats = stats.merged(context.statistics.since(engine_base))
         return RCDPResult(
             status=RCDPStatus.COMPLETE,
             explanation=(
@@ -522,8 +491,7 @@ def decide_rcdp(query: Any, database: Instance, master: Instance,
                           payload, shards, count=count, governor=governor,
                           context=context)
     stats = stats.merged(total_statistics(outcomes))
-    if context is not None:
-        stats = stats.merged(context.statistics.since(engine_base))
+    stats = stats.merged(context.statistics.since(engine_base))
 
     best = best_witness(outcomes)
     if best is not None:
@@ -570,7 +538,6 @@ def missing_answers_report(query: Any, database: Instance,
                            governor: ExecutionGovernor | None = None,
                            on_exhausted: str = "partial",
                            resume_from: SearchCheckpoint | None = None,
-                           use_engine: bool = True,
                            context: EvaluationContext | None = None,
                            backend: str | None = None,
                            analyze: bool = True,
@@ -603,9 +570,8 @@ def missing_answers_report(query: Any, database: Instance,
     validate_exhaustion_mode(on_exhausted)
     governor = resolve_governor(governor, budget)
     obs = obs_of(governor)
-    context = resolve_context(context, use_engine, backend)
-    engine_base = (context.statistics.copy() if context is not None
-                   else None)
+    context = resolve_context(context, backend)
+    engine_base = context.statistics.copy()
     analysis = _validate_rcdp(query, database, master, constraints, obs,
                               context, check_partially_closed, analysis,
                               analyze)
@@ -614,8 +580,7 @@ def missing_answers_report(query: Any, database: Instance,
         if analysis is not None and resume_from is None else 0))
 
     if analysis is not None and analysis.facts.query_provably_empty:
-        if context is not None:
-            stats = stats.merged(context.statistics.since(engine_base))
+        stats = stats.merged(context.statistics.since(engine_base))
         return MissingAnswersReport(answers=frozenset(),
                                     exhaustive=True, statistics=stats)
 
@@ -630,8 +595,7 @@ def missing_answers_report(query: Any, database: Instance,
                           governor=governor, context=context,
                           use_beacon=False)
     stats = stats.merged(total_statistics(outcomes))
-    if context is not None:
-        stats = stats.merged(context.statistics.since(engine_base))
+    stats = stats.merged(context.statistics.since(engine_base))
     answers = [summary for _, summary in merged_finds(outcomes)]
 
     exhausted = first_exhausted(outcomes)
@@ -663,7 +627,6 @@ def enumerate_missing_answers(query: Any, database: Instance,
                               governor: ExecutionGovernor | None = None,
                               on_exhausted: str = "error",
                               resume_from: SearchCheckpoint | None = None,
-                              use_engine: bool = True,
                               context: EvaluationContext | None = None,
                               backend: str | None = None,
                               analyze: bool = True,
@@ -684,6 +647,5 @@ def enumerate_missing_answers(query: Any, database: Instance,
         query, database, master, constraints, limit=limit,
         check_partially_closed=check_partially_closed, budget=budget,
         governor=governor, on_exhausted=on_exhausted,
-        resume_from=resume_from, use_engine=use_engine,
-        context=context, backend=backend, analyze=analyze,
-        analysis=analysis, workers=workers).answers
+        resume_from=resume_from, context=context, backend=backend,
+        analyze=analyze, analysis=analysis, workers=workers).answers

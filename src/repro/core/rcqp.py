@@ -49,7 +49,7 @@ from repro.analysis.driver import validate_for_decision
 from repro.constraints.containment import (ContainmentConstraint,
                                            satisfies_all,
                                            satisfies_all_extension)
-from repro.core.rcdp import (_extend_unvalidated, _extension_check,
+from repro.core.rcdp import (_extend_unvalidated,
                              assert_decidable_configuration, decide_rcdp,
                              resolve_context)
 from repro.core.results import (RCDPStatus, RCQPResult, RCQPStatus,
@@ -153,8 +153,8 @@ def _inds_scan_kernel(run: SearchRun, payload: dict[str, Any],
                     governor.tick("valuations")
                 run.examined += 1
                 if check is None:
-                    check = _extension_check(context, templates, empty_base,
-                                             master, constraints)
+                    check = context.check_program(templates, empty_base,
+                                                  master, constraints)
                 if check(values):
                     return run.witness(rank, True)
                 run.consumed += 1
@@ -192,9 +192,8 @@ def _inds_build_kernel(run: SearchRun, payload: dict[str, Any],
                 summary = templates.summary(values)
                 if summary not in found:
                     if check is None:
-                        check = _extension_check(context, templates,
-                                                 empty_base, master,
-                                                 constraints)
+                        check = context.check_program(templates, empty_base,
+                                                      master, constraints)
                     if check(values):
                         found[summary] = ((prefix, position), summary,
                                           tuple(templates.facts(values)))
@@ -214,7 +213,6 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
                           governor: ExecutionGovernor | None = None,
                           on_exhausted: str = "error",
                           resume_from: SearchCheckpoint | None = None,
-                          use_engine: bool = True,
                           context: EvaluationContext | None = None,
                           backend: str | None = None,
                           workers: int | None = 1,
@@ -243,9 +241,8 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
     validate_exhaustion_mode(on_exhausted)
     governor = resolve_governor(governor, budget)
     obs = obs_of(governor)
-    context = resolve_context(context, use_engine, backend)
-    engine_base = (context.statistics.copy() if context is not None
-                   else None)
+    context = resolve_context(context, backend)
+    engine_base = context.statistics.copy()
     assert_decidable_configuration(query, constraints)
     for constraint in constraints:
         if not constraint.is_ind():
@@ -267,10 +264,8 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
     searched = SearchStatistics()
 
     def _stats() -> SearchStatistics:
-        stats = base_stats.merged(searched)
-        if context is not None:
-            stats = stats.merged(context.statistics.since(engine_base))
-        return stats
+        return base_stats.merged(searched).merged(
+            context.statistics.since(engine_base))
 
     def _exhausted(cursor_phase: int, index: int, at: list,
                    reason: str) -> RCQPResult:
@@ -287,8 +282,8 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
                 extra=(tuple(relevant), tuple(witness_facts))),
             interrupted=reason), on_exhausted)
 
-    # Every per-valuation Δ extends this one empty base, so with a
-    # context the constraint checks run on the delta path against it.
+    # Every per-valuation Δ extends this one empty base, so the
+    # constraint checks run on the delta path against it.
     payload = dict(query=query, master=master,
                    constraints=tuple(constraints), schema=schema,
                    empty_base=Instance.empty(schema))
@@ -300,10 +295,7 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
                           shards, count=count, governor=governor,
                           context=context, use_beacon=use_beacon)
 
-    prev_governor = context.governor if context is not None else None
-    if context is not None:
-        context.governor = governor
-    try:
+    with context.governed(governor):
         if phase == 0:
             with obs_span(obs, "enumerate_E3"):
                 for t_index in range(start, len(tableaux)):
@@ -361,7 +353,7 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
                         verdict = decide_rcdp(
                             query, witness, master, constraints,
                             governor=governor, context=context,
-                            use_engine=context is not None, workers=count)
+                            workers=count)
                 except ExecutionInterrupted as interrupt:
                     # Verification restarts from scratch on resume: the
                     # cursor points past the whole build.
@@ -371,9 +363,6 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
                     raise ReproError(
                         "internal error: Proposition 4.3 witness failed "
                         "RCDP verification — please report this as a bug")
-    finally:
-        if context is not None:
-            context.governor = prev_governor
     return RCQPResult(
         status=RCQPStatus.NONEMPTY,
         witness=witness,
@@ -485,8 +474,8 @@ def _candidate_is_bounding(schema: DatabaseSchema, master: Instance,
                            adom: ActiveDomain,
                            dv_facts: frozenset[Fact],
                            bound_values: frozenset,
-                           governor: ExecutionGovernor | None = None,
-                           context: EvaluationContext | None = None,
+                           governor: ExecutionGovernor | None,
+                           context: EvaluationContext,
                            ) -> bool:
     """Condition E2/E6 for one candidate set: every constraint-compatible
     valid valuation must have all its infinite-domain output variables
@@ -510,15 +499,8 @@ def _candidate_is_bounding(schema: DatabaseSchema, master: Instance,
             if all(valuation[v] in bound_values for v in infinite_vars):
                 continue
             delta = tableau.instantiate(valuation)
-            if context is not None:
-                compatible = satisfies_all_extension(
-                    dv_instance, delta, master, constraints,
-                    context=context)
-            else:
-                compatible = satisfies_all(
-                    _extend_unvalidated(dv_instance, delta), master,
-                    constraints)
-            if compatible:
+            if satisfies_all_extension(dv_instance, delta, master,
+                                       constraints, context=context):
                 return False
     return True
 
@@ -543,7 +525,7 @@ def _rcqp_search_space(query: Any, master: Instance,
 def _verified_witness(payload: dict[str, Any], combo: Sequence[ValuationUnit],
                       q_tableaux: Sequence[Tableau], adom: ActiveDomain,
                       ground_rows: list[Fact], governor: Any,
-                      context: EvaluationContext | None, obs: Any,
+                      context: EvaluationContext, obs: Any,
                       ) -> Instance | None:
     """The witness database of one candidate set, or None: ``D_V`` must
     bound the query (E2/E6) and satisfy ``V`` with the ground tableau
@@ -564,16 +546,14 @@ def _verified_witness(payload: dict[str, Any], combo: Sequence[ValuationUnit],
     outcome = make_complete(
         query, witness, master, constraints,
         max_rounds=payload["max_completion_rounds"], governor=governor,
-        on_exhausted="error", context=context,
-        use_engine=context is not None)
+        on_exhausted="error", context=context)
     if not outcome.complete:
         return None
     if payload["verify_witness"]:
         with obs_span(obs, "verify_witness"):
             verdict = decide_rcdp(query, outcome.database, master,
                                   constraints, governor=governor,
-                                  context=context,
-                                  use_engine=context is not None)
+                                  context=context)
         if verdict.status is not RCDPStatus.COMPLETE:
             return None  # conservative: keep searching
     return outcome.database
@@ -628,7 +608,6 @@ def decide_rcqp(query: Any, master: Instance,
                 governor: ExecutionGovernor | None = None,
                 on_exhausted: str = "error",
                 resume_from: SearchCheckpoint | None = None,
-                use_engine: bool = True,
                 context: EvaluationContext | None = None,
                 backend: str | None = None,
                 analyze: bool = True,
@@ -676,15 +655,13 @@ def decide_rcqp(query: Any, master: Instance,
                                      budget=budget, governor=governor,
                                      on_exhausted=on_exhausted,
                                      resume_from=resume_from,
-                                     use_engine=use_engine,
                                      context=context, backend=backend,
                                      workers=workers)
     count = resolve_workers(workers)
     governor = resolve_governor(governor, budget)
     obs = obs_of(governor)
-    context = resolve_context(context, use_engine, backend)
-    engine_base = (context.statistics.copy() if context is not None
-                   else None)
+    context = resolve_context(context, backend)
+    engine_base = context.statistics.copy()
     assert_decidable_configuration(query, constraints)
     if analysis is None and analyze:
         # RCQP has no database D — the scenario rules that need one
@@ -724,74 +701,75 @@ def decide_rcqp(query: Any, master: Instance,
             units_examined=new_units,
             analysis_warnings=fresh_warnings)).merged(
             total_statistics(outcomes))
-        if context is not None:
-            stats = stats.merged(context.statistics.since(engine_base))
-        return stats
+        return stats.merged(context.statistics.since(engine_base))
 
-    prev_governor = context.governor if context is not None else None
-    if context is not None:
-        context.governor = governor
-    try:
-        # Condition E1/E5: all output variables range over finite domains.
-        if all(tableau.has_finite_domain(v)
-               for tableau in q_tableaux
-               for v in tableau.summary_variables()):
-            outcome = make_complete(
-                query, Instance.empty(schema), master, constraints,
-                max_rounds=max_completion_rounds, governor=governor,
-                on_exhausted="error", context=context,
-                use_engine=context is not None, workers=count)
-            if outcome.complete:
-                return RCQPResult(
-                    status=RCQPStatus.NONEMPTY,
-                    witness=outcome.database,
-                    explanation=(
-                        "all output variables have finite domains "
-                        "(condition E1/E5); witness built by certificate "
-                        "completion"))
-            raise ReproError(
-                "internal error: E1/E5 completion did not converge — raise "
-                "max_completion_rounds or report this as a bug")
+    with context.governed(governor):
+        try:
+            # Condition E1/E5: all output variables range over finite
+            # domains.
+            if all(tableau.has_finite_domain(v)
+                   for tableau in q_tableaux
+                   for v in tableau.summary_variables()):
+                outcome = make_complete(
+                    query, Instance.empty(schema), master, constraints,
+                    max_rounds=max_completion_rounds, governor=governor,
+                    on_exhausted="error", context=context, workers=count)
+                if outcome.complete:
+                    # The completion shares the context, so _stats()
+                    # already holds its engine counters.
+                    completion = outcome.statistics
+                    return RCQPResult(
+                        status=RCQPStatus.NONEMPTY,
+                        witness=outcome.database,
+                        explanation=(
+                            "all output variables have finite domains "
+                            "(condition E1/E5); witness built by "
+                            "certificate completion"),
+                        statistics=_stats().merged(SearchStatistics(
+                            valuations_examined=completion.valuations_examined,
+                            constraint_checks=completion.constraint_checks)))
+                raise ReproError(
+                    "internal error: E1/E5 completion did not converge — "
+                    "raise max_completion_rounds or report this as a bug")
 
-        # Condition E2/E6: search for a bounding set of partial
-        # valuations.  The units are enumerated here, in order, since
-        # that order defines the candidate-set stream every shard
-        # indexes into; a resumed phase 1 rebuilds them without charge.
-        with obs_span(obs, "enumerate_units"):
-            if phase == 0:
-                units = _enumerate_units(
-                    cc_tableaux, adom, max_rows_per_unit,
-                    governor=governor, skip=start_units, progress=frontier)
-                new_units = max(0, frontier["units"] - start_units)
-            else:
-                units = _enumerate_units(cc_tableaux, adom,
-                                         max_rows_per_unit)
-        payload = dict(query=query, master=master,
-                       constraints=tuple(constraints), schema=schema,
-                       units=tuple(units),
-                       max_size=min(max_valuation_set_size, len(units)),
-                       max_completion_rounds=max_completion_rounds,
-                       verify_witness=verify_witness)
-        outcomes = run_search("decide_rcqp_parallel", "rcqp-sets",
-                              _rcqp_sets_kernel, payload, shards,
-                              count=count, governor=governor,
-                              context=context)
-    except ExecutionInterrupted as interrupt:
-        stats = _stats()
-        return exhausted_result(RCQPResult(
-            status=RCQPStatus.EXHAUSTED,
-            explanation=(
-                f"search interrupted ({interrupt.reason}) at unit "
-                f"enumeration position {frontier['units']}; resume from "
-                f"the checkpoint to continue"),
-            statistics=stats,
-            checkpoint=search_checkpoint(
-                "rcqp", fresh_shards(), stats,
-                position=(0, frontier["units"])),
-            interrupted=interrupt.reason), on_exhausted)
-    finally:
-        if context is not None:
-            context.governor = prev_governor
+            # Condition E2/E6: search for a bounding set of partial
+            # valuations.  The units are enumerated here, in order, since
+            # that order defines the candidate-set stream every shard
+            # indexes into; a resumed phase 1 rebuilds them without
+            # charge.
+            with obs_span(obs, "enumerate_units"):
+                if phase == 0:
+                    units = _enumerate_units(
+                        cc_tableaux, adom, max_rows_per_unit,
+                        governor=governor, skip=start_units,
+                        progress=frontier)
+                    new_units = max(0, frontier["units"] - start_units)
+                else:
+                    units = _enumerate_units(cc_tableaux, adom,
+                                             max_rows_per_unit)
+            payload = dict(query=query, master=master,
+                           constraints=tuple(constraints), schema=schema,
+                           units=tuple(units),
+                           max_size=min(max_valuation_set_size, len(units)),
+                           max_completion_rounds=max_completion_rounds,
+                           verify_witness=verify_witness)
+            outcomes = run_search("decide_rcqp_parallel", "rcqp-sets",
+                                  _rcqp_sets_kernel, payload, shards,
+                                  count=count, governor=governor,
+                                  context=context)
+        except ExecutionInterrupted as interrupt:
+            stats = _stats()
+            return exhausted_result(RCQPResult(
+                status=RCQPStatus.EXHAUSTED,
+                explanation=(
+                    f"search interrupted ({interrupt.reason}) at unit "
+                    f"enumeration position {frontier['units']}; resume "
+                    f"from the checkpoint to continue"),
+                statistics=stats,
+                checkpoint=search_checkpoint(
+                    "rcqp", fresh_shards(), stats,
+                    position=(0, frontier["units"])),
+                interrupted=interrupt.reason), on_exhausted)
 
     stats = _stats()
     best = best_witness(outcomes)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, ContextManager, Iterable, Iterator
 
@@ -211,8 +210,7 @@ class SearchRun:
         #: The ``SearchStatistics`` field :attr:`examined` is reported in.
         self.examined_as = "valuations_examined"
         self.found: dict = {entry[1]: entry for entry in shard.carried}
-        self._engine_base = (context.statistics.copy()
-                             if owns_context and context is not None
+        self._engine_base = (context.statistics.copy() if owns_context
                              else None)
 
     @property
@@ -224,8 +222,6 @@ class SearchRun:
     def governed(self) -> ContextManager[Any]:
         """Attach the governor to the context for the search loop, so
         index builds inside it tick the budget."""
-        if self.context is None:
-            return nullcontext()
         return self.context.governed(self.governor)
 
     def statistics(self) -> SearchStatistics:

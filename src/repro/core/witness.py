@@ -75,7 +75,6 @@ def make_complete(query: Any, database: Instance, master: Instance,
                   *, max_rounds: int = 32,
                   governor: ExecutionGovernor | None = None,
                   on_exhausted: str = "partial",
-                  use_engine: bool = True,
                   context: EvaluationContext | None = None,
                   backend: str | None = None,
                   analyze: bool = True,
@@ -108,7 +107,7 @@ def make_complete(query: Any, database: Instance, master: Instance,
 
     validate_exhaustion_mode(on_exhausted)
     obs = obs_of(governor)
-    context = resolve_context(context, use_engine, backend)
+    context = resolve_context(context, backend)
     with obs_span(obs, "analyze"):
         analysis = resolve_analysis(query, constraints, database, master,
                                     analysis, analyze)
@@ -133,8 +132,7 @@ def make_complete(query: Any, database: Instance, master: Instance,
             verdict: RCDPResult = decide_rcdp(
                 query, current, master, constraints,
                 check_partially_closed=(round_index == 0),
-                governor=governor, context=context,
-                use_engine=context is not None, analysis=analysis,
+                governor=governor, context=context, analysis=analysis,
                 analyze=False, workers=workers)
             _merge(verdict.statistics)
             if verdict.status is RCDPStatus.COMPLETE:
@@ -154,7 +152,6 @@ def make_complete(query: Any, database: Instance, master: Instance,
         verdict = decide_rcdp(query, current, master, constraints,
                               check_partially_closed=False,
                               governor=governor, context=context,
-                              use_engine=context is not None,
                               analysis=analysis, analyze=False,
                               workers=workers)
         _merge(verdict.statistics)
@@ -175,8 +172,7 @@ def make_complete(query: Any, database: Instance, master: Instance,
 
 def minimize_witness(query: Any, database: Instance, master: Instance,
                      constraints: Sequence[ContainmentConstraint],
-                     *, use_engine: bool = True,
-                     context: EvaluationContext | None = None,
+                     *, context: EvaluationContext | None = None,
                      backend: str | None = None,
                      governor: ExecutionGovernor | None = None) -> Instance:
     """Shrink a relatively complete database while keeping it complete.
@@ -189,15 +185,13 @@ def minimize_witness(query: Any, database: Instance, master: Instance,
     Raises :class:`~repro.errors.ReproError` if *database* is not
     relatively complete to begin with.
     """
-    context = resolve_context(context, use_engine, backend)
+    context = resolve_context(context, backend)
     obs = obs_of(governor)
     analysis = resolve_analysis(query, constraints, database, master,
                                 None, True)
     verdict = decide_rcdp(query, database, master, constraints,
-                          context=context,
-                          use_engine=context is not None,
-                          analysis=analysis, analyze=False,
-                          governor=governor)
+                          context=context, analysis=analysis,
+                          analyze=False, governor=governor)
     if verdict.status is not RCDPStatus.COMPLETE:
         raise ReproError(
             "minimize_witness requires a relatively complete database")
@@ -217,10 +211,8 @@ def minimize_witness(query: Any, database: Instance, master: Instance,
                     continue
                 shrunk = decide_rcdp(query, candidate, master, constraints,
                                      check_partially_closed=False,
-                                     context=context,
-                                     use_engine=context is not None,
-                                     analysis=analysis, analyze=False,
-                                     governor=governor)
+                                     context=context, analysis=analysis,
+                                     analyze=False, governor=governor)
                 if shrunk.status is RCDPStatus.COMPLETE:
                     current = candidate
                     changed = True

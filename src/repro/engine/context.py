@@ -23,8 +23,11 @@ Instances cannot be weak-referenced (``__slots__`` without
 pinned in an LRU table; eviction purges every dependent cache entry, so
 a recycled ``id()`` can never alias stale answers.
 
-A context is optional everywhere: every public API works without one,
-and creates no cross-call state when none is given.
+Every decider runs on a context: the caller's shared one, or a private
+one it creates (:func:`repro.core.rcdp.resolve_context`).  The
+query-level APIs (``query.evaluate``, :mod:`repro.constraints.
+containment`) take one optionally and keep no cross-call state without
+it.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ count with ``exhaustive=False``.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -45,7 +44,11 @@ from repro.runtime import (ExecutionGovernor, resolve_governor,
                            validate_exhaustion_mode)
 
 __all__ = ["CountReport", "count_missing_answers",
-           "count_completing_extensions"]
+           "count_completing_extensions",
+           # Re-exported: the benchmark's traced mode (perfbench/layers.py)
+           # patches this name here; the count checks through the
+           # context's check programs instead.
+           "satisfies_all_extension"]
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,6 @@ def count_missing_answers(query: Any, database: Instance,
                           budget: int | None = None,
                           governor: ExecutionGovernor | None = None,
                           on_exhausted: str = "partial",
-                          use_engine: bool = True,
                           context: EvaluationContext | None = None,
                           backend: str | None = None,
                           workers: int | None = 1) -> CountReport:
@@ -90,9 +92,8 @@ def count_missing_answers(query: Any, database: Instance,
     report = missing_answers_report(
         query, database, master, constraints, limit=limit,
         check_partially_closed=check_partially_closed, budget=budget,
-        governor=governor, on_exhausted=on_exhausted,
-        use_engine=use_engine, context=context, backend=backend,
-        workers=workers)
+        governor=governor, on_exhausted=on_exhausted, context=context,
+        backend=backend, workers=workers)
     return CountReport(count=len(report.answers),
                        exhaustive=report.exhaustive,
                        statistics=report.statistics,
@@ -108,7 +109,6 @@ def count_completing_extensions(
         budget: int | None = None,
         governor: ExecutionGovernor | None = None,
         on_exhausted: str = "partial",
-        use_engine: bool = True,
         context: EvaluationContext | None = None,
         backend: str | None = None) -> CountReport:
     """Count the distinct completing extensions of ``D``.
@@ -128,9 +128,8 @@ def count_completing_extensions(
     validate_exhaustion_mode(on_exhausted)
     governor = resolve_governor(governor, budget)
     obs = obs_of(governor)
-    context = resolve_context(context, use_engine, backend)
-    engine_base = (context.statistics.copy() if context is not None
-                   else None)
+    context = resolve_context(context, backend)
+    engine_base = context.statistics.copy()
     assert_decidable_configuration(query, constraints)
     query.validate(database.schema)
     if check_partially_closed:
@@ -145,8 +144,7 @@ def count_completing_extensions(
             queries=[query] + [c.query for c in constraints],
             tableaux=[t for t in tableaux if t.satisfiable])
     with obs_span(obs, "evaluate_Q"):
-        answers = (context.evaluate(query, database)
-                   if context is not None else query.evaluate(database))
+        answers = context.evaluate(query, database)
 
     row_filter, other_constraints = split_ind_constraints(
         constraints, master, context=context)
@@ -156,16 +154,14 @@ def count_completing_extensions(
     constraint_checks = 0
 
     def _stats() -> SearchStatistics:
-        stats = SearchStatistics(valuations_examined=examined,
-                                 constraint_checks=constraint_checks)
-        if context is not None:
-            stats = stats.merged(context.statistics.since(engine_base))
-        return stats
+        return SearchStatistics(
+            valuations_examined=examined,
+            constraint_checks=constraint_checks).merged(
+            context.statistics.since(engine_base))
 
-    governed = (context.governed(governor) if context is not None
-                else nullcontext())
     try:
-        with governed, obs_span(obs, "enumerate_valuations"):
+        with context.governed(governor), obs_span(obs,
+                                                  "enumerate_valuations"):
             for tableau in tableaux:
                 if not tableau.satisfiable:
                     continue
@@ -192,18 +188,11 @@ def count_completing_extensions(
                         continue
                     if other_constraints:
                         constraint_checks += 1
-                        if context is None:
-                            if not satisfies_all_extension(
-                                    database, delta, master,
-                                    other_constraints):
-                                continue
-                        else:
-                            if check is None:
-                                check = context.check_program(
-                                    templates, database, master,
-                                    other_constraints)
-                            if not check(values):
-                                continue
+                        if check is None:
+                            check = context.check_program(
+                                templates, database, master, other_constraints)
+                        if not check(values):
+                            continue
                     extensions.add(fresh)
                     if (max_extensions is not None
                             and len(extensions) >= max_extensions):

@@ -108,8 +108,6 @@ class CompletenessAudit:
     schema: DatabaseSchema
     max_completion_rounds: int = 32
     rcqp_valuation_set_size: int = 1
-    #: Turn off to run every stage on the naive evaluators (ablation).
-    use_engine: bool = True
     #: Storage backend for the audit's context (``"python"``,
     #: ``"columnar"``, ``"sqlite"``; None resolves via $REPRO_BACKEND).
     backend: str | None = None
@@ -124,10 +122,10 @@ class CompletenessAudit:
         default=None, init=False, repr=False, compare=False)
 
     @property
-    def context(self) -> EvaluationContext | None:
-        """The audit's persistent evaluation context (None when the
-        engine is disabled)."""
-        if self.use_engine and self._context is None:
+    def context(self) -> EvaluationContext:
+        """The audit's persistent evaluation context, created on first
+        use."""
+        if self._context is None:
             self._context = EvaluationContext(backend=self.backend)
         return self._context
 
@@ -154,10 +152,8 @@ class CompletenessAudit:
             rcdp = decide_rcdp(query, database, self.master,
                                list(self.constraints), governor=governor,
                                on_exhausted=on_exhausted,
-                               context=context,
-                               use_engine=context is not None,
-                               analysis=analysis, analyze=False,
-                               workers=self.workers)
+                               context=context, analysis=analysis,
+                               analyze=False, workers=self.workers)
         if rcdp.is_exhausted:
             return AuditReport(verdict=AuditVerdict.INCONCLUSIVE,
                                rcdp=rcdp, analysis=analysis)
@@ -170,8 +166,8 @@ class CompletenessAudit:
                 query, self.master, list(self.constraints), self.schema,
                 max_valuation_set_size=self.rcqp_valuation_set_size,
                 governor=governor, on_exhausted=on_exhausted,
-                context=context, use_engine=context is not None,
-                analysis=analysis, analyze=False, workers=self.workers)
+                context=context, analysis=analysis, analyze=False,
+                workers=self.workers)
         if rcqp.is_exhausted:
             return AuditReport(verdict=AuditVerdict.INCONCLUSIVE,
                                rcdp=rcdp, rcqp=rcqp, analysis=analysis)
@@ -181,8 +177,8 @@ class CompletenessAudit:
                     query, database, self.master, list(self.constraints),
                     max_rounds=self.max_completion_rounds,
                     governor=governor, on_exhausted=on_exhausted,
-                    context=context, use_engine=context is not None,
-                    analysis=analysis, analyze=False, workers=self.workers)
+                    context=context, analysis=analysis, analyze=False,
+                    workers=self.workers)
             return AuditReport(verdict=AuditVerdict.COLLECT_DATA,
                                rcdp=rcdp, rcqp=rcqp, completion=completion,
                                analysis=analysis)

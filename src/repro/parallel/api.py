@@ -65,23 +65,21 @@ __all__ = ["fan_out", "decide_rcdp_parallel", "missing_answers_parallel",
 def fan_out(kind: str, kernel: Kernel, payload: dict[str, Any],
             shards: Sequence[ShardSpec], *,
             governor: ExecutionGovernor | None,
-            context: EvaluationContext | None,
+            context: EvaluationContext,
             use_beacon: bool = True) -> list[ShardOutcome]:
     """Run *kernel* once per shard in a worker pool; one outcome per
     shard, in shard order.
 
     Workers build private evaluation contexts on the parent context's
-    backend (the engine stays off when the parent runs without one).
-    *use_beacon* lets shards stop at candidates ranked after a sibling's
-    witness; full scans (partial-answer kernels) run without it.
+    backend.  *use_beacon* lets shards stop at candidates ranked after a
+    sibling's witness; full scans (partial-answer kernels) run without
+    it.
     """
     specs = split_governor(governor, len(shards),
                            consumed=[shard.skip for shard in shards],
                            done=[shard.done for shard in shards])
     tasks = [ShardTask(kind=kind, kernel=kernel, shard=shard, governor=spec,
-                       use_engine=context is not None, payload=payload,
-                       backend=(context.backend if context is not None
-                                else "python"))
+                       payload=payload, backend=context.backend)
              for shard, spec in zip(shards, specs)]
     outcomes = run_shards(tasks, governor=governor, use_beacon=use_beacon)
     if governor is not None:

@@ -55,7 +55,6 @@ class ShardTask:
     kernel: Kernel
     shard: ShardSpec
     governor: GovernorSpec | None
-    use_engine: bool
     payload: dict[str, Any]
     backend: str = "python"
 
@@ -99,9 +98,8 @@ def run_task(task: ShardTask, beacon: WitnessBeacon | None, governor: Any,
              beat: _Beat | None = None) -> ShardOutcome:
     """Run the task's kernel on a fresh context of its own, whose engine
     counters the outcome then reports."""
-    context = (EvaluationContext(backend=task.backend)
-               if task.use_engine else None)
-    run = SearchRun(task.shard, governor, context, beacon=beacon,
+    run = SearchRun(task.shard, governor,
+                    EvaluationContext(backend=task.backend), beacon=beacon,
                     beat=beat, owns_context=True)
     return task.kernel(run, task.payload)
 

@@ -7,9 +7,13 @@ agreements are checked on random queries and instances:
 1. the compiled/indexed engine path equals the naive evaluator;
 2. the semi-naive delta rule ``Q(D ∪ Δ)`` equals naive evaluation of the
    materialized union (with Δ deliberately allowed to overlap ``D``);
-3. the RCDP decider reaches the same verdict with the engine on and off.
+3. the RCDP decider reaches the verdict of the materializing reference
+   (``benchmarks/reference_rcdp.py``).
 """
 
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,12 +23,14 @@ from repro.constraints.ind import InclusionDependency
 from repro.core.rcdp import decide_rcdp
 from repro.core.results import RCDPStatus
 from repro.engine import EvaluationContext, compile_plan
+from repro.io.json_io import load_bundle
 from repro.queries.atoms import neq, rel
 from repro.queries.cq import cq
 from repro.queries.terms import Var, var
 from repro.relational.instance import Instance, extend_unvalidated
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
+from benchmarks.reference_rcdp import reference_rcdp
 from tests.strategies import (conjunctive_queries, extension_facts,
                               instances, union_queries)
 
@@ -213,10 +219,10 @@ class TestDeciderAblation:
         constraints = [_IND, _EMPTY_CC]
         if not satisfies_all(db, _DM, constraints):
             return
-        engine = decide_rcdp(_Q, db, _DM, constraints, use_engine=True)
-        naive = decide_rcdp(_Q, db, _DM, constraints, use_engine=False)
-        assert engine.status is naive.status
-        assert (engine.certificate is None) == (naive.certificate is None)
+        engine = decide_rcdp(_Q, db, _DM, constraints)
+        status, certificate, _ = reference_rcdp(_Q, db, _DM, constraints)
+        assert engine.status is status
+        assert (engine.certificate is None) == (certificate is None)
 
     @settings(max_examples=40, deadline=None)
     @given(rows=_s_rows)
@@ -230,6 +236,26 @@ class TestDeciderAblation:
         second = decide_rcdp(_Q, db, _DM, constraints, context=shared)
         fresh = decide_rcdp(_Q, db, _DM, constraints)
         assert first.status is second.status is fresh.status
+
+    @pytest.mark.parametrize("path", sorted(
+        (Path(__file__).resolve().parent.parent / "examples" / "bundles")
+        .glob("*.json")), ids=lambda path: path.stem)
+    def test_rcdp_matches_reference_on_shipped_bundles(self, path):
+        """The bundles add multi-atom, CIND, denial and key constraints
+        to the IND and empty-target constraint the properties above
+        draw."""
+        bundle = load_bundle(path)
+        inputs = (bundle["query"], bundle["database"], bundle["master"],
+                  bundle["constraints"])
+        result = decide_rcdp(*inputs)
+        status, certificate, checks = reference_rcdp(*inputs)
+        assert result.status is status
+        if result.certificate is None:
+            assert certificate is None
+        else:
+            assert certificate == (result.certificate.extension_facts,
+                                   result.certificate.new_answer)
+        assert result.statistics.constraint_checks == checks
 
     def test_engine_statistics_populated(self):
         db = Instance(_SCHEMA, {"S": {("e0", "c1")}})

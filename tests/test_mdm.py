@@ -1,11 +1,13 @@
 """Tests for the CRM scenario, generators, and the §2.3 audit workflow."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.constraints.containment import satisfies_all
 from repro.core.results import RCDPStatus
+from repro.io.json_io import load_bundle
 from repro.mdm.audit import AuditVerdict, CompletenessAudit
 from repro.mdm.generators import GeneratorConfig, generate_scenario
 from repro.mdm.scenario import CRMScenario
@@ -112,6 +114,23 @@ class TestAudit:
         q = cq([var("e")], [rel("Supt", var("e"), var("d"), var("c"))])
         report = audit.assess(q, scenario.database())
         assert report.verdict is AuditVerdict.EXPAND_MASTER_DATA
+
+    def test_assessments_share_one_context(self):
+        """``Dm`` and ``V`` stay fixed, so the second assessment's RCDP
+        stage reuses the plans and answers the first one built."""
+        bundle = load_bundle(Path(__file__).resolve().parent.parent
+                             / "examples" / "bundles"
+                             / "crm_q2_supported_ind.json")
+        audit = CompletenessAudit(master=bundle["master"],
+                                  constraints=bundle["constraints"],
+                                  schema=bundle["schema"])
+        context = audit.context
+        reports = [audit.assess(bundle["query"], bundle["database"])
+                   for _ in range(2)]
+        assert audit.context is context
+        assert [(report.rcdp.statistics.plans_compiled,
+                 report.rcdp.statistics.full_evaluations)
+                for report in reports] == [(2, 2), (0, 0)]
 
     def test_summary_readable(self, scenario):
         audit = self._audit(scenario)

@@ -17,6 +17,7 @@ from repro.relational.domain import BOOLEAN
 from repro.relational.instance import Instance
 from repro.relational.schema import (Attribute, DatabaseSchema,
                                      RelationSchema)
+from repro.runtime import Budget, ExecutionGovernor
 
 SCHEMA = DatabaseSchema([
     RelationSchema("Supt", ["eid", "dept", "cid"]),
@@ -108,6 +109,21 @@ class TestGeneralE1:
         assert result.status is RCQPStatus.NONEMPTY
         verdict = decide_rcdp(q, result.witness, DM, fd_ccs)
         assert verdict.status is RCDPStatus.COMPLETE
+
+    def test_all_finite_outputs_report_the_completion_search(self):
+        """The E1/E5 verdict counts the completion's valuations and the
+        index builds it paid for, as the governor does."""
+        fd_ccs = FunctionalDependency(
+            "Supt", ["eid"], ["dept"]).to_containment_constraints(SCHEMA)
+        q = cq([var("b")], [rel("Flag", var("b"))])
+        governor = ExecutionGovernor(budget=Budget())
+        result = decide_rcqp(q, DM, fd_ccs, SCHEMA, governor=governor)
+        assert result.status is RCQPStatus.NONEMPTY
+        ticks = governor.budget.snapshot()
+        stats = result.statistics
+        assert stats.valuations_examined == ticks["valuations"] > 0
+        # sqlite pushes the joins down and builds no index.
+        assert stats.index_builds == ticks.get("index_builds", 0)
 
     def test_no_constraints_infinite_output_empty(self):
         q = cq([var("c")], [rel("Supt", "e0", var("d"), var("c"))])
