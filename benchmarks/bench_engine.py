@@ -19,11 +19,18 @@ A second section isolates the evaluation strategies on the φ1 check
 itself (the decider hot loop's unit of work): naive re-evaluation vs
 indexed re-evaluation vs the semi-naive delta rule.
 
-A third section pins the observability contract: a governed decider run
-with a *disabled* :class:`~repro.obs.Observation` attached must stay
+A third section times ``count_completing_extensions`` on the
+``general`` shape (one 908-area domestic customer, one international
+customer, the default CRM constraints): 28,561 valuations and 26,364
+check-program calls, the check layer's many-cheap-checks end.  Its
+count and exact counters are asserted in every mode.
+
+A fourth section pins the observability contract: a governed decider
+run with a *disabled* :class:`~repro.obs.Observation` attached must stay
 within ``OBS_OFF_OVERHEAD`` of the same run with no observation at all
 (the enabled-tracing cost is reported informationally), and so must the
-same run plus one run-ledger append, timed where the search dominates.
+same run plus one run-ledger append.  Both are timed where the search
+dominates, in alternating rounds, and gate the median per-round ratio.
 
 Run from the repository root::
 
@@ -51,6 +58,7 @@ from report_schema import (bench_gate, bench_report, bench_row,
                            check_gates, write_report)
 from repro.core.rcdp import decide_rcdp
 from repro.engine import EvaluationContext
+from repro.incomplete.counting import count_completing_extensions
 from repro.mdm.generators import GeneratorConfig, generate_scenario
 from repro.obs import Observation
 from repro.obs.ledger import RunRecord, append_record, run_key
@@ -62,6 +70,12 @@ from repro.runtime import Budget, ExecutionGovernor
 REQUIRED_SPEEDUP = 5.0
 #: Disabled tracing must cost < 5% on a governed decider run.
 OBS_OFF_OVERHEAD = 1.05
+#: The ``general`` count and its exact counters (shape-determined: the
+#: generator's draw only picks names and the department).
+GENERAL_COUNT = 24_336
+GENERAL_COUNTERS = {"valuations_examined": 28_561,
+                    "constraint_checks": 26_364,
+                    "delta_evaluations": 52_728}
 
 
 @contextmanager
@@ -157,6 +171,48 @@ def bench_rcdp(num_domestic: int, repeats: int) -> dict:
     }
 
 
+def _general_inputs() -> tuple:
+    """``(Q0, D, Dm, V)`` on the ``general`` shape: one domestic
+    customer in the 908 area (draws are retried until it is), supported
+    by one employee, and one international customer, under the default
+    constraints (φ0, cust01, the management IND)."""
+    config = GeneratorConfig(num_domestic=1, num_international=1,
+                             num_employees=1, support_probability=1.0,
+                             management_depth=0)
+    attempt = 0
+    while True:
+        scenario = generate_scenario(
+            config, random.Random(f"bench-engine:general:{attempt}"))
+        if scenario.domestic[0].ac == "908":
+            return (scenario.q0_customers_with_area_code(),
+                    scenario.database(), scenario.master(),
+                    scenario.default_constraints())
+        attempt += 1
+
+
+def bench_counting(repeats: int) -> dict:
+    """``count_completing_extensions`` on the ``general`` shape; the
+    count and the exact counters are asserted."""
+    inputs = _general_inputs()
+    count_s, report = _time(lambda: count_completing_extensions(*inputs),
+                            repeats)
+    stats = report.statistics
+    counters = {name: getattr(stats, name) for name in GENERAL_COUNTERS}
+    assert report.exhaustive and report.count == GENERAL_COUNT, report
+    assert counters == GENERAL_COUNTERS, counters
+    return {
+        "count": report.count,
+        "count_s": round(count_s, 6),
+        "us_per_valuation": round(
+            count_s / stats.valuations_examined * 1e6, 3),
+        "engine_stats": dict(
+            counters, plans_compiled=stats.plans_compiled,
+            index_builds=stats.index_builds,
+            engine_cache_hits=stats.engine_cache_hits,
+            full_evaluations=stats.full_evaluations),
+    }
+
+
 def bench_extension_check(num_domestic: int, repeats: int) -> dict:
     """One hot-loop unit of work, three ways: is the φ1 query's answer
     changed by adding a single Supt fact?"""
@@ -204,44 +260,71 @@ def _governed_decide(inputs: tuple, attach: bool | None = None):
     return decide_rcdp(*inputs, governor=governor), governor
 
 
-def bench_obs_overhead(num_domestic: int, repeats: int) -> dict:
+def _alternating(variants: list, rounds: int) -> tuple[dict, object]:
+    """Wall times of each ``(name, fn)`` variant over *rounds* rounds,
+    after one untimed warm-up of each, every round in the opposite order
+    to the last (a slow spell on the host moves all of a round instead
+    of one variant); also the last return value."""
+    times: dict[str, list[float]] = {name: [] for name, _ in variants}
+    for _, fn in variants:
+        value = fn()
+    for index in range(rounds):
+        for name, fn in variants[::-1 if index % 2 else 1]:
+            start = time.perf_counter()
+            value = fn()
+            times[name].append(time.perf_counter() - start)
+    return times, value
+
+
+def _ratios(times: dict[str, list[float]], name: str) -> list[float]:
+    """Per-round ratios of variant *name* to the ``bare`` variant."""
+    return [mine / bare for bare, mine in zip(times["bare"], times[name])]
+
+
+def bench_obs_overhead(num_domestic: int, rounds: int) -> dict:
     """The same governed decider run three ways: no observation,
     observation attached but disabled (what every governed production
-    run pays), and observation enabled (full span capture).
+    run pays), and observation enabled (full span capture), in
+    alternating rounds; the gate reads the median of the per-round
+    disabled/bare ratios.
 
     The variants differ *only* in the attachment — the disabled case
     exercises the ``obs_of``/null-span fast path at every instrumented
     site.
     """
     inputs = _workload(num_domestic)
-    gov_s, (bare, _) = _time(lambda: _governed_decide(inputs), repeats)
-    obs_off_s, (off, _) = _time(lambda: _governed_decide(inputs, False),
-                                repeats)
-    obs_on_s, (on, _) = _time(lambda: _governed_decide(inputs, True),
-                              repeats)
-    assert bare.status is off.status is on.status, (
+    verdicts = set()
+
+    def decide(attach: bool | None):
+        result, _ = _governed_decide(inputs, attach)
+        verdicts.add(result.status)
+        return result
+
+    times, result = _alternating([("bare", lambda: decide(None)),
+                                  ("off", lambda: decide(False)),
+                                  ("on", lambda: decide(True))], rounds)
+    assert len(verdicts) == 1, (
         f"verdict changed under observation at n={num_domestic}")
+    off, on = _ratios(times, "off"), _ratios(times, "on")
     return {
         "num_domestic": num_domestic,
-        "verdict": bare.status.value,
-        "valuations": bare.statistics.valuations_examined,
-        "gov_s": round(gov_s, 6),
-        "obs_off_s": round(obs_off_s, 6),
-        "obs_on_s": round(obs_on_s, 6),
-        "off_overhead": round(obs_off_s / gov_s, 4) if gov_s else None,
-        "on_overhead": round(obs_on_s / gov_s, 4) if gov_s else None,
+        "verdict": result.status.value,
+        "valuations": result.statistics.valuations_examined,
+        "rounds": rounds,
+        "gov_s": round(statistics.median(times["bare"]), 6),
+        "obs_off_s": round(statistics.median(times["off"]), 6),
+        "obs_on_s": round(statistics.median(times["on"]), 6),
+        "off_ratios": [round(ratio, 4) for ratio in off],
+        "off_overhead": round(statistics.median(off), 4),
+        "on_overhead": round(statistics.median(on), 4),
     }
 
 
 def bench_ledger_overhead(num_domestic: int, pairs: int) -> dict:
     """The governed decide against the same decide plus one crash-safe
     ``RunRecord`` append (what ``--ledger`` adds to a production run),
-    at a size where the search dominates.
-
-    The two run in alternating pairs, each pair in the opposite order
-    to the last, after one untimed warm-up of each; the gate reads the
-    median of the per-pair ratios, so a slow spell on the host moves
-    both halves of a pair instead of one side of a best-of.
+    at a size where the search dominates, in alternating pairs; the gate
+    reads the median of the per-pair ratios.
     """
     inputs = _workload(num_domestic)
     key = run_key("rcdp", *inputs)
@@ -256,20 +339,12 @@ def bench_ledger_overhead(num_domestic: int, pairs: int) -> dict:
                         result.statistics.valuations_examined}))
         return result, governor
 
-    times: dict[str, list[float]] = {"bare": [], "ledger": []}
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         path = os.path.join(tmp, "ledger.jsonl")
-        variants = [("bare", lambda: _governed_decide(inputs)),
-                    ("ledger", lambda: with_ledger(path))]
-        for _, fn in variants:
-            fn()
-        for index in range(pairs):
-            for name, fn in variants[::-1 if index % 2 else 1]:
-                start = time.perf_counter()
-                result, _ = fn()
-                times[name].append(time.perf_counter() - start)
-    ratios = [led / bare for bare, led in zip(times["bare"],
-                                              times["ledger"])]
+        times, (result, _) = _alternating(
+            [("bare", lambda: _governed_decide(inputs)),
+             ("ledger", lambda: with_ledger(path))], pairs)
+    ratios = _ratios(times, "ledger")
     return {
         "num_domestic": num_domestic,
         "verdict": result.status.value,
@@ -293,15 +368,10 @@ def main(argv: list[str] | None = None) -> int:
     rcdp_sizes = [2, 3] if args.smoke else [3, 4, 5, 6]
     extension_sizes = [2, 3] if args.smoke else [3, 4, 5, 6]
     repeats = 1 if args.smoke else 3
-    # A 5% overhead gate needs noise suppression: a mid-ladder size
-    # (long enough to time, short enough to repeat) and more best-of
-    # rounds than the ablation rows.
-    obs_size = 3 if args.smoke else 5
-    obs_repeats = 2 if args.smoke else 5
-    # The ledger append is a fixed cost, so its gate runs where the
-    # search takes ~0.2 s, in alternating pairs.
-    ledger_size = 3 if args.smoke else 8
-    ledger_pairs = 3 if args.smoke else 11
+    # A 5% overhead gate needs noise suppression: both overhead gates
+    # run where the search takes ~0.2 s, in alternating rounds.
+    overhead_size = 3 if args.smoke else 8
+    overhead_rounds = 3 if args.smoke else 11
 
     rcdp_rows = []
     for size in rcdp_sizes:
@@ -324,18 +394,23 @@ def main(argv: list[str] | None = None) -> int:
               f"({row['indexed_speedup']}x), "
               f"delta {row['delta_s']:.4f}s ({row['delta_speedup']}x)")
 
-    obs_row = bench_obs_overhead(obs_size, obs_repeats)
-    print(f"obs-overhead n={obs_size}: governed {obs_row['gov_s']:.4f}s, "
-          f"obs-off {obs_row['obs_off_s']:.4f}s "
-          f"({obs_row['off_overhead']}x), "
-          f"obs-on {obs_row['obs_on_s']:.4f}s "
-          f"({obs_row['on_overhead']}x)")
+    counting_row = bench_counting(repeats)
+    print(f"count-ext general: {counting_row['count']} extensions in "
+          f"{counting_row['count_s']:.4f}s "
+          f"({counting_row['us_per_valuation']} us/valuation)")
 
-    ledger_row = bench_ledger_overhead(ledger_size, ledger_pairs)
-    print(f"ledger-overhead n={ledger_size}: governed "
+    obs_row = bench_obs_overhead(overhead_size, overhead_rounds)
+    print(f"obs-overhead n={overhead_size}: governed "
+          f"{obs_row['gov_s']:.4f}s, obs-off {obs_row['obs_off_s']:.4f}s, "
+          f"obs-on {obs_row['obs_on_s']:.4f}s; median of "
+          f"{overhead_rounds} round ratios: off {obs_row['off_overhead']}x, "
+          f"on {obs_row['on_overhead']}x")
+
+    ledger_row = bench_ledger_overhead(overhead_size, overhead_rounds)
+    print(f"ledger-overhead n={overhead_size}: governed "
           f"{ledger_row['bare_s']:.4f}s, with ledger "
           f"{ledger_row['ledger_s']:.4f}s, median of "
-          f"{ledger_pairs} pair ratios {ledger_row['ledger_overhead']}x")
+          f"{overhead_rounds} pair ratios {ledger_row['ledger_overhead']}x")
 
     largest = rcdp_rows[-1]
     rows = [bench_row(f"rcdp/n={row['num_domestic']}", row["engine_s"],
@@ -346,12 +421,17 @@ def main(argv: list[str] | None = None) -> int:
     rows += [bench_row(f"extension-check/n={row['num_domestic']}",
                        row["delta_s"], extra=row)
              for row in extension_rows]
+    rows.append(bench_row(
+        "count-ext/general", counting_row["count_s"],
+        ticks={"valuations":
+               counting_row["engine_stats"]["valuations_examined"]},
+        extra=counting_row))
     rows.append(bench_row(f"obs-overhead/n={obs_row['num_domestic']}",
                           obs_row["obs_off_s"],
                           ticks={"valuations": obs_row["valuations"]},
                           verdicts={obs_row["verdict"]: 1},
                           extra=obs_row))
-    rows.append(bench_row(f"ledger-overhead/n={ledger_size}",
+    rows.append(bench_row(f"ledger-overhead/n={overhead_size}",
                           ledger_row["ledger_s"],
                           ticks={"valuations": ledger_row["valuations"]},
                           verdicts={ledger_row["verdict"]: 1},
@@ -362,13 +442,16 @@ def main(argv: list[str] | None = None) -> int:
                    enforced=not args.smoke),
         bench_gate("obs_disabled_overhead", required=OBS_OFF_OVERHEAD,
                    measured=obs_row["off_overhead"],
-                   higher_is_better=False, enforced=not args.smoke),
+                   higher_is_better=False, enforced=not args.smoke,
+                   note=f"governed decide with a disabled Observation vs "
+                        f"bare governed decide at n={overhead_size}, "
+                        f"median of {overhead_rounds} alternating rounds"),
         bench_gate("ledger_overhead", required=OBS_OFF_OVERHEAD,
                    measured=ledger_row["ledger_overhead"],
                    higher_is_better=False, enforced=not args.smoke,
                    note=f"decide + one RunRecord append vs bare governed "
-                        f"decide at n={ledger_size}, median of "
-                        f"{ledger_pairs} alternating pairs"),
+                        f"decide at n={overhead_size}, median of "
+                        f"{overhead_rounds} alternating pairs"),
     ]
     report = bench_report(
         "engine", rows, smoke=args.smoke, gates=gates,

@@ -546,14 +546,17 @@ def _verified_witness(payload: dict[str, Any], combo: Sequence[ValuationUnit],
     outcome = make_complete(
         query, witness, master, constraints,
         max_rounds=payload["max_completion_rounds"], governor=governor,
-        on_exhausted="error", context=context)
+        on_exhausted="error", context=context,
+        analysis=payload["analysis"], analyze=False)
     if not outcome.complete:
         return None
     if payload["verify_witness"]:
         with obs_span(obs, "verify_witness"):
             verdict = decide_rcdp(query, outcome.database, master,
                                   constraints, governor=governor,
-                                  context=context)
+                                  context=context,
+                                  analysis=payload["analysis"],
+                                  analyze=False)
         if verdict.status is not RCDPStatus.COMPLETE:
             return None  # conservative: keep searching
     return outcome.database
@@ -713,7 +716,8 @@ def decide_rcqp(query: Any, master: Instance,
                 outcome = make_complete(
                     query, Instance.empty(schema), master, constraints,
                     max_rounds=max_completion_rounds, governor=governor,
-                    on_exhausted="error", context=context, workers=count)
+                    on_exhausted="error", context=context,
+                    analysis=analysis, analyze=False, workers=count)
                 if outcome.complete:
                     # The completion shares the context, so _stats()
                     # already holds its engine counters.
@@ -752,7 +756,8 @@ def decide_rcqp(query: Any, master: Instance,
                            units=tuple(units),
                            max_size=min(max_valuation_set_size, len(units)),
                            max_completion_rounds=max_completion_rounds,
-                           verify_witness=verify_witness)
+                           verify_witness=verify_witness,
+                           analysis=analysis)
             outcomes = run_search("decide_rcqp_parallel", "rcqp-sets",
                                   _rcqp_sets_kernel, payload, shards,
                                   count=count, governor=governor,

@@ -122,6 +122,16 @@ def count_completing_extensions(
     the same facts count once, even when they expose different new
     answers.
 
+    Exact counting is #P-hard in general (Arenas, Barceló and Monet), so
+    this is an enumeration, and each candidate costs one test.  Per
+    tableau, the context's check program
+    (:meth:`~repro.engine.context.EvaluationContext.check_program`) is
+    built at the first valuation whose summary is not in ``Q(D)``; its
+    compiled ``Δ \\ D`` (:attr:`~repro.engine.checks.CheckProgram.delta`)
+    gives each valuation's fresh facts, and the same Δ goes to the
+    program's ``(D ∪ Δ, Dm) ⊨ V`` test when the fresh-fact set is new, so
+    the tableau is instantiated once per candidate.
+
     *max_extensions* truncates the count (``exhaustive=False``); the
     governor interrupts at valuation boundaries like the deciders.
     """
@@ -178,20 +188,20 @@ def count_completing_extensions(
                     summary = summary_of(values)
                     if summary in answers:
                         continue
-                    delta = templates.facts(values)
+                    if check is None:
+                        check = context.check_program(
+                            templates, database, master, other_constraints)
+                    new_rows = check.delta(values)
                     # A valuation landing entirely inside D would have
                     # summary ∈ Q(D); surviving deltas add ≥ 1 fact.
-                    fresh = frozenset(
-                        (name, row) for name, row in delta
-                        if row not in database.relation(name))
+                    fresh = frozenset([(name, row)
+                                       for name, rows in new_rows.items()
+                                       for row in rows])
                     if fresh in extensions:
                         continue
                     if other_constraints:
                         constraint_checks += 1
-                        if check is None:
-                            check = context.check_program(
-                                templates, database, master, other_constraints)
-                        if not check(values):
+                        if not check(values, new_rows):
                             continue
                     extensions.add(fresh)
                     if (max_extensions is not None

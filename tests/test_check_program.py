@@ -8,6 +8,8 @@ On every backend it must give the verdict of
 union, with the same ``plans_compiled``, ``delta_evaluations`` and
 ``full_evaluations``, ``index_builds`` no higher (equal on python), and
 no more cache hits — the contract the kernels' exact counters rest on.
+The program's own ``Δ \\ D`` must be ``group_delta``'s, and a gated
+delta plan must run only when a new row passes its gate.
 """
 
 import pytest
@@ -21,7 +23,9 @@ from repro.core.rcdp import decide_rcdp
 from repro.core.results import RCDPStatus
 from repro.core.valuations import TableauTemplates
 from repro.engine import EvaluationContext
-from repro.queries.atoms import neq, rel
+from repro.engine import checks as program_module
+from repro.engine.executor import group_delta
+from repro.queries.atoms import eq, neq, rel
 from repro.queries.cq import cq
 from repro.queries.tableau import Tableau
 from repro.queries.terms import var
@@ -68,7 +72,7 @@ def templates(draw):
 
 
 def _assert_program_matches(templates, base, master, ccs, valuations,
-                            backend):
+                            backend, exact_builds=False):
     program_context = EvaluationContext(backend=backend)
     per_call = EvaluationContext(backend=backend)
     program = program_context.check_program(templates, base, master, ccs)
@@ -84,7 +88,7 @@ def _assert_program_matches(templates, base, master, ccs, valuations,
     ours, theirs = program_context.statistics, per_call.statistics
     for counter in _COUNTERS:
         assert getattr(ours, counter) == getattr(theirs, counter), counter
-    if backend == "python":
+    if backend == "python" or exact_builds:
         assert ours.index_builds == theirs.index_builds
     else:
         assert ours.index_builds <= theirs.index_builds
@@ -92,9 +96,10 @@ def _assert_program_matches(templates, base, master, ccs, valuations,
     return verdicts
 
 
-def _check_everywhere(templates, base, master, ccs, valuations):
+def _check_everywhere(templates, base, master, ccs, valuations,
+                      exact_builds=False):
     verdicts = {backend: _assert_program_matches(
-        templates, base, master, ccs, valuations, backend)
+        templates, base, master, ccs, valuations, backend, exact_builds)
         for backend in BACKEND_NAMES}
     assert len({tuple(v) for v in verdicts.values()}) == 1
     return verdicts["python"]
@@ -112,6 +117,23 @@ class TestProgramMatchesPerConstraintCheck:
             st.tuples(*[st.sampled_from(_VALUES)] * width),
             min_size=1, max_size=3))
         _check_everywhere(templates, base, master, ccs, valuations)
+
+
+class TestProgramDelta:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), templates=templates(), base=instances())
+    def test_delta_is_group_delta_of_the_instantiated_tableau(
+            self, data, templates, base):
+        program = EvaluationContext().check_program(templates, base,
+                                                    _MASTER, [])
+        width = len(templates.variables)
+        for values in data.draw(st.lists(
+                st.tuples(*[st.sampled_from(_VALUES)] * width),
+                min_size=1, max_size=4)):
+            expected = group_delta(base, templates.facts(values))
+            # Same relations, rows and order of first occurrence.
+            assert list(program.delta(values).items()) == \
+                list(expected.items())
 
 
 _R = SCHEMA
@@ -179,3 +201,90 @@ class TestFixedCases:
                                      [(0, 0), (2, 1), (3, 3)])
         empty = target.is_empty_target
         assert verdicts == [not empty, not empty, False]
+
+
+def _values(templates, **assignment):
+    """A value tuple in the templates' variable order."""
+    return tuple(assignment[v.name] for v in templates.variables)
+
+
+class TestGatedDeltaPlans:
+    """A multi-atom constraint's delta plan runs only when a new row of
+    the valuation passes the plan's gate; verdicts and counters are the
+    per-constraint check's on every backend, ``index_builds`` included."""
+
+    @pytest.fixture
+    def plan_runs(self, monkeypatch):
+        runs = []
+        iter_rows = program_module.iter_rows
+
+        def counted(plan, sources):
+            runs.append(plan.steps[0].relation)
+            return iter_rows(plan, sources)
+
+        monkeypatch.setattr(program_module, "iter_rows", counted)
+        return runs
+
+    @staticmethod
+    def _python_verdicts(templates, base, ccs, valuations):
+        program = EvaluationContext(backend="python").check_program(
+            templates, base, _MASTER, ccs)
+        return [program(values) for values in valuations]
+
+    def test_gate_folding_to_false_never_runs_the_plan(self, plan_runs):
+        # The tableau's T row has z = 1; the constraint's T atom wants
+        # z = 2, so no valuation's T row can start a binding.
+        templates = _templates_of(rel("T", _X, _Y, 1))
+        base = Instance(_R, {"R": {(0, 0), (3, 1)}, "T": set()})
+        cc = ContainmentConstraint(
+            cq([_X], [rel("T", _X, _Y, 2), rel("R", _X, _W)]),
+            Projection.on("M", [0]))
+        valuations = [_values(templates, x=x, y=y)
+                      for x, y in ((3, 0), (0, 1), (3, 3))]
+        verdicts = _check_everywhere(templates, base, _MASTER, [cc],
+                                     valuations, exact_builds=True)
+        assert verdicts == [True, True, True]
+        plan_runs.clear()
+        assert self._python_verdicts(templates, base, [cc],
+                                     valuations) == verdicts
+        assert plan_runs == []
+
+    def test_gate_on_the_values_fires_only_when_it_holds(self, plan_runs):
+        # φ0's shape: T ⋈ R with z = 1 on the Δ atom, so the plan can
+        # fire only for a new T row whose z is 1.
+        templates = _templates_of(rel("T", _X, _Y, _Z))
+        base = Instance(_R, {"R": {(0, 0), (3, 1)}, "T": set()})
+        cc = ContainmentConstraint(
+            cq([_X], [rel("T", _X, _Y, _Z), rel("R", _X, _W),
+                      eq(_Z, 1)]), Projection.on("M", [0]))
+        valuations = [_values(templates, x=x, y=0, z=z)
+                      for x, z in ((3, 1), (3, 2), (0, 1), (2, 1), (3, 0))]
+        verdicts = _check_everywhere(templates, base, _MASTER, [cc],
+                                     valuations, exact_builds=True)
+        # 3 ∉ π(M) joins R(3, 1); 0 is allowed; 2 has no R row.
+        assert verdicts == [False, True, True, True, True]
+        plan_runs.clear()
+        assert self._python_verdicts(templates, base, [cc],
+                                     valuations) == verdicts
+        assert plan_runs == ["T", "T", "T"]
+
+    def test_gated_row_already_in_the_base(self, plan_runs):
+        # Two T rows: the first passes its gate but is already in D, the
+        # second is new and fails its gate, so the plan does not run.
+        templates = _templates_of(rel("T", _X, _Y, _Z),
+                                  rel("T", _Y, _X, _W))
+        base = Instance(_R, {"R": {(0, 0), (3, 1)}, "T": {(0, 3, 1)}})
+        cc = ContainmentConstraint(
+            cq([_X], [rel("T", _X, _Y, _Z), rel("R", _X, _W),
+                      eq(_Z, 1)]), Projection.on("M", [0]))
+        valuations = [_values(templates, x=0, y=3, z=z, w=w)
+                      for z, w in ((1, 2), (1, 1), (2, 2))]
+        verdicts = _check_everywhere(templates, base, _MASTER, [cc],
+                                     valuations, exact_builds=True)
+        # Only the new row T(3, 0, 1) passes its gate, and it joins
+        # R(3, 1) with 3 outside π(M).
+        assert verdicts == [True, False, True]
+        plan_runs.clear()
+        assert self._python_verdicts(templates, base, [cc],
+                                     valuations) == verdicts
+        assert plan_runs == ["T"]

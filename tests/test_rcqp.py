@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.analysis.driver import validate_for_decision
 from repro.constraints.cfd import FunctionalDependency
 from repro.constraints.ind import InclusionDependency
+from repro.core import rcdp, rcqp
 from repro.core.rcdp import decide_rcdp
 from repro.core.rcqp import decide_rcqp, decide_rcqp_with_inds
 from repro.core.results import RCDPStatus, RCQPStatus
@@ -134,6 +136,42 @@ class TestGeneralE1:
         q = cq([var("b")], [rel("Flag", var("b"))])
         result = decide_rcqp(q, DM, [], SCHEMA)
         assert result.status is RCQPStatus.NONEMPTY
+
+
+class TestOneAnalysisPass:
+    """A general RCQP decision runs the static analyzer once and hands
+    its report to every nested completion and witness verification."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return validate_for_decision(*args, **kwargs)
+
+        # The deciders bind the name at import, so count it where read.
+        monkeypatch.setattr(rcdp, "validate_for_decision", counted)
+        monkeypatch.setattr(rcqp, "validate_for_decision", counted)
+        return calls
+
+    def test_e1_e5_completion_reuses_the_report(self, passes):
+        fd_ccs = FunctionalDependency(
+            "Supt", ["eid"], ["dept"]).to_containment_constraints(SCHEMA)
+        q = cq([var("b")], [rel("Flag", var("b"))])
+        result = decide_rcqp(q, DM, fd_ccs, SCHEMA)
+        assert result.status is RCQPStatus.NONEMPTY
+        assert passes == [q]
+
+    def test_e2_e6_witness_verification_reuses_the_report(self, passes):
+        v = FunctionalDependency(
+            "Supt", ["eid"], ["dept", "cid"]).to_containment_constraints(
+            SCHEMA)
+        q2 = TestGeneralE2()._q2()
+        result = decide_rcqp(q2, Instance(MASTER_SCHEMA), v, SCHEMA)
+        assert result.status is RCQPStatus.NONEMPTY
+        assert result.statistics.candidate_sets_examined == 2
+        assert passes == [q2]
 
 
 class TestGeneralE2:
