@@ -128,15 +128,6 @@ def _delta_program(templates: "TableauTemplates", base: "Instance",
                                                  templates.tableau.rows)
             if not (row.is_ground()
                     and template(()) in base.relation(relation))]
-    if len(rows) == 1:
-        [(relation, template, present)] = rows
-
-        def one_row(values: tuple) -> dict[str, list[tuple]]:
-            row = template(values)
-            return {} if row in present else {relation: [row]}
-
-        return one_row
-
     def grouped(values: tuple) -> dict[str, list[tuple]]:
         new_rows: dict[str, list[tuple]] = {}
         for relation, template, present in rows:
@@ -257,10 +248,7 @@ class _PythonCheck(_Check):
             self.statistics.delta_evaluations += 1
             if not self.compiled.issuperset(new):
                 self._compile(new)
-        base_ok = self.base_ok
-        if base_ok is None:
-            base_ok = self.base_holds()
-        if not base_ok:
+        if not self.base_holds():
             return True
         if not derives:
             return False
