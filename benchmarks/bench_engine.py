@@ -22,8 +22,10 @@ indexed re-evaluation vs the semi-naive delta rule.
 A third section times ``count_completing_extensions`` on the
 ``general`` shape (one 908-area domestic customer, one international
 customer, the default CRM constraints): 28,561 valuations and 26,364
-check-program calls, the check layer's many-cheap-checks end.  Its
-count and exact counters are asserted in every mode.
+check-program calls, the check layer's many-cheap-checks end, on the
+python backend and on sqlite (whose multi-atom φ0 reaches the storage
+only when its gate fires).  Its count and the counters no backend
+changes are asserted in every mode.
 
 A fourth section pins the observability contract: a governed decider
 run with a *disabled* :class:`~repro.obs.Observation` attached must stay
@@ -70,12 +72,14 @@ from repro.runtime import Budget, ExecutionGovernor
 REQUIRED_SPEEDUP = 5.0
 #: Disabled tracing must cost < 5% on a governed decider run.
 OBS_OFF_OVERHEAD = 1.05
-#: The ``general`` count and its exact counters (shape-determined: the
-#: generator's draw only picks names and the department).
+#: The ``general`` count and its exact counters that every backend
+#: shares (shape-determined: the generator's draw only picks names and
+#: the department).
 GENERAL_COUNT = 24_336
 GENERAL_COUNTERS = {"valuations_examined": 28_561,
                     "constraint_checks": 26_364,
-                    "delta_evaluations": 52_728}
+                    "delta_evaluations": 52_728,
+                    "full_evaluations": 4}
 
 
 @contextmanager
@@ -190,17 +194,19 @@ def _general_inputs() -> tuple:
         attempt += 1
 
 
-def bench_counting(repeats: int) -> dict:
-    """``count_completing_extensions`` on the ``general`` shape; the
-    count and the exact counters are asserted."""
+def bench_counting(repeats: int, backend: str = "python") -> dict:
+    """``count_completing_extensions`` on the ``general`` shape and
+    *backend*; the count and the shared counters are asserted."""
     inputs = _general_inputs()
-    count_s, report = _time(lambda: count_completing_extensions(*inputs),
-                            repeats)
+    count_s, report = _time(
+        lambda: count_completing_extensions(*inputs, backend=backend),
+        repeats)
     stats = report.statistics
     counters = {name: getattr(stats, name) for name in GENERAL_COUNTERS}
     assert report.exhaustive and report.count == GENERAL_COUNT, report
     assert counters == GENERAL_COUNTERS, counters
     return {
+        "backend": backend,
         "count": report.count,
         "count_s": round(count_s, 6),
         "us_per_valuation": round(
@@ -208,8 +214,7 @@ def bench_counting(repeats: int) -> dict:
         "engine_stats": dict(
             counters, plans_compiled=stats.plans_compiled,
             index_builds=stats.index_builds,
-            engine_cache_hits=stats.engine_cache_hits,
-            full_evaluations=stats.full_evaluations),
+            engine_cache_hits=stats.engine_cache_hits),
     }
 
 
@@ -394,10 +399,12 @@ def main(argv: list[str] | None = None) -> int:
               f"({row['indexed_speedup']}x), "
               f"delta {row['delta_s']:.4f}s ({row['delta_speedup']}x)")
 
-    counting_row = bench_counting(repeats)
-    print(f"count-ext general: {counting_row['count']} extensions in "
-          f"{counting_row['count_s']:.4f}s "
-          f"({counting_row['us_per_valuation']} us/valuation)")
+    counting_rows = [bench_counting(repeats, backend)
+                     for backend in ("python", "sqlite")]
+    for row in counting_rows:
+        print(f"count-ext general ({row['backend']}): {row['count']} "
+              f"extensions in {row['count_s']:.4f}s "
+              f"({row['us_per_valuation']} us/valuation)")
 
     obs_row = bench_obs_overhead(overhead_size, overhead_rounds)
     print(f"obs-overhead n={overhead_size}: governed "
@@ -421,11 +428,12 @@ def main(argv: list[str] | None = None) -> int:
     rows += [bench_row(f"extension-check/n={row['num_domestic']}",
                        row["delta_s"], extra=row)
              for row in extension_rows]
-    rows.append(bench_row(
-        "count-ext/general", counting_row["count_s"],
-        ticks={"valuations":
-               counting_row["engine_stats"]["valuations_examined"]},
-        extra=counting_row))
+    rows += [bench_row(
+        "count-ext/general" + ("" if row["backend"] == "python"
+                               else f"/{row['backend']}"),
+        row["count_s"],
+        ticks={"valuations": row["engine_stats"]["valuations_examined"]},
+        extra=row) for row in counting_rows]
     rows.append(bench_row(f"obs-overhead/n={obs_row['num_domestic']}",
                           obs_row["obs_off_s"],
                           ticks={"valuations": obs_row["valuations"]},

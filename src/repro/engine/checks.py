@@ -11,12 +11,16 @@ delta plans, is therefore fixed before the first valuation.
 at a kernel's first check of a tableau, and the kernel calls it on
 every later value tuple of that tableau:
 
-* ``Δ \\ D`` is compiled too (:attr:`CheckProgram.delta`): each tableau
-  row's template, tested against the base's row set of its relation,
-  grouped and de-duplicated as :func:`~repro.engine.executor.group_delta`
-  would.  The program computes it once per check, when some constraint
-  reads it, and hands it to every constraint; the counting loop computes
-  it for its fresh-fact dedup and passes the same Δ to the check;
+* ``Δ \\ D`` is compiled too (:attr:`CheckProgram.delta`), as a flat
+  list of new facts ``(relation, row)``: each tableau row's template,
+  kept when the row is not in the base's row set of its relation, each
+  fact once, in tableau-row order.  The program lists it once per check
+  when some constraint reads it, and the counting loop lists it for its
+  fresh-fact dedup and passes the same list to the check.  The list is
+  grouped into ``{relation: rows}`` by
+  :func:`~repro.engine.executor.group_delta` only where a plan reads
+  it: for a delta plan whose gate fires, and for a storage
+  ``plan_violates`` call;
 * ``q(D)`` and ``p(Dm)`` are read once per constraint, and
   ``q(D) ⊆ p(Dm)`` is decided once;
 * a constraint whose every disjunct is one relation atom — a selection
@@ -24,29 +28,38 @@ every later value tuple of that tableau:
   the templated rows, on every backend: each tableau row the atom can
   match gets a slot-compiled selection, and a selected row's projection
   must lie in ``p(Dm)``;
-* every other constraint runs the semi-naive delta plans (python) or the
-  storage's ``plan_violates`` (columnar, sqlite) over that Δ, stopping
-  at the first violating answer.  On python each delta plan is *gated*:
-  its first step reads the Δ atom, so a Δ row can start a binding only
-  if it matches the atom's constants and repeated variables and passes
-  the ``=``/``≠`` atoms over the atom's own variables (the comparisons of
-  the plan's first step).  Those tests are compiled per tableau row, as
-  the selections are, and the plan runs
-  only when some new row passes its gate (φ0 of Example 2.1 fires only
-  for a new ``Cust`` row whose country code is ``'01'``).
+* every other constraint is *gated*.  A Δ row can take part in a new
+  answer of a disjunct only if it matches one of the disjunct's atoms:
+  the atom's constants and repeated variables, and the ``=``/``≠`` atoms
+  over the atom's own variables.  Those tests are compiled per tableau
+  row and atom, as the selections are, on first need.  On python each
+  delta plan (its first step reads the Δ atom, and its gates are built
+  from that step) runs only when some new row passes its atom's gate.
+  On columnar and sqlite each disjunct's base violation
+  ``q_i(D) ⊄ p(Dm)`` is decided once in the storage, and
+  ``plan_violates`` runs on ``D ∪ Δ`` only when a new row passes the gate
+  of one of the disjunct's atoms.  φ0 of Example 2.1 fires only for a
+  new ``Cust`` row whose country code is ``'01'``.
+
+Once a python constraint has read ``q(D)``, decided ``q(D) ⊆ p(Dm)`` and
+compiled the plans of every relation Δ can hold, its check is swapped
+for a warm one that does only the work that depends on the value tuple:
+the counter increment, the selection conditions and the gates.
 
 The constraints are checked in order, with the short-circuit of
 :func:`~repro.constraints.containment.satisfies_all_extension`, and the
 program makes the context calls the per-constraint
 :meth:`EvaluationContext.extension_satisfies` makes, when it makes
-them, minus the repeated cache lookups.  A gate only skips a plan whose
-first step would find no row, before any index is probed; a constraint
-whose Δ has new rows counts its delta evaluation whether or not a gate
-lets a plan run.  So ``plans_compiled``, ``delta_evaluations`` and
-``full_evaluations`` are unchanged, and so are ``index_builds`` and its
-governor ticks on the python backend; on columnar and sqlite
-``index_builds`` can only fall (a single-atom constraint no longer
-probes the storage on every check), and ``engine_cache_hits`` falls.
+them, minus the repeated cache lookups.  A python gate only skips a plan
+whose first step would find no row, before any index is probed; a
+storage gate only skips a ``plan_violates`` call whose verdict is the
+disjunct's base violation.  A constraint whose Δ has new rows counts its
+delta evaluation whether or not a gate lets a plan run.  So
+``plans_compiled``, ``delta_evaluations`` and ``full_evaluations`` are
+unchanged, and so are ``index_builds`` and its governor ticks on the
+python backend; on columnar and sqlite ``index_builds`` can only fall
+(the storage is probed only when a gate fires), and
+``engine_cache_hits`` falls.
 """
 
 from __future__ import annotations
@@ -54,7 +67,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.engine.executor import (ChainSource, DeltaSource, IndexedSource,
-                                   delta_sources, iter_rows)
+                                   delta_sources, group_delta, iter_rows)
 from repro.queries.atoms import Eq
 from repro.queries.terms import Var
 
@@ -62,23 +75,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.constraints.containment import ContainmentConstraint
     from repro.core.valuations import TableauTemplates
     from repro.engine.context import EvaluationContext
-    from repro.engine.plan import CompiledPlan
     from repro.relational.instance import Instance
 
 __all__ = ["CheckProgram"]
+
+#: ``Δ \ D`` as a flat list of ``(relation, row)`` facts.
+Facts = list[tuple[str, tuple]]
 
 
 class CheckProgram:
     """``values ↦ (D ∪ μ(T), Dm) ⊨ V`` for the tableau ``T`` *templates*
     reads, base ``D``, master ``Dm`` and constraints ``V``.
 
-    :attr:`delta` is ``values ↦ Δ \\ D`` for ``Δ = μ(T)``, compiled
-    (:func:`_delta_program`).  The program pins the base and master it
-    reads in the context's LRU, so their ids cannot be recycled while it
-    lives.
+    :attr:`delta` is ``values ↦ Δ \\ D`` for ``Δ = μ(T)``, compiled to a
+    flat list of new facts (:func:`_delta_program`).  The program pins
+    the base and master it reads in the context's LRU, so their ids
+    cannot be recycled while it lives.
     """
 
-    __slots__ = ("delta", "_new", "_group", "_checks")
+    __slots__ = ("delta", "_lists", "_checks")
 
     def __init__(self, context: "EvaluationContext",
                  templates: "TableauTemplates", base: "Instance",
@@ -86,67 +101,64 @@ class CheckProgram:
                  constraints: "Sequence[ContainmentConstraint]") -> None:
         context._pin_instance(base)
         context._pin_instance(master)
-        self.delta = _delta_program(templates, base)
-        relations = {relation for relation, _ in templates.rows}
-        #: The relations of ``Δ \ D`` when the base holds no row of the
-        #: tableau's relations (every Δ row is new); otherwise None, and
-        #: Δ is computed on every check.
-        self._new = (None if any(base.relation(name) for name in relations)
-                     else frozenset(relations))
+        rows = [(relation, template, base.relation(relation))
+                for (relation, template), row in zip(templates.rows,
+                                                     templates.tableau.rows)
+                if not (row.is_ground()
+                        and template(()) in base.relation(relation))]
+        self.delta = _delta_program(rows)
+        relations = frozenset(relation for relation, _, _ in rows)
         kind = _PythonCheck if context.backend == "python" else _StorageCheck
         self._checks = tuple(kind(context, constraint, templates, base,
-                                  master)
+                                  master, relations)
                              for constraint in constraints)
-        self._group = self._new is None or any(
-            check.selections is None for check in self._checks)
+        #: Whether Δ is listed on every check.  It is not when the checks
+        #: can take it as every row left: there is one, the base holds no
+        #: row of Δ's relations (so each row is new whatever the
+        #: valuation), and no check reads the rows themselves.
+        self._lists = (not relations
+                       or any(base.relation(name) for name in relations)
+                       or any(check.selections is None
+                              for check in self._checks))
 
-    def __call__(self, values: tuple,
-                 new_rows: dict[str, list[tuple]] | None = None) -> bool:
+    def __call__(self, values: tuple, facts: Facts | None = None) -> bool:
         """Whether ``(D ∪ μ(T), Dm) ⊨ V`` for the valuation *values*;
-        *new_rows* is ``self.delta(values)`` when the caller has it."""
-        new: Any = self._new
-        if self._group:
-            if new_rows is None:
-                new_rows = self.delta(values)
-            if new is None:
-                new = new_rows
+        *facts* is ``self.delta(values)`` when the caller has it.  The
+        checks get None for Δ when the program does not list it: then
+        every row of ``μ(T)`` is new."""
+        if facts is None and self._lists:
+            facts = self.delta(values)
         for check in self._checks:
-            if check.violated(values, new, new_rows):
+            if check.violated(values, facts):
                 return False
         return True
 
 
-def _delta_program(templates: "TableauTemplates", base: "Instance",
-                   ) -> Callable[[tuple], dict[str, list[tuple]]]:
-    """``values ↦ Δ \\ D`` for ``Δ = μ(T)``: every tableau row's
-    template, kept when the row is not in the base's rows of its
-    relation, grouped by relation with each row once, in order of first
-    occurrence — ``group_delta(base, templates.facts(values))``.  Ground
-    rows already in the base are left out."""
-    rows = [(relation, template, base.relation(relation))
-            for (relation, template), row in zip(templates.rows,
-                                                 templates.tableau.rows)
-            if not (row.is_ground()
-                    and template(()) in base.relation(relation))]
-    def grouped(values: tuple) -> dict[str, list[tuple]]:
-        new_rows: dict[str, list[tuple]] = {}
+def _delta_program(rows: list[tuple]) -> Callable[[tuple], Facts]:
+    """``values ↦ Δ \\ D`` for ``Δ = μ(T)``, from one ``(relation, row
+    template, base rows)`` per tableau row: each instantiated row not in
+    the base rows, as a ``(relation, row)`` fact, each fact once, in
+    tableau-row order, so that ``group_delta(base, facts)`` is
+    ``group_delta(base, templates.facts(values))``.  Ground rows already
+    in the base are left out of *rows*."""
+    def new_facts(values: tuple) -> Facts:
+        facts: Facts = []
         for relation, template, present in rows:
             row = template(values)
             if row not in present:
-                group = new_rows.get(relation)
-                if group is None:
-                    new_rows[relation] = [row]
-                elif row not in group:
-                    group.append(row)
-        return new_rows
+                fact = (relation, row)
+                if fact not in facts:
+                    facts.append(fact)
+        return facts
 
-    return grouped
+    return new_facts
 
 
 class _Check:
     """One constraint of a program.  ``q(D)`` and ``p(Dm)`` are read on
     first need, through the context's caches (so the first read counts
     as it would per call), and ``q(D) ⊆ p(Dm)`` is decided once.
+    *relations* are the relations Δ can hold.
 
     ``selections`` is set when every disjunct is one relation atom: per
     disjunct, the tableau rows its atom can match, each as
@@ -155,18 +167,19 @@ class _Check:
     """
 
     __slots__ = ("context", "statistics", "templates", "base", "master",
-                 "query", "projection", "empty", "boolean", "disjuncts",
-                 "answers", "allowed", "base_ok", "selections")
+                 "relations", "query", "projection", "empty", "boolean",
+                 "disjuncts", "answers", "allowed", "base_ok", "selections")
 
     def __init__(self, context: "EvaluationContext",
                  constraint: "ContainmentConstraint",
                  templates: "TableauTemplates", base: "Instance",
-                 master: "Instance") -> None:
+                 master: "Instance", relations: frozenset[str]) -> None:
         self.context = context
         self.statistics = context.statistics
         self.templates = templates
         self.base = base
         self.master = master
+        self.relations = relations
         self.query = constraint.query
         self.projection = constraint.projection
         self.empty = constraint.projection.is_empty_target
@@ -225,44 +238,83 @@ class _PythonCheck(_Check):
     answers.  ``searches`` holds ``[relation, disjunct, atom, plan,
     sources, gates]`` per delta plan, the plan compiled the first time
     Δ has new rows of the atom's relation, as the per-call check
-    compiles it, and its gates (:func:`_gates`) with it; a single-atom
-    constraint compiles its plans but reads its selections."""
+    compiles it, and its gates (:func:`_gates`, from the comparisons of
+    the plan's first step) with it; ``runs`` holds the compiled plans
+    some row can fire, in ``searches`` order; ``pending`` holds the
+    relations Δ can hold whose plans are not compiled yet.  A
+    single-atom constraint compiles its plans but reads its
+    selections.
 
-    __slots__ = ("searches", "compiled", "delta")
+    ``violated`` is :meth:`_cold` until ``q(D)`` is read, ``q(D) ⊆
+    p(Dm)`` decided and nothing is pending, then :meth:`_warm`'s
+    check."""
+
+    __slots__ = ("searches", "runs", "pending", "source", "violated")
 
     def __init__(self, *args: Any) -> None:
         super().__init__(*args)
         self.searches = [[atom.relation, disjunct, j, None, None, None]
                          for disjunct in self.disjuncts
                          for j, atom in enumerate(disjunct.relation_atoms)]
-        self.compiled: set[str] = set()
-        self.delta = DeltaSource({})
+        self.runs: list[tuple] = []
+        self.pending = {search[0] for search in self.searches} \
+            & self.relations
+        self.source = DeltaSource({})
+        self.violated: Callable[[tuple, Facts | None], bool] = self._cold
 
-    def violated(self, values: tuple, new: Any,
-                 new_rows: dict[str, list[tuple]] | None) -> bool:
+    def _cold(self, values: tuple, facts: Facts | None) -> bool:
         answers = self.answers
         if answers is None:
             answers = self.read_answers()
-        derives = new and not (self.boolean and answers)
+        derives = ((facts is None or bool(facts))
+                   and not (self.boolean and answers))
         if derives:
             self.statistics.delta_evaluations += 1
-            if not self.compiled.issuperset(new):
-                self._compile(new)
-        if not self.base_holds():
+            if self.pending:
+                new = (self.relations if facts is None
+                       else {relation for relation, _ in facts})
+                if not self.pending.isdisjoint(new):
+                    self._compile(new)
+        holds = self.base_holds()
+        if not self.pending or (self.boolean and answers):
+            self.violated = self._warm()
+        if not holds:
             return True
-        if not derives:
-            return False
+        return derives and self._search(values, facts)
+
+    def _warm(self) -> Callable[[tuple, Facts | None], bool]:
+        """The check once nothing is left to read or compile: only the
+        work that depends on the value tuple."""
+        base_violated = not self.base_ok
+        if self.boolean and self.answers:
+            # Δ derives nothing new: q(D) ⊆ p(Dm) decides every check.
+            return lambda values, facts: base_violated
+        statistics, search = self.statistics, self._search
+
+        def violated(values: tuple, facts: Facts | None) -> bool:
+            if facts is not None and not facts:
+                return base_violated
+            statistics.delta_evaluations += 1
+            return base_violated or search(values, facts)
+        return violated
+
+    def _search(self, values: tuple, facts: Facts | None) -> bool:
+        """Whether Δ, which has new rows, derives an answer outside
+        ``p(Dm)`` (any answer, for the target ``∅``), given ``q(D) ⊆
+        p(Dm)``."""
         if self.selections is not None:
             for rows in self.selections:
                 if self.rows_violate(values, rows):
                     return True
             return False
-        self.delta.rows_by_relation = new_rows
+        grouped = None
         allowed = self.allowed
-        for relation, _, _, plan, sources, gates in self.searches:
-            if relation not in new_rows or (
-                    gates is not None and not _fires(gates, values)):
+        for plan, sources, gates in self.runs:
+            if not _fires(gates, values):
                 continue
+            if grouped is None:
+                grouped = self.source.rows_by_relation = group_delta(
+                    self.base, facts)
             for answer in iter_rows(plan, sources):
                 if self.empty:
                     return True
@@ -274,27 +326,33 @@ class _PythonCheck(_Check):
 
     def _compile(self, new: Any) -> None:
         base = IndexedSource(self.context.indexes_for(self.base))
-        chained = ChainSource(base, self.delta)
+        chained = ChainSource(base, self.source)
         for search in self.searches:
             relation, disjunct, j, plan, _, _ = search
             if plan is None and relation in new:
                 plan = self.context.plan_for(disjunct, first_atom=j)
                 search[3] = plan
-                search[4] = delta_sources(plan, j, base, self.delta, chained)
-                if self.selections is None:
+                search[4] = delta_sources(plan, j, base, self.source, chained)
+                if self.selections is None and plan.satisfiable:
                     search[5] = _gates(self.templates, self.base,
-                                       disjunct.relation_atoms[j], plan)
-        self.compiled.update(new)
+                                       disjunct.relation_atoms[j],
+                                       plan.steps[0].comparisons)
+        self.pending -= new
+        self.runs = [(plan, sources, gates)
+                     for _, _, _, plan, sources, gates in self.searches
+                     if plan is not None and gates]
 
 
 class _StorageCheck(_Check):
-    """The columnar and sqlite backends: with new rows, each disjunct's
-    full plan decides violation in the storage (``plan_violates``), or,
-    for a single-atom constraint, ``q_i(D) ⊆ p(Dm)`` once per disjunct
-    (in the storage) and then its selections; with none, the cached
-    ``q(D)``."""
+    """The columnar and sqlite backends.  With new rows, each disjunct's
+    base violation ``q_i(D) ⊄ p(Dm)`` is decided once in the storage
+    (``plan_violates`` on ``D``); then a single-atom disjunct reads its
+    selections, and any other runs ``plan_violates`` on ``D ∪ Δ`` only
+    when a new row passes the gate of one of its atoms (``gates``, per
+    disjunct, built on first need).  With none, the cached ``q(D)``."""
 
-    __slots__ = ("storage", "on_build", "plans", "base_violations")
+    __slots__ = ("storage", "on_build", "plans", "base_violations",
+                 "gates")
 
     def __init__(self, *args: Any) -> None:
         super().__init__(*args)
@@ -302,31 +360,40 @@ class _StorageCheck(_Check):
         self.on_build: Callable = self.context._storage_on_build(self.base)
         self.plans: list = [None] * len(self.disjuncts)
         self.base_violations: list[bool | None] = [None] * len(self.plans)
+        self.gates: list[list[tuple] | None] = [None] * len(self.plans)
 
-    def violated(self, values: tuple, new: Any,
-                 new_rows: dict[str, list[tuple]] | None) -> bool:
-        if not new:
+    def violated(self, values: tuple, facts: Facts | None) -> bool:
+        if facts is not None and not facts:
             self.read_answers()
             return not self.base_holds()
         self.statistics.delta_evaluations += 1
         allowed = None if self.empty else self.read_allowed()
+        grouped = None
         for index, disjunct in enumerate(self.disjuncts):
             plan = self.plans[index]
             if plan is None:
                 plan = self.plans[index] = self.context.plan_for(disjunct)
-            if self.selections is None:
-                if self.storage.plan_violates(plan, new_rows, allowed,
-                                              on_build=self.on_build):
-                    return True
-                continue
             base_violated = self.base_violations[index]
             if base_violated is None:
                 base_violated = self.base_violations[index] = \
                     self.storage.plan_violates(plan, {}, allowed,
                                                on_build=self.on_build)
-            if base_violated or self.rows_violate(values,
-                                                  self.selections[index]):
+            if base_violated:
                 return True
+            if self.selections is not None:
+                if self.rows_violate(values, self.selections[index]):
+                    return True
+                continue
+            gates = self.gates[index]
+            if gates is None:
+                gates = self.gates[index] = _disjunct_gates(
+                    self.templates, self.base, disjunct)
+            if _fires(gates, values):
+                if grouped is None:
+                    grouped = group_delta(self.base, facts)
+                if self.storage.plan_violates(plan, grouped, allowed,
+                                              on_build=self.on_build):
+                    return True
         return False
 
 
@@ -350,30 +417,38 @@ def _selections(templates: "TableauTemplates", disjunct: Any) -> list[list]:
 
 
 def _gates(templates: "TableauTemplates", base: "Instance", atom: Any,
-           plan: "CompiledPlan") -> list[tuple] | None:
-    """The gates of the delta *plan* whose first step reads the Δ atom
-    *atom*, one per tableau row the atom can match, as ``(conditions, row
-    template, base rows)``: a valuation's instance of the row can start
-    a binding of the plan when every condition (the first step's key,
-    repeats and comparisons) holds and the row is not in the base.  Rows
-    no valuation lets through are left out; None when every row of the
-    atom's relation passes unconditionally, so that any new row of it
-    does."""
-    if not plan.satisfiable:
-        return []
+           comparisons: Sequence[Any]) -> list[tuple]:
+    """The gates of the relation atom *atom*, one per tableau row it can
+    match, as ``(conditions, row template, base rows)``: a valuation's
+    instance of the row can take part in a binding of the atom when every
+    condition holds and the row is not in the base.  The conditions are
+    the atom's constants and repeated variables and *comparisons*, the
+    disjunct's ``=``/``≠`` atoms that read only the atom's variables (a
+    delta plan's first-step comparisons).  Rows no valuation lets
+    through are left out."""
     present = base.relation(atom.relation)
-    rows = [(template, row.terms)
-            for (relation, template), row in zip(templates.rows,
-                                                 templates.tableau.rows)
-            if relation == atom.relation]
     gates = []
-    for template, terms in rows:
-        selection = _selection(templates, atom.terms,
-                               plan.steps[0].comparisons, terms)
-        if selection is not None:
-            gates.append((selection[0], template, present))
-    if len(gates) == len(rows) and not any(gate[0] for gate in gates):
-        return None
+    for (relation, template), row in zip(templates.rows,
+                                         templates.tableau.rows):
+        if relation == atom.relation:
+            selection = _selection(templates, atom.terms, comparisons,
+                                   row.terms)
+            if selection is not None:
+                gates.append((selection[0], template, present))
+    return gates
+
+
+def _disjunct_gates(templates: "TableauTemplates", base: "Instance",
+                    disjunct: Any) -> list[tuple]:
+    """The gates of every relation atom of *disjunct*, each with the
+    disjunct's comparisons over the atom's own variables: a new row that
+    passes none takes part in no binding of the disjunct."""
+    gates = []
+    for atom in disjunct.relation_atoms:
+        variables = atom.variables()
+        gates += _gates(templates, base, atom, [
+            comparison for comparison in disjunct.comparisons
+            if comparison.variables() <= variables])
     return gates
 
 

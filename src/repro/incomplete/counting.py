@@ -128,9 +128,15 @@ def count_completing_extensions(
     (:meth:`~repro.engine.context.EvaluationContext.check_program`) is
     built at the first valuation whose summary is not in ``Q(D)``; its
     compiled ``Δ \\ D`` (:attr:`~repro.engine.checks.CheckProgram.delta`)
-    gives each valuation's fresh facts, and the same Δ goes to the
-    program's ``(D ∪ Δ, Dm) ⊨ V`` test when the fresh-fact set is new, so
-    the tableau is instantiated once per candidate.
+    lists each valuation's fresh facts, flat.  Extensions are kept by a
+    canonical key of that list: the fact itself when Δ has one fact,
+    else the ``frozenset`` of its facts (Δ has at least one, since a
+    valuation landing inside ``D`` has its summary in ``Q(D)``).  A
+    tuple never equals a frozenset, and sets of different sizes never
+    compare equal, so equal keys mean equal fresh-fact sets.  When the
+    key is new, the same list goes to the program's ``(D ∪ Δ, Dm) ⊨ V``
+    test: a candidate costs one template call and one base membership
+    test per tableau row and one set lookup before its check.
 
     *max_extensions* truncates the count (``exhaustive=False``); the
     governor interrupts at valuation boundaries like the deciders.
@@ -159,7 +165,8 @@ def count_completing_extensions(
     row_filter, other_constraints = split_ind_constraints(
         constraints, master, context=context)
 
-    extensions: set[frozenset] = set()
+    # The accepted fresh-fact sets, by canonical key (see above).
+    extensions: set[Any] = set()
     examined = 0
     constraint_checks = 0
 
@@ -191,19 +198,18 @@ def count_completing_extensions(
                     if check is None:
                         check = context.check_program(
                             templates, database, master, other_constraints)
-                    new_rows = check.delta(values)
+                        delta = check.delta
+                    facts = delta(values)
                     # A valuation landing entirely inside D would have
                     # summary ∈ Q(D); surviving deltas add ≥ 1 fact.
-                    fresh = frozenset([(name, row)
-                                       for name, rows in new_rows.items()
-                                       for row in rows])
-                    if fresh in extensions:
+                    key = facts[0] if len(facts) == 1 else frozenset(facts)
+                    if key in extensions:
                         continue
                     if other_constraints:
                         constraint_checks += 1
-                        if not check(values, new_rows):
+                        if not check(values, facts):
                             continue
-                    extensions.add(fresh)
+                    extensions.add(key)
                     if (max_extensions is not None
                             and len(extensions) >= max_extensions):
                         return CountReport(count=len(extensions),

@@ -8,8 +8,9 @@ On every backend it must give the verdict of
 union, with the same ``plans_compiled``, ``delta_evaluations`` and
 ``full_evaluations``, ``index_builds`` no higher (equal on python), and
 no more cache hits — the contract the kernels' exact counters rest on.
-The program's own ``Δ \\ D`` must be ``group_delta``'s, and a gated
-delta plan must run only when a new row passes its gate.
+The program's own ``Δ \\ D``, a flat list of new facts, must group into
+``group_delta``'s, and a gated delta plan must run only when a new row
+passes its gate.
 """
 
 import pytest
@@ -130,9 +131,19 @@ class TestProgramDelta:
         for values in data.draw(st.lists(
                 st.tuples(*[st.sampled_from(_VALUES)] * width),
                 min_size=1, max_size=4)):
+            facts = program.delta(values)
+            # Each new fact once, in tableau-row order.
+            assert facts == [
+                (relation, row)
+                for relation, row in dict.fromkeys(templates.facts(values))
+                if row not in base.relation(relation)]
+            # Grouped, as the program groups it for a plan, it is the
+            # instantiated tableau's group_delta: the same relations,
+            # rows and order of first occurrence, so the list is
+            # group_delta's flattening with each relation's rows in the
+            # same order.
             expected = group_delta(base, templates.facts(values))
-            # Same relations, rows and order of first occurrence.
-            assert list(program.delta(values).items()) == \
+            assert list(group_delta(base, facts).items()) == \
                 list(expected.items())
 
 

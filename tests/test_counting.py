@@ -3,28 +3,39 @@
 Pins the definitional identity ``count_missing_answers ≡
 len(missing_answers_report(...).answers)``, the verdict bridge
 (``count == 0 ⟺ COMPLETE``), monotonicity under Δ-extensions, limit
-truncation, backend invariance, and governed interruption.
+truncation, backend invariance, governed interruption, and the count of
+completing extensions against the materializing reference
+(``benchmarks/reference_rcdp.py``).
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.constraints.containment import satisfies_all
+from repro.constraints.containment import (ContainmentConstraint,
+                                           Projection, satisfies_all)
 from repro.constraints.ind import InclusionDependency
 from repro.core.rcdp import decide_rcdp, missing_answers_report
 from repro.core.results import SearchStatistics
 from repro.errors import ExecutionInterrupted, ReproError
 from repro.incomplete import (CountReport, count_completing_extensions,
                               count_missing_answers)
+from repro.io.json_io import load_bundle
 from repro.mdm.scenario import CRMScenario
+from repro.queries.atoms import eq, rel
+from repro.queries.cq import cq
+from repro.queries.terms import var
+from repro.queries.ucq import UnionOfConjunctiveQueries
+from repro.relational.backends import BACKEND_NAMES
 from repro.relational.instance import Instance, extend_unvalidated
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
+from benchmarks.reference_rcdp import reference_count
 from tests.strategies import (SCHEMA, conjunctive_queries,
-                              extension_facts, instances)
+                              extension_facts, instances, union_queries)
 
 MASTER_SCHEMA = DatabaseSchema([RelationSchema("M", ["c"])])
 DM = Instance(MASTER_SCHEMA, {"M": {(0,), (1,)}})
@@ -210,3 +221,93 @@ class TestBackendInvariance:
         parallel = count_missing_answers(*args, workers=2)
         assert parallel.count == serial.count
         assert parallel.exhaustive == serial.exhaustive
+
+
+_X, _Y = var("x"), var("y")
+#: Bans a symmetric R pair on the value 1, so R(1, 1) is rejected; a
+#: self-join, so the python delta plans and the storage ``plan_violates``
+#: calls both run.
+_BAN_ONE = ContainmentConstraint(
+    cq([], [rel("R", _X, _Y), rel("R", _Y, _X), eq(_X, _Y), eq(_X, 1)]),
+    Projection.empty(), name="ban-R(1,1)")
+_SYMMETRIC = cq([_X], [rel("R", _X, _Y), rel("R", _Y, _X)], name="Qsym")
+#: The count's cap on the shipped bundles: crm_q1_supported has over
+#: 3,000,000 candidates, and the reference materializes every one.
+_BUNDLE_CAP = 2000
+
+
+@st.composite
+def _constraints(draw):
+    """The IND plus up to two CQ or UCQ constraints, against ``π(M)``
+    (unary heads) or ``∅``."""
+    drawn = [IND]
+    for index in range(draw(st.integers(0, 2))):
+        query = draw(st.one_of(conjunctive_queries(max_comparisons=2),
+                               union_queries()))
+        target = (Projection.on("M", [0])
+                  if query.arity == 1 and draw(st.booleans())
+                  else Projection.empty())
+        drawn.append(ContainmentConstraint(query, target, name=f"cc{index}"))
+    return drawn
+
+
+def _count_and_checks(*inputs, **options):
+    report = count_completing_extensions(*inputs, **options)
+    return report.count, report.statistics.constraint_checks
+
+
+class TestCountMatchesReference:
+    """``count_completing_extensions`` against
+    :func:`~benchmarks.reference_rcdp.reference_count`, which checks
+    every candidate on the materialized ``D ∪ Δ`` and deduplicates the
+    accepted Δs by ``frozenset``: the same count and the same
+    ``constraint_checks`` on every backend."""
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @settings(max_examples=40, deadline=None)
+    @given(query=st.one_of(conjunctive_queries(), union_queries()),
+           db=instances(), constraints=_constraints())
+    def test_random_queries(self, backend, query, db, constraints):
+        # D need not satisfy V: then no Δ is accepted, on either side.
+        try:
+            ours = _count_and_checks(query, db, DM, constraints,
+                                     check_partially_closed=False,
+                                     backend=backend)
+        except ReproError:
+            assume(False)
+        assert ours == reference_count(query, db, DM, constraints)
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_self_join_valuations_sharing_one_delta(self, backend):
+        # (x, y) = (0, 1) and (1, 0) both add {R(0, 1), R(1, 0)}: the
+        # second is counted already and not checked.  R(1, 1) is
+        # rejected; R(0, 0) is accepted.
+        db = Instance(SCHEMA, {"R": {(2, 0)}, "T": set()})
+        inputs = (_SYMMETRIC, db, DM, [IND, _BAN_ONE])
+        assert _count_and_checks(*inputs, backend=backend) == \
+            reference_count(*inputs) == (2, 3)
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_ucq_disjuncts_reaching_one_fact(self, backend):
+        # The two-row disjunct at x = y = 0 and the one-row disjunct at
+        # x = 0 both add the one fact R(0, 0), counted once; x = 1 adds
+        # R(1, 1) from both, rejected and checked by each.
+        query = UnionOfConjunctiveQueries(
+            [_SYMMETRIC, cq([_X], [rel("R", _X, _X)])], name="Qucq")
+        db = Instance(SCHEMA, {"R": {(2, 0)}, "T": set()})
+        inputs = (query, db, DM, [IND, _BAN_ONE])
+        assert _count_and_checks(*inputs, backend=backend) == \
+            reference_count(*inputs) == (2, 4)
+
+    @pytest.mark.parametrize("path", sorted(
+        (Path(__file__).resolve().parent.parent / "examples" / "bundles")
+        .glob("*.json")), ids=lambda path: path.stem)
+    def test_shipped_bundles(self, path):
+        bundle = load_bundle(path)
+        inputs = (bundle["query"], bundle["database"], bundle["master"],
+                  bundle["constraints"])
+        expected = reference_count(*inputs, max_extensions=_BUNDLE_CAP)
+        for backend in BACKEND_NAMES:
+            assert _count_and_checks(
+                *inputs, max_extensions=_BUNDLE_CAP,
+                backend=backend) == expected, backend

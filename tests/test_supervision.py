@@ -188,6 +188,8 @@ class TestSupervisedRecovery:
         overdraws its ledger, and the legs converge to the serial
         verdict with exact cumulative statistics."""
         serial = _serial_complete()
+        # COMPLETE, so the serial scan walked the whole stream.
+        stream = serial.statistics.valuations_examined
         policy = RetryPolicy(max_retries=1, heartbeat=0.005,
                              backoff_base=0.001, backoff_cap=0.01)
         checkpoint, legs = None, 0
@@ -206,7 +208,9 @@ class TestSupervisedRecovery:
                 break
             checkpoint = result.checkpoint
             assert checkpoint is not None, "exhaustion without checkpoint"
-            assert legs < 50, "budget-resume loop made no progress"
+            # Every exhausted leg examines at least one valuation of the
+            # stream, so a loop that progresses ends within its length.
+            assert legs <= stream, "budget-resume loop made no progress"
         assert legs > 1, "budget=6 should force at least one resume"
         _assert_same_rcdp(serial, result)
 
