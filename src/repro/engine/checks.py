@@ -42,9 +42,10 @@ every later value tuple of that tableau:
   new ``Cust`` row whose country code is ``'01'``.
 
 Once a python constraint has read ``q(D)``, decided ``q(D) ⊆ p(Dm)`` and
-compiled the plans of every relation Δ can hold, its check is swapped
-for a warm one that does only the work that depends on the value tuple:
-the counter increment, the selection conditions and the gates.
+compiled the plans of every relation Δ can hold, a check does only the
+work that depends on the value tuple — the counter increment, the
+selection conditions and the gates — behind two tests of state
+(``answers is None``, ``pending``) and the memoized ``q(D) ⊆ p(Dm)``.
 
 The constraints are checked in order, with the short-circuit of
 :func:`~repro.constraints.containment.satisfies_all_extension`, and the
@@ -243,13 +244,9 @@ class _PythonCheck(_Check):
     some row can fire, in ``searches`` order; ``pending`` holds the
     relations Δ can hold whose plans are not compiled yet.  A
     single-atom constraint compiles its plans but reads its
-    selections.
+    selections."""
 
-    ``violated`` is :meth:`_cold` until ``q(D)`` is read, ``q(D) ⊆
-    p(Dm)`` decided and nothing is pending, then :meth:`_warm`'s
-    check."""
-
-    __slots__ = ("searches", "runs", "pending", "source", "violated")
+    __slots__ = ("searches", "runs", "pending", "source")
 
     def __init__(self, *args: Any) -> None:
         super().__init__(*args)
@@ -260,9 +257,8 @@ class _PythonCheck(_Check):
         self.pending = {search[0] for search in self.searches} \
             & self.relations
         self.source = DeltaSource({})
-        self.violated: Callable[[tuple, Facts | None], bool] = self._cold
 
-    def _cold(self, values: tuple, facts: Facts | None) -> bool:
+    def violated(self, values: tuple, facts: Facts | None) -> bool:
         answers = self.answers
         if answers is None:
             answers = self.read_answers()
@@ -275,33 +271,10 @@ class _PythonCheck(_Check):
                        else {relation for relation, _ in facts})
                 if not self.pending.isdisjoint(new):
                     self._compile(new)
-        holds = self.base_holds()
-        if not self.pending or (self.boolean and answers):
-            self.violated = self._warm()
-        if not holds:
+        if not self.base_holds():
             return True
-        return derives and self._search(values, facts)
-
-    def _warm(self) -> Callable[[tuple, Facts | None], bool]:
-        """The check once nothing is left to read or compile: only the
-        work that depends on the value tuple."""
-        base_violated = not self.base_ok
-        if self.boolean and self.answers:
-            # Δ derives nothing new: q(D) ⊆ p(Dm) decides every check.
-            return lambda values, facts: base_violated
-        statistics, search = self.statistics, self._search
-
-        def violated(values: tuple, facts: Facts | None) -> bool:
-            if facts is not None and not facts:
-                return base_violated
-            statistics.delta_evaluations += 1
-            return base_violated or search(values, facts)
-        return violated
-
-    def _search(self, values: tuple, facts: Facts | None) -> bool:
-        """Whether Δ, which has new rows, derives an answer outside
-        ``p(Dm)`` (any answer, for the target ``∅``), given ``q(D) ⊆
-        p(Dm)``."""
+        if not derives:
+            return False
         if self.selections is not None:
             for rows in self.selections:
                 if self.rows_violate(values, rows):

@@ -9,8 +9,10 @@ union, with the same ``plans_compiled``, ``delta_evaluations`` and
 ``full_evaluations``, ``index_builds`` no higher (equal on python), and
 no more cache hits — the contract the kernels' exact counters rest on.
 The program's own ``Δ \\ D``, a flat list of new facts, must group into
-``group_delta``'s, and a gated delta plan must run only when a new row
-passes its gate.
+``group_delta``'s; a gated delta plan must run only when a new row
+passes its gate, and a columnar or sqlite check must call
+``plan_violates`` once per disjunct on ``D`` and on ``D ∪ Δ`` only when
+a new row passes a gate of the disjunct.
 """
 
 import pytest
@@ -32,6 +34,8 @@ from repro.queries.tableau import Tableau
 from repro.queries.terms import var
 from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational.backends import BACKEND_NAMES
+from repro.relational.backends.columnar import ColumnarStorage
+from repro.relational.backends.sqlite import SQLiteStorage
 from repro.relational.instance import Instance, extend_unvalidated
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
@@ -220,9 +224,11 @@ def _values(templates, **assignment):
 
 
 class TestGatedDeltaPlans:
-    """A multi-atom constraint's delta plan runs only when a new row of
-    the valuation passes the plan's gate; verdicts and counters are the
-    per-constraint check's on every backend, ``index_builds`` included."""
+    """A multi-atom constraint's delta plan (python) or ``plan_violates``
+    call on ``D ∪ Δ`` (columnar, sqlite) runs only when a new row of the
+    valuation passes one of its gates; verdicts and counters are the
+    per-constraint check's on every backend, ``index_builds``
+    included."""
 
     @pytest.fixture
     def plan_runs(self, monkeypatch):
@@ -236,13 +242,38 @@ class TestGatedDeltaPlans:
         monkeypatch.setattr(program_module, "iter_rows", counted)
         return runs
 
+    @pytest.fixture
+    def storage_calls(self, monkeypatch):
+        """The Δ of every ``plan_violates`` call, per storage backend:
+        ``{}`` for a call on ``D``."""
+        calls = {"columnar": [], "sqlite": []}
+        for storage_class in (ColumnarStorage, SQLiteStorage):
+            def counted(storage, plan, delta, allowed, *, on_build=None,
+                        method=storage_class.plan_violates):
+                calls[storage.kind].append(delta)
+                return method(storage, plan, delta, allowed,
+                              on_build=on_build)
+
+            monkeypatch.setattr(storage_class, "plan_violates", counted)
+        return calls
+
     @staticmethod
-    def _python_verdicts(templates, base, ccs, valuations):
-        program = EvaluationContext(backend="python").check_program(
+    def _program_verdicts(templates, base, ccs, valuations,
+                          backend="python"):
+        program = EvaluationContext(backend=backend).check_program(
             templates, base, _MASTER, ccs)
         return [program(values) for values in valuations]
 
-    def test_gate_folding_to_false_never_runs_the_plan(self, plan_runs):
+    def _assert_storage_calls(self, storage_calls, templates, base, ccs,
+                              valuations, verdicts, expected):
+        for backend in storage_calls:
+            storage_calls[backend].clear()
+            assert self._program_verdicts(templates, base, ccs, valuations,
+                                          backend) == verdicts
+            assert storage_calls[backend] == expected, backend
+
+    def test_gate_folding_to_false_never_runs_the_plan(self, plan_runs,
+                                                       storage_calls):
         # The tableau's T row has z = 1; the constraint's T atom wants
         # z = 2, so no valuation's T row can start a binding.
         templates = _templates_of(rel("T", _X, _Y, 1))
@@ -256,11 +287,15 @@ class TestGatedDeltaPlans:
                                      valuations, exact_builds=True)
         assert verdicts == [True, True, True]
         plan_runs.clear()
-        assert self._python_verdicts(templates, base, [cc],
-                                     valuations) == verdicts
+        assert self._program_verdicts(templates, base, [cc],
+                                      valuations) == verdicts
         assert plan_runs == []
+        # The base violation once, and never D ∪ Δ.
+        self._assert_storage_calls(storage_calls, templates, base, [cc],
+                                   valuations, verdicts, [{}])
 
-    def test_gate_on_the_values_fires_only_when_it_holds(self, plan_runs):
+    def test_gate_on_the_values_fires_only_when_it_holds(self, plan_runs,
+                                                         storage_calls):
         # φ0's shape: T ⋈ R with z = 1 on the Δ atom, so the plan can
         # fire only for a new T row whose z is 1.
         templates = _templates_of(rel("T", _X, _Y, _Z))
@@ -275,11 +310,16 @@ class TestGatedDeltaPlans:
         # 3 ∉ π(M) joins R(3, 1); 0 is allowed; 2 has no R row.
         assert verdicts == [False, True, True, True, True]
         plan_runs.clear()
-        assert self._python_verdicts(templates, base, [cc],
-                                     valuations) == verdicts
+        assert self._program_verdicts(templates, base, [cc],
+                                      valuations) == verdicts
         assert plan_runs == ["T", "T", "T"]
+        # The base violation once, then D ∪ Δ for each new T row with
+        # z = 1.
+        self._assert_storage_calls(
+            storage_calls, templates, base, [cc], valuations, verdicts,
+            [{}, {"T": [(3, 0, 1)]}, {"T": [(0, 0, 1)]}, {"T": [(2, 0, 1)]}])
 
-    def test_gated_row_already_in_the_base(self, plan_runs):
+    def test_gated_row_already_in_the_base(self, plan_runs, storage_calls):
         # Two T rows: the first passes its gate but is already in D, the
         # second is new and fails its gate, so the plan does not run.
         templates = _templates_of(rel("T", _X, _Y, _Z),
@@ -296,6 +336,9 @@ class TestGatedDeltaPlans:
         # R(3, 1) with 3 outside π(M).
         assert verdicts == [True, False, True]
         plan_runs.clear()
-        assert self._python_verdicts(templates, base, [cc],
-                                     valuations) == verdicts
+        assert self._program_verdicts(templates, base, [cc],
+                                      valuations) == verdicts
         assert plan_runs == ["T"]
+        self._assert_storage_calls(storage_calls, templates, base, [cc],
+                                   valuations, verdicts,
+                                   [{}, {"T": [(3, 0, 1)]}])
