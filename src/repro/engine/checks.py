@@ -17,9 +17,9 @@ every later value tuple of that tableau:
   fact once, in tableau-row order.  The program lists it once per check
   when some constraint reads it, and the counting loop lists it for its
   fresh-fact dedup and passes the same list to the check.  The list is
-  grouped into ``{relation: rows}`` by
-  :func:`~repro.engine.executor.group_delta` only where a plan reads
-  it: for a delta plan whose gate fires, and for a storage
+  grouped into ``{relation: rows}`` (:func:`_group`, which gives
+  :func:`~repro.engine.executor.group_delta`'s dict) only where a plan
+  reads it: for a delta plan whose gate fires, and for a storage
   ``plan_violates`` call;
 * ``q(D)`` and ``p(Dm)`` are read once per constraint, and
   ``q(D) ⊆ p(Dm)`` is decided once;
@@ -34,7 +34,9 @@ every later value tuple of that tableau:
   over the atom's own variables.  Those tests are compiled per tableau
   row and atom, as the selections are, on first need.  On python each
   delta plan (its first step reads the Δ atom, and its gates are built
-  from that step) runs only when some new row passes its atom's gate.
+  from that step) runs only when some new row passes its atom's gate,
+  or, when every row of the atom's relation passes unconditionally,
+  when Δ has a new row of it.
   On columnar and sqlite each disjunct's base violation
   ``q_i(D) ⊄ p(Dm)`` is decided once in the storage, and
   ``plan_violates`` runs on ``D ∪ Δ`` only when a new row passes the gate
@@ -68,7 +70,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.engine.executor import (ChainSource, DeltaSource, IndexedSource,
-                                   delta_sources, group_delta, iter_rows)
+                                   delta_sources, iter_rows)
 from repro.queries.atoms import Eq
 from repro.queries.terms import Var
 
@@ -139,7 +141,7 @@ def _delta_program(rows: list[tuple]) -> Callable[[tuple], Facts]:
     """``values ↦ Δ \\ D`` for ``Δ = μ(T)``, from one ``(relation, row
     template, base rows)`` per tableau row: each instantiated row not in
     the base rows, as a ``(relation, row)`` fact, each fact once, in
-    tableau-row order, so that ``group_delta(base, facts)`` is
+    tableau-row order, so that ``_group(facts)`` is
     ``group_delta(base, templates.facts(values))``.  Ground rows already
     in the base are left out of *rows*."""
     def new_facts(values: tuple) -> Facts:
@@ -239,9 +241,11 @@ class _PythonCheck(_Check):
     answers.  ``searches`` holds ``[relation, disjunct, atom, plan,
     sources, gates]`` per delta plan, the plan compiled the first time
     Δ has new rows of the atom's relation, as the per-call check
-    compiles it, and its gates (:func:`_gates`, from the comparisons of
-    the plan's first step) with it; ``runs`` holds the compiled plans
-    some row can fire, in ``searches`` order; ``pending`` holds the
+    compiles it, and its gates (:func:`_plan_gates`, from the
+    comparisons of the plan's first step; ``[]`` until then, and for a
+    plan no row can fire) with it; ``runs`` holds ``(relation, plan,
+    sources, gates)`` for the compiled plans some row can fire, in
+    ``searches`` order; ``pending`` holds the
     relations Δ can hold whose plans are not compiled yet.  A
     single-atom constraint compiles its plans but reads its
     selections."""
@@ -250,7 +254,7 @@ class _PythonCheck(_Check):
 
     def __init__(self, *args: Any) -> None:
         super().__init__(*args)
-        self.searches = [[atom.relation, disjunct, j, None, None, None]
+        self.searches = [[atom.relation, disjunct, j, None, None, []]
                          for disjunct in self.disjuncts
                          for j, atom in enumerate(disjunct.relation_atoms)]
         self.runs: list[tuple] = []
@@ -282,12 +286,13 @@ class _PythonCheck(_Check):
             return False
         grouped = None
         allowed = self.allowed
-        for plan, sources, gates in self.runs:
-            if not _fires(gates, values):
+        for relation, plan, sources, gates in self.runs:
+            if gates is not None and not _fires(gates, values):
                 continue
             if grouped is None:
-                grouped = self.source.rows_by_relation = group_delta(
-                    self.base, facts)
+                grouped = self.source.rows_by_relation = _group(facts)
+            if relation not in grouped:
+                continue
             for answer in iter_rows(plan, sources):
                 if self.empty:
                     return True
@@ -307,13 +312,13 @@ class _PythonCheck(_Check):
                 search[3] = plan
                 search[4] = delta_sources(plan, j, base, self.source, chained)
                 if self.selections is None and plan.satisfiable:
-                    search[5] = _gates(self.templates, self.base,
-                                       disjunct.relation_atoms[j],
-                                       plan.steps[0].comparisons)
+                    search[5] = _plan_gates(self.templates, self.base,
+                                            disjunct.relation_atoms[j],
+                                            plan.steps[0].comparisons)
         self.pending -= new
-        self.runs = [(plan, sources, gates)
-                     for _, _, _, plan, sources, gates in self.searches
-                     if plan is not None and gates]
+        self.runs = [(relation, plan, sources, gates)
+                     for relation, _, _, plan, sources, gates in self.searches
+                     if plan is not None and (gates is None or gates)]
 
 
 class _StorageCheck(_Check):
@@ -363,7 +368,7 @@ class _StorageCheck(_Check):
                     self.templates, self.base, disjunct)
             if _fires(gates, values):
                 if grouped is None:
-                    grouped = group_delta(self.base, facts)
+                    grouped = _group(facts)
                 if self.storage.plan_violates(plan, grouped, allowed,
                                               on_build=self.on_build):
                     return True
@@ -411,6 +416,19 @@ def _gates(templates: "TableauTemplates", base: "Instance", atom: Any,
     return gates
 
 
+def _plan_gates(templates: "TableauTemplates", base: "Instance", atom: Any,
+                comparisons: Sequence[Any]) -> list[tuple] | None:
+    """:func:`_gates` for a delta plan whose first step reads *atom*, or
+    None when every tableau row of the atom's relation passes
+    unconditionally: then the plan runs whenever Δ has a new row of that
+    relation, which the grouped Δ already tells."""
+    gates = _gates(templates, base, atom, comparisons)
+    rows = sum(relation == atom.relation for relation, _ in templates.rows)
+    if len(gates) == rows and not any(gate[0] for gate in gates):
+        return None
+    return gates
+
+
 def _disjunct_gates(templates: "TableauTemplates", base: "Instance",
                     disjunct: Any) -> list[tuple]:
     """The gates of every relation atom of *disjunct*, each with the
@@ -423,6 +441,20 @@ def _disjunct_gates(templates: "TableauTemplates", base: "Instance",
             comparison for comparison in disjunct.comparisons
             if comparison.variables() <= variables])
     return gates
+
+
+def _group(facts: Facts) -> dict[str, list[tuple]]:
+    """*facts* by relation, each relation's rows in list order.  The
+    program's Δ is new and duplicate-free, so this is ``group_delta(base,
+    facts)`` without its dedup and base tests."""
+    grouped: dict[str, list[tuple]] = {}
+    for relation, row in facts:
+        rows = grouped.get(relation)
+        if rows is None:
+            grouped[relation] = [row]
+        else:
+            rows.append(row)
+    return grouped
 
 
 def _fires(gates: list[tuple], values: tuple) -> bool:

@@ -147,7 +147,7 @@ class TestProgramDelta:
             # group_delta's flattening with each relation's rows in the
             # same order.
             expected = group_delta(base, templates.facts(values))
-            assert list(group_delta(base, facts).items()) == \
+            assert list(program_module._group(facts).items()) == \
                 list(expected.items())
 
 
@@ -342,3 +342,28 @@ class TestGatedDeltaPlans:
         self._assert_storage_calls(storage_calls, templates, base, [cc],
                                    valuations, verdicts,
                                    [{}, {"T": [(3, 0, 1)]}])
+
+    def test_open_gate_runs_only_for_its_relation(self, plan_runs,
+                                                  storage_calls):
+        # No atom of the constraint has a condition, so every gate is
+        # open: a plan runs exactly when Δ has a new row of its Δ atom's
+        # relation.
+        templates = _templates_of(rel("R", _X, _Y), rel("T", _Y, _X, _W))
+        base = Instance(_R, {"R": {(0, 0)}, "T": {(1, 0, 1)}})
+        cc = ContainmentConstraint(
+            cq([_X], [rel("T", _X, _Y, _Z), rel("R", _X, _W)]),
+            Projection.on("M", [0]))
+        # Δ: R(0, 1) alone; R(2, 1) and T(1, 2, 0); T(0, 0, 3) alone.
+        valuations = [_values(templates, x=x, y=y, w=w)
+                      for x, y, w in ((0, 1, 1), (2, 1, 0), (0, 0, 3))]
+        verdicts = _check_everywhere(templates, base, _MASTER, [cc],
+                                     valuations, exact_builds=True)
+        assert verdicts == [True, True, True]
+        plan_runs.clear()
+        assert self._program_verdicts(templates, base, [cc],
+                                      valuations) == verdicts
+        assert plan_runs == ["R", "T", "R", "T"]
+        self._assert_storage_calls(
+            storage_calls, templates, base, [cc], valuations, verdicts,
+            [{}, {"R": [(0, 1)]}, {"R": [(2, 1)], "T": [(1, 2, 0)]},
+             {"T": [(0, 0, 3)]}])
