@@ -23,16 +23,18 @@ A third section times ``count_completing_extensions`` on the
 ``general`` shape (one 908-area domestic customer, one international
 customer, the default CRM constraints): 28,561 valuations and 26,364
 check-program calls, the check layer's many-cheap-checks end, on the
-python backend and on sqlite (whose multi-atom φ0 reaches the storage
-only when its gate fires).  Its count and the counters no backend
-changes are asserted in every mode.
+python backend and on sqlite (which evaluates the whole plans of
+``Q(D)`` in SQL and runs the checks on the same python delta plans).
+Its count and the counters no backend changes are asserted in every
+mode.
 
 A fourth section pins the observability contract: a governed decider
 run with a *disabled* :class:`~repro.obs.Observation` attached must stay
 within ``OBS_OFF_OVERHEAD`` of the same run with no observation at all
 (the enabled-tracing cost is reported informationally), and so must the
 same run plus one run-ledger append.  Both are timed where the search
-dominates, in alternating rounds, and gate the median per-round ratio.
+dominates, in alternating rounds, and gate the median per-round ratio;
+each row records the ratios' interquartile range beside it.
 
 Run from the repository root::
 
@@ -286,6 +288,12 @@ def _ratios(times: dict[str, list[float]], name: str) -> list[float]:
     return [mine / bare for bare, mine in zip(times["bare"], times[name])]
 
 
+def _iqr(ratios: list[float]) -> float:
+    """The interquartile range of per-round *ratios*."""
+    first, _, third = statistics.quantiles(ratios, n=4)
+    return round(third - first, 4)
+
+
 def bench_obs_overhead(num_domestic: int, rounds: int) -> dict:
     """The same governed decider run three ways: no observation,
     observation attached but disabled (what every governed production
@@ -321,6 +329,7 @@ def bench_obs_overhead(num_domestic: int, rounds: int) -> dict:
         "obs_on_s": round(statistics.median(times["on"]), 6),
         "off_ratios": [round(ratio, 4) for ratio in off],
         "off_overhead": round(statistics.median(off), 4),
+        "off_iqr": _iqr(off),
         "on_overhead": round(statistics.median(on), 4),
     }
 
@@ -359,6 +368,7 @@ def bench_ledger_overhead(num_domestic: int, pairs: int) -> dict:
         "ledger_s": round(statistics.median(times["ledger"]), 6),
         "ratios": [round(ratio, 4) for ratio in ratios],
         "ledger_overhead": round(statistics.median(ratios), 4),
+        "ledger_iqr": _iqr(ratios),
     }
 
 
@@ -374,9 +384,10 @@ def main(argv: list[str] | None = None) -> int:
     extension_sizes = [2, 3] if args.smoke else [3, 4, 5, 6]
     repeats = 1 if args.smoke else 3
     # A 5% overhead gate needs noise suppression: both overhead gates
-    # run where the search takes ~0.2 s, in alternating rounds.
+    # run where the search takes ~0.2 s, in 31 alternating rounds (at
+    # 11, two full runs of one tree could read either side of 1.05).
     overhead_size = 3 if args.smoke else 8
-    overhead_rounds = 3 if args.smoke else 11
+    overhead_rounds = 3 if args.smoke else 31
 
     rcdp_rows = []
     for size in rcdp_sizes:
@@ -410,14 +421,15 @@ def main(argv: list[str] | None = None) -> int:
     print(f"obs-overhead n={overhead_size}: governed "
           f"{obs_row['gov_s']:.4f}s, obs-off {obs_row['obs_off_s']:.4f}s, "
           f"obs-on {obs_row['obs_on_s']:.4f}s; median of "
-          f"{overhead_rounds} round ratios: off {obs_row['off_overhead']}x, "
-          f"on {obs_row['on_overhead']}x")
+          f"{overhead_rounds} round ratios: off {obs_row['off_overhead']}x "
+          f"(IQR {obs_row['off_iqr']}), on {obs_row['on_overhead']}x")
 
     ledger_row = bench_ledger_overhead(overhead_size, overhead_rounds)
     print(f"ledger-overhead n={overhead_size}: governed "
           f"{ledger_row['bare_s']:.4f}s, with ledger "
           f"{ledger_row['ledger_s']:.4f}s, median of "
-          f"{overhead_rounds} pair ratios {ledger_row['ledger_overhead']}x")
+          f"{overhead_rounds} pair ratios {ledger_row['ledger_overhead']}x "
+          f"(IQR {ledger_row['ledger_iqr']})")
 
     largest = rcdp_rows[-1]
     rows = [bench_row(f"rcdp/n={row['num_domestic']}", row["engine_s"],

@@ -26,7 +26,7 @@ from repro.queries.terms import Var
 from repro.relational.schema import DatabaseSchema
 
 __all__ = ["VariableStatus", "VariableReport", "BoundednessReport",
-           "analyze_boundedness"]
+           "analyze_boundedness", "covering_ind"]
 
 
 class VariableStatus(enum.Enum):
@@ -105,9 +105,11 @@ def _column_names(tableau: Tableau, variable: Var,
     return tuple(dict.fromkeys(columns))
 
 
-def _covering_ind(tableau: Tableau, variable: Var,
-                  constraints: Sequence[ContainmentConstraint],
-                  ) -> ContainmentConstraint | None:
+def covering_ind(tableau: Tableau, variable: Var,
+                 constraints: Sequence[ContainmentConstraint],
+                 ) -> ContainmentConstraint | None:
+    """Condition E4: the first IND of *constraints* that projects a
+    column where *variable* occurs in *tableau*, or None."""
     for constraint in constraints:
         if not constraint.is_ind():
             continue
@@ -167,7 +169,7 @@ def analyze_boundedness(query: Any,
                     disjunct=disjunct.name, variable=variable,
                     status=VariableStatus.FINITE_DOMAIN, columns=columns))
                 continue
-            ind = _covering_ind(tableau, variable, constraints)
+            ind = covering_ind(tableau, variable, constraints)
             if ind is not None:
                 reports.append(VariableReport(
                     disjunct=disjunct.name, variable=variable,

@@ -45,6 +45,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
+from repro.analysis.boundedness import covering_ind
 from repro.analysis.driver import validate_for_decision
 from repro.constraints.containment import (ContainmentConstraint,
                                            satisfies_all,
@@ -67,7 +68,7 @@ from repro.core.witness import make_complete
 from repro.errors import (ConstraintError, ExecutionInterrupted, ReproError)
 from repro.obs import obs_of, obs_span, traced
 from repro.queries.tableau import Tableau
-from repro.queries.terms import Const, Var
+from repro.queries.terms import Const
 from repro.relational.domain import is_fresh
 from repro.relational.instance import Instance
 from repro.relational.schema import DatabaseSchema
@@ -93,22 +94,6 @@ def _facts_instance(schema: DatabaseSchema,
 # ---------------------------------------------------------------------------
 # INDs: the coNP algorithm (Theorem 4.5(1), Proposition 4.3)
 # ---------------------------------------------------------------------------
-
-
-def _ind_covers_variable(tableau: Tableau, variable: Var,
-                         constraints: Sequence[ContainmentConstraint],
-                         ) -> bool:
-    """Condition E4: *variable* occurs in a column projected by some IND."""
-    for constraint in constraints:
-        relation, columns = constraint.ind_source()
-        column_set = set(columns)
-        for row in tableau.rows:
-            if row.relation != relation:
-                continue
-            for position, term in enumerate(row.terms):
-                if term == variable and position in column_set:
-                    return True
-    return False
 
 
 def _inds_search_space(payload: dict[str, Any],
@@ -319,8 +304,8 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
                                            key=lambda v: v.name):
                         if tableau.has_finite_domain(variable):
                             continue  # condition E3
-                        if not _ind_covers_variable(tableau, variable,
-                                                    constraints):
+                        if covering_ind(tableau, variable,
+                                        constraints) is None:
                             return RCQPResult(
                                 status=RCQPStatus.EMPTY,
                                 explanation=(

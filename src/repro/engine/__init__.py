@@ -9,10 +9,12 @@ The pre-engine backtracking evaluators survive as ``evaluate_naive`` on
 every query class and serve as the cross-validation oracle in the
 property tests (see ``docs/ENGINE.md``).
 
-Execution is backend-pluggable: the context routes through the storage
-backends of :mod:`repro.relational.backends` (tuple-at-a-time python
-rows, set-at-a-time columnar, SQL pushdown via :mod:`repro.engine.sql`
-— see ``docs/BACKENDS.md``).
+Whole-plan evaluation ``Q(D)`` is backend-pluggable: the context routes
+it through the storage backends of :mod:`repro.relational.backends`
+(tuple-at-a-time python rows, set-at-a-time columnar, SQL pushdown via
+:mod:`repro.engine.sql` — see ``docs/BACKENDS.md``).  Delta evaluation
+and constraint checks run the semi-naive delta plans over the base's
+hash indexes on every backend.
 """
 
 from typing import TYPE_CHECKING

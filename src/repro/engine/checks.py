@@ -18,51 +18,45 @@ every later value tuple of that tableau:
   when some constraint reads it, and the counting loop lists it for its
   fresh-fact dedup and passes the same list to the check.  The list is
   grouped into ``{relation: rows}`` (:func:`_group`, which gives
-  :func:`~repro.engine.executor.group_delta`'s dict) only where a plan
-  reads it: for a delta plan whose gate fires, and for a storage
-  ``plan_violates`` call;
+  :func:`~repro.engine.executor.group_delta`'s dict) only for a delta
+  plan whose gate fires;
 * ``q(D)`` and ``p(Dm)`` are read once per constraint, and
   ``q(D) ⊆ p(Dm)`` is decided once;
 * a constraint whose every disjunct is one relation atom — a selection
   plus a projection, the CIND form of Proposition 2.1 — is decided on
-  the templated rows, on every backend: each tableau row the atom can
-  match gets a slot-compiled selection, and a selected row's projection
-  must lie in ``p(Dm)``;
-* every other constraint is *gated*.  A Δ row can take part in a new
-  answer of a disjunct only if it matches one of the disjunct's atoms:
-  the atom's constants and repeated variables, and the ``=``/``≠`` atoms
-  over the atom's own variables.  Those tests are compiled per tableau
-  row and atom, as the selections are, on first need.  On python each
-  delta plan (its first step reads the Δ atom, and its gates are built
-  from that step) runs only when some new row passes its atom's gate,
-  or, when every row of the atom's relation passes unconditionally,
-  when Δ has a new row of it.
-  On columnar and sqlite each disjunct's base violation
-  ``q_i(D) ⊄ p(Dm)`` is decided once in the storage, and
-  ``plan_violates`` runs on ``D ∪ Δ`` only when a new row passes the gate
-  of one of the disjunct's atoms.  φ0 of Example 2.1 fires only for a
-  new ``Cust`` row whose country code is ``'01'``.
+  the templated rows: each tableau row the atom can match gets a
+  slot-compiled selection, and a selected row's projection must lie in
+  ``p(Dm)``;
+* every other constraint runs its delta plans *gated*.  A Δ row can
+  take part in a new answer of a plan only if it matches the plan's
+  first atom, the one that reads Δ: the atom's constants and repeated
+  variables, and the ``=``/``≠`` atoms over the atom's own variables.
+  Those tests are compiled per tableau row, as the selections are, and
+  the plan runs only when some new row passes its gate, or, when every
+  row of the atom's relation passes unconditionally, when Δ has a new
+  row of it.  φ0 of Example 2.1 fires only for a new ``Cust`` row whose
+  country code is ``'01'``.
 
-Once a python constraint has read ``q(D)``, decided ``q(D) ⊆ p(Dm)`` and
+Once a constraint has read ``q(D)``, decided ``q(D) ⊆ p(Dm)`` and
 compiled the plans of every relation Δ can hold, a check does only the
 work that depends on the value tuple — the counter increment, the
 selection conditions and the gates — behind two tests of state
 (``answers is None``, ``pending``) and the memoized ``q(D) ⊆ p(Dm)``.
 
+The program is the same on every backend: a storage backend evaluates
+``q(D)`` (a whole plan over the base), and the delta plans probe the
+base's hash indexes (:meth:`EvaluationContext.indexes_for`).
+
 The constraints are checked in order, with the short-circuit of
 :func:`~repro.constraints.containment.satisfies_all_extension`, and the
 program makes the context calls the per-constraint
 :meth:`EvaluationContext.extension_satisfies` makes, when it makes
-them, minus the repeated cache lookups.  A python gate only skips a plan
-whose first step would find no row, before any index is probed; a
-storage gate only skips a ``plan_violates`` call whose verdict is the
-disjunct's base violation.  A constraint whose Δ has new rows counts its
-delta evaluation whether or not a gate lets a plan run.  So
-``plans_compiled``, ``delta_evaluations`` and ``full_evaluations`` are
-unchanged, and so are ``index_builds`` and its governor ticks on the
-python backend; on columnar and sqlite ``index_builds`` can only fall
-(the storage is probed only when a gate fires), and
-``engine_cache_hits`` falls.
+them, minus the repeated cache lookups.  A gate only skips a plan whose
+first step would find no row, before any index is probed, and a
+constraint whose Δ has new rows counts its delta evaluation whether or
+not a gate lets a plan run.  So ``plans_compiled``,
+``delta_evaluations``, ``full_evaluations``, ``index_builds`` and its
+governor ticks are unchanged, and ``engine_cache_hits`` falls.
 """
 
 from __future__ import annotations
@@ -111,9 +105,8 @@ class CheckProgram:
                         and template(()) in base.relation(relation))]
         self.delta = _delta_program(rows)
         relations = frozenset(relation for relation, _, _ in rows)
-        kind = _PythonCheck if context.backend == "python" else _StorageCheck
-        self._checks = tuple(kind(context, constraint, templates, base,
-                                  master, relations)
+        self._checks = tuple(_Check(context, constraint, templates, base,
+                                    master, relations)
                              for constraint in constraints)
         #: Whether Δ is listed on every check.  It is not when the checks
         #: can take it as every row left: there is one, the base holds no
@@ -158,20 +151,32 @@ def _delta_program(rows: list[tuple]) -> Callable[[tuple], Facts]:
 
 
 class _Check:
-    """One constraint of a program.  ``q(D)`` and ``p(Dm)`` are read on
-    first need, through the context's caches (so the first read counts
-    as it would per call), and ``q(D) ⊆ p(Dm)`` is decided once.
-    *relations* are the relations Δ can hold.
+    """One constraint of a program: the cached ``q(D)``, then the
+    semi-naive new answers.  ``q(D)`` and ``p(Dm)`` are read on first
+    need, through the context's caches (so the first read counts as it
+    would per call), and ``q(D) ⊆ p(Dm)`` is decided once.  *relations*
+    are the relations Δ can hold.
 
     ``selections`` is set when every disjunct is one relation atom: per
     disjunct, the tableau rows its atom can match, each as
     ``[conditions, head terms, membership]`` (the membership test is
-    compiled once ``p(Dm)`` is read).
+    compiled once ``p(Dm)`` is read).  Such a constraint compiles its
+    plans but reads its selections.
+
+    ``searches`` holds ``[relation, disjunct, atom, plan, sources,
+    gates]`` per delta plan, the plan compiled the first time Δ has new
+    rows of the atom's relation, as the per-call check compiles it, and
+    its gates (:func:`_plan_gates`, from the comparisons of the plan's
+    first step; ``[]`` until then, and for a plan no row can fire) with
+    it; ``runs`` holds ``(relation, plan, sources, gates)`` for the
+    compiled plans some row can fire, in ``searches`` order; ``pending``
+    holds the relations Δ can hold whose plans are not compiled yet.
     """
 
     __slots__ = ("context", "statistics", "templates", "base", "master",
                  "relations", "query", "projection", "empty", "boolean",
-                 "disjuncts", "answers", "allowed", "base_ok", "selections")
+                 "answers", "allowed", "base_ok", "selections", "searches",
+                 "runs", "pending", "source")
 
     def __init__(self, context: "EvaluationContext",
                  constraint: "ContainmentConstraint",
@@ -187,14 +192,21 @@ class _Check:
         self.projection = constraint.projection
         self.empty = constraint.projection.is_empty_target
         self.boolean = getattr(self.query, "arity", None) == 0
-        self.disjuncts = self.query.to_cq_disjuncts()
+        disjuncts = self.query.to_cq_disjuncts()
         self.answers: frozenset | None = None
         self.allowed: frozenset | None = None
         self.base_ok: bool | None = None
         self.selections = (
-            [_selections(templates, disjunct) for disjunct in self.disjuncts]
-            if all(len(d.relation_atoms) == 1 for d in self.disjuncts)
+            [_selections(templates, disjunct) for disjunct in disjuncts]
+            if all(len(d.relation_atoms) == 1 for d in disjuncts)
             else None)
+        self.searches = [[atom.relation, disjunct, j, None, None, []]
+                         for disjunct in disjuncts
+                         for j, atom in enumerate(disjunct.relation_atoms)]
+        self.runs: list[tuple] = []
+        self.pending = {search[0] for search in self.searches} \
+            & relations
+        self.source = DeltaSource({})
 
     def read_answers(self) -> frozenset:
         if self.answers is None:
@@ -234,33 +246,6 @@ class _Check:
                 if not row[2](values):
                     return True
         return False
-
-
-class _PythonCheck(_Check):
-    """The python backend: the cached ``q(D)``, then the semi-naive new
-    answers.  ``searches`` holds ``[relation, disjunct, atom, plan,
-    sources, gates]`` per delta plan, the plan compiled the first time
-    Δ has new rows of the atom's relation, as the per-call check
-    compiles it, and its gates (:func:`_plan_gates`, from the
-    comparisons of the plan's first step; ``[]`` until then, and for a
-    plan no row can fire) with it; ``runs`` holds ``(relation, plan,
-    sources, gates)`` for the compiled plans some row can fire, in
-    ``searches`` order; ``pending`` holds the
-    relations Δ can hold whose plans are not compiled yet.  A
-    single-atom constraint compiles its plans but reads its
-    selections."""
-
-    __slots__ = ("searches", "runs", "pending", "source")
-
-    def __init__(self, *args: Any) -> None:
-        super().__init__(*args)
-        self.searches = [[atom.relation, disjunct, j, None, None, []]
-                         for disjunct in self.disjuncts
-                         for j, atom in enumerate(disjunct.relation_atoms)]
-        self.runs: list[tuple] = []
-        self.pending = {search[0] for search in self.searches} \
-            & self.relations
-        self.source = DeltaSource({})
 
     def violated(self, values: tuple, facts: Facts | None) -> bool:
         answers = self.answers
@@ -321,60 +306,6 @@ class _PythonCheck(_Check):
                      if plan is not None and (gates is None or gates)]
 
 
-class _StorageCheck(_Check):
-    """The columnar and sqlite backends.  With new rows, each disjunct's
-    base violation ``q_i(D) ⊄ p(Dm)`` is decided once in the storage
-    (``plan_violates`` on ``D``); then a single-atom disjunct reads its
-    selections, and any other runs ``plan_violates`` on ``D ∪ Δ`` only
-    when a new row passes the gate of one of its atoms (``gates``, per
-    disjunct, built on first need).  With none, the cached ``q(D)``."""
-
-    __slots__ = ("storage", "on_build", "plans", "base_violations",
-                 "gates")
-
-    def __init__(self, *args: Any) -> None:
-        super().__init__(*args)
-        self.storage = self.context.storage_for(self.base)
-        self.on_build: Callable = self.context._storage_on_build(self.base)
-        self.plans: list = [None] * len(self.disjuncts)
-        self.base_violations: list[bool | None] = [None] * len(self.plans)
-        self.gates: list[list[tuple] | None] = [None] * len(self.plans)
-
-    def violated(self, values: tuple, facts: Facts | None) -> bool:
-        if facts is not None and not facts:
-            self.read_answers()
-            return not self.base_holds()
-        self.statistics.delta_evaluations += 1
-        allowed = None if self.empty else self.read_allowed()
-        grouped = None
-        for index, disjunct in enumerate(self.disjuncts):
-            plan = self.plans[index]
-            if plan is None:
-                plan = self.plans[index] = self.context.plan_for(disjunct)
-            base_violated = self.base_violations[index]
-            if base_violated is None:
-                base_violated = self.base_violations[index] = \
-                    self.storage.plan_violates(plan, {}, allowed,
-                                               on_build=self.on_build)
-            if base_violated:
-                return True
-            if self.selections is not None:
-                if self.rows_violate(values, self.selections[index]):
-                    return True
-                continue
-            gates = self.gates[index]
-            if gates is None:
-                gates = self.gates[index] = _disjunct_gates(
-                    self.templates, self.base, disjunct)
-            if _fires(gates, values):
-                if grouped is None:
-                    grouped = _group(facts)
-                if self.storage.plan_violates(plan, grouped, allowed,
-                                              on_build=self.on_build):
-                    return True
-        return False
-
-
 def _selections(templates: "TableauTemplates", disjunct: Any) -> list[list]:
     """The rows of the tableau that *disjunct*'s one atom can match, as
     ``[conditions, head terms, None]``: instantiated by a valuation
@@ -394,52 +325,32 @@ def _selections(templates: "TableauTemplates", disjunct: Any) -> list[list]:
     return selections
 
 
-def _gates(templates: "TableauTemplates", base: "Instance", atom: Any,
-           comparisons: Sequence[Any]) -> list[tuple]:
-    """The gates of the relation atom *atom*, one per tableau row it can
-    match, as ``(conditions, row template, base rows)``: a valuation's
-    instance of the row can take part in a binding of the atom when every
-    condition holds and the row is not in the base.  The conditions are
-    the atom's constants and repeated variables and *comparisons*, the
-    disjunct's ``=``/``≠`` atoms that read only the atom's variables (a
-    delta plan's first-step comparisons).  Rows no valuation lets
-    through are left out."""
+def _plan_gates(templates: "TableauTemplates", base: "Instance", atom: Any,
+                comparisons: Sequence[Any]) -> list[tuple] | None:
+    """The gates of a delta plan whose first step reads the relation atom
+    *atom*, one per tableau row it can match, as ``(conditions, row
+    template, base rows)``: a valuation's instance of the row can take
+    part in a binding of the atom when every condition holds and the row
+    is not in the base.  The conditions are the atom's constants and
+    repeated variables and *comparisons*, the disjunct's ``=``/``≠``
+    atoms that read only the atom's variables (the plan's first-step
+    comparisons).  Rows no valuation lets through are left out.  None
+    when every tableau row of the atom's relation passes
+    unconditionally: then the plan runs whenever Δ has a new row of that
+    relation, which the grouped Δ already tells."""
     present = base.relation(atom.relation)
     gates = []
+    rows = 0
     for (relation, template), row in zip(templates.rows,
                                          templates.tableau.rows):
         if relation == atom.relation:
+            rows += 1
             selection = _selection(templates, atom.terms, comparisons,
                                    row.terms)
             if selection is not None:
                 gates.append((selection[0], template, present))
-    return gates
-
-
-def _plan_gates(templates: "TableauTemplates", base: "Instance", atom: Any,
-                comparisons: Sequence[Any]) -> list[tuple] | None:
-    """:func:`_gates` for a delta plan whose first step reads *atom*, or
-    None when every tableau row of the atom's relation passes
-    unconditionally: then the plan runs whenever Δ has a new row of that
-    relation, which the grouped Δ already tells."""
-    gates = _gates(templates, base, atom, comparisons)
-    rows = sum(relation == atom.relation for relation, _ in templates.rows)
     if len(gates) == rows and not any(gate[0] for gate in gates):
         return None
-    return gates
-
-
-def _disjunct_gates(templates: "TableauTemplates", base: "Instance",
-                    disjunct: Any) -> list[tuple]:
-    """The gates of every relation atom of *disjunct*, each with the
-    disjunct's comparisons over the atom's own variables: a new row that
-    passes none takes part in no binding of the disjunct."""
-    gates = []
-    for atom in disjunct.relation_atoms:
-        variables = atom.variables()
-        gates += _gates(templates, base, atom, [
-            comparison for comparison in disjunct.comparisons
-            if comparison.variables() <= variables])
     return gates
 
 

@@ -63,6 +63,10 @@ ENGINE_LANGUAGES = frozenset({"CQ", "UCQ", "EFO"})
 #: Facts are ``(relation name, row)`` pairs throughout the library.
 Fact = tuple[str, tuple]
 
+#: How many instances a context pins (see :meth:`EvaluationContext.
+#: _pin_instance`); the least recently used is evicted past it.
+MAX_CACHED_INSTANCES = 256
+
 
 class EngineStatistics:
     """Mutable engine counters; snapshot with :meth:`copy`, diff with
@@ -114,26 +118,25 @@ class EvaluationContext:
     master projections — is never charged, keeping the governor's tick
     accounting identical to the pre-engine code.
 
-    ``backend`` selects the storage backend every evaluation routes
-    through (:mod:`repro.relational.backends`): ``"python"`` runs the
-    tuple-at-a-time slot executor and the semi-naive delta rule;
-    ``"columnar"`` and ``"sqlite"`` run set-at-a-time / pushed-down SQL
-    plans with identical answers.  ``None`` resolves via the
-    ``REPRO_BACKEND`` environment variable.
+    ``backend`` selects the storage backend that evaluates whole plans
+    over an instance, ``Q(D)`` (:mod:`repro.relational.backends`):
+    ``"python"`` runs the tuple-at-a-time slot executor; ``"columnar"``
+    and ``"sqlite"`` run set-at-a-time / pushed-down SQL plans with
+    identical answers.  ``None`` resolves via the ``REPRO_BACKEND``
+    environment variable.  Delta evaluation and constraint checks run
+    the semi-naive delta plans over the base's hash indexes on every
+    backend.
     """
 
-    __slots__ = ("governor", "statistics", "max_cached_instances",
-                 "backend", "_instances", "_indexes", "_answers",
-                 "_projections", "_queries", "_plans", "_memo", "_pinned",
-                 "_charged_indexes")
+    __slots__ = ("governor", "statistics", "backend", "_instances",
+                 "_indexes", "_answers", "_projections", "_queries",
+                 "_plans", "_memo", "_pinned", "_charged_indexes")
 
     def __init__(self, *, governor: "ExecutionGovernor | None" = None,
-                 max_cached_instances: int = 256,
                  backend: str | None = None) -> None:
         self.governor = governor
         self.backend = resolve_backend_name(backend)
         self.statistics = EngineStatistics()
-        self.max_cached_instances = max_cached_instances
         #: LRU of pinned instances: id -> Instance (insertion-ordered).
         self._instances: dict[int, Instance] = {}
         self._indexes: dict[int, InstanceIndexes] = {}
@@ -146,9 +149,8 @@ class EvaluationContext:
         self._plans: dict[tuple[int, int | None], CompiledPlan] = {}
         self._memo: dict[Any, Any] = {}
         self._pinned: dict[int, Any] = {}
-        #: indexes already charged to this context, per instance id —
-        #: storages are shared across contexts, so build accounting
-        #: must be deduplicated here to stay run-deterministic.
+        #: indexes already charged to this context, per instance id
+        #: (:meth:`_on_build_for`).
         self._charged_indexes: dict[int, set[tuple[str, tuple]]] = {}
 
     # ------------------------------------------------------------------
@@ -163,7 +165,7 @@ class EvaluationContext:
             self._instances[key] = self._instances.pop(key)
             return key
         self._instances[key] = instance
-        if len(self._instances) > self.max_cached_instances:
+        if len(self._instances) > MAX_CACHED_INSTANCES:
             oldest = next(iter(self._instances))
             self._evict_instance(oldest)
         return key
@@ -203,7 +205,8 @@ class EvaluationContext:
         key = self._pin_instance(instance)
         indexes = self._indexes.get(key)
         if indexes is None:
-            indexes = InstanceIndexes(instance, on_build=self._on_build)
+            indexes = InstanceIndexes(instance,
+                                      on_build=self._on_build_for(instance))
             self._indexes[key] = indexes
         return indexes
 
@@ -213,19 +216,14 @@ class EvaluationContext:
         self._pin_instance(instance)
         return instance.storage(self.backend)
 
-    def _on_build(self, relation: str, positions: tuple[int, ...]) -> None:
-        if self.governor is not None:
-            self.governor.tick("index_builds")
-        self.statistics.index_builds += 1
-
-    def _storage_on_build(self, instance: Instance) -> Callable:
-        """An ``on_build`` callback for *instance*'s shared storage.
-
-        Storages outlive contexts (they are cached on the instance), so
-        they report every index a plan *requires*; this wrapper charges
-        each ``(relation, positions)`` pair once per instance per
-        context — exactly what a cold run would build — keeping the
-        counters identical whether or not the storage is pre-warmed.
+    def _on_build_for(self, instance: Instance) -> Callable:
+        """The ``on_build`` callback of *instance*'s indexes: it ticks
+        the governor and counts ``index_builds`` once per ``(relation,
+        positions)`` pair per instance per context, whichever executor
+        asks.  The context's hash indexes ask once per pair; a storage
+        outlives contexts (it is cached on the instance), so it reports
+        every index a plan *requires*, and the counters stay those of a
+        cold run whether or not the storage is pre-warmed.
         """
         key = self._pin_instance(instance)
         charged = self._charged_indexes.setdefault(key, set())
@@ -235,7 +233,9 @@ class EvaluationContext:
             if index_key in charged:
                 return
             charged.add(index_key)
-            self._on_build(relation, positions)
+            if self.governor is not None:
+                self.governor.tick("index_builds")
+            self.statistics.index_builds += 1
 
         return on_build
 
@@ -274,7 +274,7 @@ class EvaluationContext:
                          instance: Instance) -> frozenset[tuple]:
         if self.backend != "python":
             storage = self.storage_for(instance)
-            on_build = self._storage_on_build(instance)
+            on_build = self._on_build_for(instance)
             answers: set[tuple] = set()
             for disjunct in query.to_cq_disjuncts():
                 answers.update(storage.plan_rows(
@@ -316,17 +316,7 @@ class EvaluationContext:
         base_answers = self.evaluate(query, base)
         if not self._derives_new(query, base_answers, new_rows):
             return base_answers
-        if self.backend == "python":
-            return base_answers.union(
-                self._new_answers(query, base, new_rows))
-        self.statistics.delta_evaluations += 1
-        storage = self.storage_for(base)
-        on_build = self._storage_on_build(base)
-        answers = set(base_answers)
-        for disjunct in query.to_cq_disjuncts():
-            answers.update(storage.plan_rows_extended(
-                self.plan_for(disjunct), new_rows, on_build=on_build))
-        return frozenset(answers)
+        return base_answers.union(self._new_answers(query, base, new_rows))
 
     @staticmethod
     def _derives_new(query: Any, base_answers: frozenset[tuple],
@@ -374,36 +364,22 @@ class EvaluationContext:
 
         The check decides *violation* instead of computing
         ``Q(base ∪ Δ)``: it stops at the first answer outside
-        ``p(master)``, or at any answer when the target is empty.  On
-        the python backend it tests the cached ``Q(base)`` once, then
-        draws the semi-naive new answers one at a time.  ``p(master)``
-        is read only once some answer exists and every delta plan is
-        compiled up front, so the counters equal those of the
-        materializing check except ``index_builds``, which can only be
-        lower (a search cut short builds fewer indexes).  On the other
-        backends the storage decides violation itself
-        (``plan_violates``: an at-most-``k`` constraint becomes a single
-        existence probe).  Non-engine languages (FO, FP) materialize
-        ``Q(base ∪ Δ)`` and test it.  The template kernels decide all of
-        ``V`` per valuation through :meth:`check_program` instead.
+        ``p(master)``, or at any answer when the target is empty.  It
+        tests the cached ``Q(base)`` once, then draws the semi-naive new
+        answers one at a time.  ``p(master)`` is read only once some
+        answer exists and every delta plan is compiled up front, so the
+        counters equal those of the materializing check except
+        ``index_builds``, which can only be lower (a search cut short
+        builds fewer indexes).  Non-engine languages (FO, FP)
+        materialize ``Q(base ∪ Δ)`` and test it.  The template kernels
+        decide all of ``V`` per valuation through :meth:`check_program`
+        instead.
         """
         new_answers: Iterable[tuple] = ()
         if getattr(query, "language", None) not in ENGINE_LANGUAGES:
             answers = self.evaluate_extension(query, base, delta_facts)
         else:
             new_rows = group_delta(base, delta_facts)
-            if self.backend != "python" and new_rows:
-                storage = self.storage_for(base)
-                on_build = self._storage_on_build(base)
-                allowed = (None if projection.is_empty_target
-                           else self.projection_rows(projection, master))
-                self.statistics.delta_evaluations += 1
-                for disjunct in query.to_cq_disjuncts():
-                    plan = self.plan_for(disjunct)
-                    if storage.plan_violates(plan, new_rows, allowed,
-                                             on_build=on_build):
-                        return False
-                return True
             answers = self.evaluate(query, base)
             if self._derives_new(query, answers, new_rows):
                 new_answers = self._new_answers(query, base, new_rows)
@@ -435,7 +411,7 @@ class EvaluationContext:
         one at its first check of a tableau and calls it on every later
         value tuple of that tableau.  Verdicts and counters are those of
         :meth:`extension_satisfies` per constraint, except fewer cache
-        hits and, on columnar and sqlite, possibly fewer index builds."""
+        hits."""
         return CheckProgram(self, templates, base, master, constraints)
 
     # ------------------------------------------------------------------

@@ -4,9 +4,9 @@ A :class:`~repro.engine.plan.CompiledPlan` is one conjunctive-query
 disjunct with a fixed join order.  :func:`lower_plan` turns it into one
 ``SELECT`` over the per-relation tables of the SQLite backend — the
 whole join, all equality/disequality conditions, and the head
-projection run inside the database engine, so a candidate-extension
-check costs one prepared-statement execution instead of a Python-level
-backtracking search.
+projection run inside the database engine, so a whole evaluation costs
+one prepared-statement execution instead of a Python-level backtracking
+search.
 
 Lowering rules (see ``docs/BACKENDS.md``):
 
@@ -68,14 +68,9 @@ class LoweredPlan:
         return (f"SELECT DISTINCT {', '.join(self.select_cols)} "
                 f"{self._tail()}")
 
-    def sql_exists(self, extra: str = "") -> str:
-        """``SELECT 1 … LIMIT 1`` existence probe, optionally with an
-        *extra* conjunct (the violation check's ``NOT IN`` filter)."""
-        conjuncts = self.where + ((extra,) if extra else ())
-        clause = self.from_clause
-        if conjuncts:
-            clause += " WHERE " + " AND ".join(conjuncts)
-        return f"SELECT 1 {clause} LIMIT 1"
+    def sql_exists(self) -> str:
+        """``SELECT 1 … LIMIT 1`` existence probe."""
+        return f"SELECT 1 {self._tail()} LIMIT 1"
 
     def _tail(self) -> str:
         if self.where:

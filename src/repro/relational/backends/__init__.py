@@ -1,10 +1,14 @@
 """Pluggable storage backends for :class:`~repro.relational.instance.
 Instance`.
 
-The decision procedures reduce everything to one operation: evaluate a
-compiled CQ plan over ``D`` or over a candidate extension ``D ∪ Δ``.  A
-:class:`StorageBackend` is the execution structure that answers those
-questions for one (immutable) instance.  Three implementations ship:
+The decision procedures evaluate compiled CQ plans over ``D`` and over
+candidate extensions ``D ∪ Δ``.  A :class:`StorageBackend` is the
+execution structure that evaluates a whole plan over one (immutable)
+instance: ``Q(D)``, the queries' answers on the base.  Candidate
+extensions are a handful of facts (Proposition 3.3), so their checks
+run the engine's semi-naive delta plans over the base's hash indexes on
+every backend (:mod:`repro.engine.checks`).  Three implementations
+ship:
 
 ``python``
     The reference backend: the instance's frozensets of tuples, probed
@@ -20,9 +24,7 @@ questions for one (immutable) instance.  Three implementations ship:
     (:mod:`repro.relational.backends.columnar`).
 ``sqlite``
     Whole plans lowered to a single SQL statement (pushdown) over an
-    in-memory SQLite database bulk-loaded with the interned codes;
-    candidate extensions run inside a savepoint, and containment
-    violation checks push ``LIMIT 1`` into the engine
+    in-memory SQLite database bulk-loaded with the interned codes
     (:mod:`repro.relational.backends.sqlite`).
 
 Interning is sound because plan comparisons are ``=`` / ``≠`` only
@@ -39,7 +41,7 @@ transient: never pickled, rebuilt on demand in worker processes.  See
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ReproError
 
@@ -58,10 +60,6 @@ BACKEND_NAMES = ("python", "columnar", "sqlite")
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 DEFAULT_BACKEND = "python"
-
-#: Δ-facts grouped by relation: the rows of each relation genuinely new
-#: with respect to the base instance (pre-filtered by the caller).
-DeltaRows = Mapping[str, Sequence[tuple]]
 
 #: Callback invoked with ``(relation, positions)`` for every index /
 #: acceleration structure a plan *requires* (built or already present):
@@ -93,11 +91,8 @@ class StorageBackend:
     mutable state is lazily built acceleration structure (hash indexes,
     SQL indexes), reported through the per-call *on_build* callback.
 
-    ``plan_rows`` / ``plan_rows_extended`` return exactly the rows the
-    reference evaluator returns — set semantics, decoded to the original
-    Python values.  ``plan_violates`` is the containment-check fast
-    path: it may stop at the first offending answer, but its verdict
-    must equal the full-evaluation subset test.
+    ``plan_rows`` returns exactly the rows the reference evaluator
+    returns — set semantics, decoded to the original Python values.
     """
 
     #: Set by each implementation to its :data:`BACKEND_NAMES` entry.
@@ -112,36 +107,6 @@ class StorageBackend:
                   on_build: OnBuild | None = None) -> frozenset[tuple]:
         """All head rows of *plan* over the instance (set semantics)."""
         raise NotImplementedError
-
-    def plan_rows_extended(self, plan: "CompiledPlan", delta: DeltaRows, *,
-                           on_build: OnBuild | None = None,
-                           ) -> frozenset[tuple]:
-        """All head rows of *plan* over ``instance ∪ Δ``, without
-        materializing the union instance."""
-        raise NotImplementedError
-
-    def plan_violates(self, plan: "CompiledPlan", delta: DeltaRows,
-                      allowed: frozenset[tuple] | None, *,
-                      on_build: OnBuild | None = None) -> bool:
-        """True iff *plan* over ``instance ∪ Δ`` has an answer outside
-        *allowed* (``None`` encodes the empty target ``∅``: any answer
-        at all violates).  Default: full evaluation plus a subset test;
-        backends override to early-exit (the SQLite backend pushes
-        ``LIMIT 1`` into the engine)."""
-        rows = self.plan_rows_extended(plan, delta, on_build=on_build)
-        if allowed is None:
-            return bool(rows)
-        return not rows <= allowed
-
-    # -- extension derivation ------------------------------------------
-
-    def derive(self, extended: "Instance",
-               new_rows: DeltaRows) -> "StorageBackend | None":
-        """A storage for *extended* = ``instance ∪ new_rows``, reusing
-        this storage's structure where possible.  ``None`` means "no
-        cheap derivation" — the extended instance builds a storage from
-        scratch if and when one is requested."""
-        return None
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}[{self.kind}, "

@@ -12,12 +12,6 @@ codes, one slot per bound variable) flows through the plan, and each
 step expands the whole batch against its index in one pass, deduping
 between steps.  All comparisons in plans are ``=`` / ``≠``
 (:mod:`repro.engine.plan`), so they run directly on the codes.
-
-Candidate extensions never rebuild the storage: ``Δ`` rows are interned
-on the fly and probed as a per-relation overlay next to the base index,
-and :meth:`ColumnarStorage.derive` produces the storage of ``D ∪ Δ`` by
-sharing the interner, the unchanged column lists, and the already built
-indexes of unchanged relations.
 """
 
 from __future__ import annotations
@@ -26,7 +20,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.queries.atoms import Eq
 from repro.queries.terms import Const, Var
-from repro.relational.backends import DeltaRows, OnBuild, StorageBackend
+from repro.relational.backends import OnBuild, StorageBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.plan import CompiledPlan, PlanStep
@@ -64,20 +58,17 @@ class ColumnarStorage(StorageBackend):
 
     kind = "columnar"
 
-    def __init__(self, instance: "Instance",
-                 _shared: "ColumnarStorage | None" = None) -> None:
+    def __init__(self, instance: "Instance") -> None:
         super().__init__(instance)
-        if _shared is None:
-            self._codes: dict[Any, int] = {}
-            self._values: list[Any] = []
-            self._rows: dict[str, list[tuple[int, ...]]] = {
-                name: [self._encode_row(row) for row in rows]
-                for name, rows in instance}
-            self._indexes: dict[tuple[str, tuple[int, ...]],
-                                dict[tuple, list[tuple[int, ...]]]] = {}
-            self._programs: dict[int, tuple["CompiledPlan",
-                                            list[_BatchStep]]] = {}
-        # _shared construction is finished by derive().
+        self._codes: dict[Any, int] = {}
+        self._values: list[Any] = []
+        self._rows: dict[str, list[tuple[int, ...]]] = {
+            name: [self._encode_row(row) for row in rows]
+            for name, rows in instance}
+        self._indexes: dict[tuple[str, tuple[int, ...]],
+                            dict[tuple, list[tuple[int, ...]]]] = {}
+        self._programs: dict[int, tuple["CompiledPlan",
+                                        list[_BatchStep]]] = {}
 
     # -- interning -----------------------------------------------------
 
@@ -155,35 +146,19 @@ class ColumnarStorage(StorageBackend):
 
     # -- execution -----------------------------------------------------
 
-    def _run(self, plan: "CompiledPlan",
-             delta: DeltaRows | None,
-             on_build: OnBuild | None) -> frozenset[tuple]:
+    def plan_rows(self, plan: "CompiledPlan", *,
+                  on_build: OnBuild | None = None) -> frozenset[tuple]:
         if not plan.satisfiable:
             return frozenset()
-        overlay: dict[str, list[tuple[int, ...]]] = {}
-        if delta:
-            for name, rows in delta.items():
-                coded = [self._encode_row(tuple(row)) for row in rows]
-                if coded:
-                    overlay[name] = coded
         envs: list[tuple[int, ...]] = [()]
         for bstep in self._program(plan):
             index = self._index_for(bstep.relation, bstep.key_positions,
                                     on_build)
-            extra = overlay.get(bstep.relation)
             next_envs: set[tuple[int, ...]] = set()
             for env in envs:
                 key = tuple(code if tag is _CONST else env[code]
                             for tag, code in bstep.key_sources)
-                rows = index.get(key, _NO_ROWS)
-                if extra is not None:
-                    matching = [row for row in extra
-                                if tuple(row[p]
-                                         for p in bstep.key_positions)
-                                == key]
-                    if matching:
-                        rows = rows + matching
-                for row in rows:
+                for row in index.get(key, _NO_ROWS):
                     ext = env + tuple(row[p] for p in bstep.out_positions)
                     if any(row[p] != ext[s] for p, s in bstep.intra):
                         continue
@@ -223,39 +198,6 @@ class ColumnarStorage(StorageBackend):
                 return False
         return True
 
-    # -- StorageBackend API --------------------------------------------
-
-    def plan_rows(self, plan: "CompiledPlan", *,
-                  on_build: OnBuild | None = None) -> frozenset[tuple]:
-        return self._run(plan, None, on_build)
-
-    def plan_rows_extended(self, plan: "CompiledPlan", delta: DeltaRows, *,
-                           on_build: OnBuild | None = None,
-                           ) -> frozenset[tuple]:
-        return self._run(plan, delta, on_build)
-
-    def derive(self, extended: "Instance",
-               new_rows: DeltaRows) -> "ColumnarStorage":
-        """Storage for ``D ∪ Δ`` by structure sharing: the interner and
-        batch programs are shared outright (append-only / plan-keyed),
-        unchanged relations keep their column lists *and* built indexes,
-        and changed relations copy-and-append their lists, rebuilding
-        indexes lazily."""
-        derived = ColumnarStorage.__new__(ColumnarStorage)
-        StorageBackend.__init__(derived, extended)
-        derived._codes = self._codes
-        derived._values = self._values
-        derived._programs = self._programs
-        derived._rows = dict(self._rows)
-        for name, rows in new_rows.items():
-            fresh = list(self._rows.get(name, ()))
-            fresh.extend(self._encode_row(tuple(row)) for row in rows)
-            derived._rows[name] = fresh
-        changed = set(new_rows)
-        derived._indexes = {
-            key: index for key, index in self._indexes.items()
-            if key[0] not in changed}
-        return derived
 
 
 _NO_ROWS: list[tuple[int, ...]] = []

@@ -4,18 +4,19 @@ This storage wraps the tuple-at-a-time machinery that predates the
 backend seam — :class:`~repro.engine.indexes.InstanceIndexes` plus the
 backtracking executor of :mod:`repro.engine.executor` — behind the
 :class:`~repro.relational.backends.StorageBackend` contract.  It is the
-semantics oracle the columnar and SQLite backends are differentially
-tested against, and the default everywhere.
+semantics the columnar and SQLite backends are differentially tested
+against.  A python evaluation context probes its own hash indexes
+(:meth:`~repro.engine.context.EvaluationContext.indexes_for`) and never
+reads this storage.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.engine.executor import (ChainSource, DeltaSource, IndexedSource,
-                                   iter_rows)
+from repro.engine.executor import IndexedSource, iter_rows
 from repro.engine.indexes import InstanceIndexes
-from repro.relational.backends import DeltaRows, OnBuild, StorageBackend
+from repro.relational.backends import OnBuild, StorageBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.plan import CompiledPlan
@@ -47,21 +48,6 @@ class PythonRowStorage(StorageBackend):
         self._indexes.on_build = on_build
         try:
             source = IndexedSource(self._indexes)
-            return frozenset(
-                iter_rows(plan, (source,) * len(plan.steps)))
-        finally:
-            self._indexes.on_build = None
-
-    def plan_rows_extended(self, plan: "CompiledPlan", delta: DeltaRows, *,
-                           on_build: OnBuild | None = None,
-                           ) -> frozenset[tuple]:
-        delta_rows = {name: list(rows) for name, rows in delta.items()}
-        if not delta_rows:
-            return self.plan_rows(plan, on_build=on_build)
-        self._indexes.on_build = on_build
-        try:
-            source = ChainSource(IndexedSource(self._indexes),
-                                 DeltaSource(delta_rows))
             return frozenset(
                 iter_rows(plan, (source,) * len(plan.steps)))
         finally:

@@ -6,16 +6,9 @@ for the ``i``-th relation of the schema, columns ``c0 … c{arity-1}``,
 nullary relations as a single dummy column holding one row when the
 fact is present.  Compiled plans lower to single ``SELECT`` statements
 (:mod:`repro.engine.sql`), so a join that the Python executor walks
-row by row runs entirely inside SQLite's bytecode VM.
-
-Candidate extensions ``D ∪ Δ`` never copy the database: Δ-rows are
-inserted under a ``SAVEPOINT`` and rolled back after the query.  The
-containment-check fast path :meth:`SQLiteStorage.plan_violates` is
-where the pushdown pays off most — an at-most-``k`` constraint (empty
-target) becomes ``SELECT 1 … LIMIT 1``, and a general target pushes the
-allowed answers into a ``NOT IN (VALUES …)`` filter, so the engine
-stops at the first violating answer instead of materializing the full
-answer set.
+row by row runs entirely inside SQLite's bytecode VM.  The database
+holds the instance only: checks of candidate extensions ``D ∪ Δ`` run
+the engine's delta plans, never SQL.
 
 SQL indexes are created lazily per ``(relation, key positions)`` pair
 actually probed, reported through *on_build* exactly like the hash
@@ -28,21 +21,13 @@ import sqlite3
 from typing import TYPE_CHECKING, Any
 
 from repro.engine.sql import LoweredPlan, lower_plan
-from repro.relational.backends import DeltaRows, OnBuild, StorageBackend
+from repro.relational.backends import OnBuild, StorageBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.plan import CompiledPlan
     from repro.relational.instance import Instance
 
 __all__ = ["SQLiteStorage"]
-
-#: The most host parameters a violation probe binds: the plan's own
-#: plus one per selected column of each allowed row in the
-#: ``NOT IN (VALUES …)`` filter.  Above it the filter is abandoned for a
-#: full evaluation + subset test in Python.  999 is SQLite's default
-#: ``SQLITE_MAX_VARIABLE_NUMBER`` before 3.32.0, the smallest default a
-#: Python build may link.
-_PARAMETER_CAP = 999
 
 
 class SQLiteStorage(StorageBackend):
@@ -146,9 +131,10 @@ class SQLiteStorage(StorageBackend):
     def _const_head(self, lowered: LoweredPlan) -> tuple:
         return tuple(value for _, value in lowered.head_pattern)
 
-    def _rows_now(self, plan: "CompiledPlan",
-                  on_build: OnBuild | None) -> frozenset[tuple]:
-        """Evaluate *plan* against the database's current contents."""
+    # -- StorageBackend API --------------------------------------------
+
+    def plan_rows(self, plan: "CompiledPlan", *,
+                  on_build: OnBuild | None = None) -> frozenset[tuple]:
         if not plan.satisfiable:
             return frozenset()
         if not plan.steps:
@@ -163,136 +149,6 @@ class SQLiteStorage(StorageBackend):
                 return frozenset()
             return frozenset({self._const_head(lowered)})
         return self._decode(lowered, cursor.fetchall())
-
-    def _insert_delta(self, delta: DeltaRows) -> None:
-        for name, rows in delta.items():
-            table = self._table_of[name]
-            coded = [self._encode_row(tuple(row)) for row in rows]
-            if not coded:
-                continue
-            placeholders = ", ".join("?" * len(coded[0]))
-            self._connection.executemany(
-                f"INSERT INTO {table} VALUES ({placeholders})", coded)
-
-    # -- StorageBackend API --------------------------------------------
-
-    def plan_rows(self, plan: "CompiledPlan", *,
-                  on_build: OnBuild | None = None) -> frozenset[tuple]:
-        return self._rows_now(plan, on_build)
-
-    def plan_rows_extended(self, plan: "CompiledPlan", delta: DeltaRows, *,
-                           on_build: OnBuild | None = None,
-                           ) -> frozenset[tuple]:
-        if not delta:
-            return self._rows_now(plan, on_build)
-        connection = self._connection
-        connection.execute("SAVEPOINT delta")
-        try:
-            self._insert_delta(delta)
-            return self._rows_now(plan, on_build)
-        finally:
-            connection.execute("ROLLBACK TO delta")
-            connection.execute("RELEASE delta")
-
-    def plan_violates(self, plan: "CompiledPlan", delta: DeltaRows,
-                      allowed: frozenset[tuple] | None, *,
-                      on_build: OnBuild | None = None) -> bool:
-        if not plan.satisfiable:
-            return False
-        if not plan.steps:
-            head = plan_head_constants(plan)
-            return allowed is None or head not in allowed
-        lowered = self._lowered(plan)
-        if allowed is None:
-            extra, extra_params = "", []
-        else:
-            # len(allowed) bounds the projected rows the filter binds.
-            if (len(lowered.params) + len(lowered.select_cols) * len(allowed)
-                    > _PARAMETER_CAP):
-                rows = self.plan_rows_extended(plan, delta,
-                                               on_build=on_build)
-                return not rows <= allowed
-            projected = self._project_allowed(lowered, allowed)
-            if projected is None:
-                # All-constant head covered by *allowed*: the answer
-                # set is ⊆ {head} ⊆ allowed, no violation possible.
-                return False
-            if not lowered.select_cols:
-                extra, extra_params = "", []
-            else:
-                extra, extra_params = _not_in_filter(
-                    lowered.select_cols, projected)
-        self._ensure_indexes(plan, on_build)
-        params = self._encode_params(lowered.params) + extra_params
-        sql = lowered.sql_exists(extra)
-        connection = self._connection
-        if not delta:
-            return connection.execute(sql, params).fetchone() is not None
-        connection.execute("SAVEPOINT delta")
-        try:
-            self._insert_delta(delta)
-            return connection.execute(sql, params).fetchone() is not None
-        finally:
-            connection.execute("ROLLBACK TO delta")
-            connection.execute("RELEASE delta")
-
-    def _project_allowed(self, lowered: LoweredPlan,
-                         allowed: frozenset[tuple],
-                         ) -> list[tuple[int, ...]] | None:
-        """Project *allowed* rows onto the selected head columns.
-
-        Rows inconsistent with the head's constants or repeated
-        variables can never be produced and are dropped.  Returns
-        ``None`` when the head selects no columns but some allowed row
-        matches the constant head — i.e. no violation is possible.
-        """
-        pattern = lowered.head_pattern
-        width = len(lowered.select_cols)
-        projected: set[tuple[int, ...]] = set()
-        matched_constant_head = False
-        for row in allowed:
-            if len(row) != len(pattern):
-                continue
-            cells: list[int | None] = [None] * width
-            ok = True
-            for (tag, value), cell in zip(pattern, row):
-                if tag == "const":
-                    if cell != value:
-                        ok = False
-                        break
-                else:
-                    code = self._intern(cell)
-                    if cells[value] is None:
-                        cells[value] = code
-                    elif cells[value] != code:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            if width == 0:
-                matched_constant_head = True
-                break
-            projected.add(tuple(cells))  # type: ignore[arg-type]
-        if width == 0 and matched_constant_head:
-            return None
-        return sorted(projected)
-
-
-def _not_in_filter(select_cols: tuple[str, ...],
-                   projected: list[tuple[int, ...]],
-                   ) -> tuple[str, list[int]]:
-    """Render ``(cols) NOT IN (VALUES …)`` with its parameters; an
-    empty *projected* set means every answer violates (no filter)."""
-    if not projected:
-        return "", []
-    params = [code for row in projected for code in row]
-    if len(select_cols) == 1:
-        placeholders = ", ".join("?" * len(projected))
-        return f"{select_cols[0]} NOT IN ({placeholders})", params
-    row_ph = "(" + ", ".join("?" * len(select_cols)) + ")"
-    values = ", ".join(row_ph for _ in projected)
-    cols = "(" + ", ".join(select_cols) + ")"
-    return f"{cols} NOT IN (VALUES {values})", params
 
 
 def plan_head_constants(plan: "CompiledPlan") -> tuple:

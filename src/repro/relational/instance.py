@@ -270,12 +270,6 @@ def extend_unvalidated(instance: Instance,
     pools, so the per-tuple domain checks of :meth:`Instance.with_facts`
     are pure overhead there.  Facts are ``(relation name, row)`` pairs;
     an unknown relation name still raises ``SchemaError``.
-
-    Extension is also a backend op: storages attached to *instance* are
-    asked to :meth:`~repro.relational.backends.StorageBackend.derive` a
-    cheap overlay for the union, so a backend that supports it (the
-    columnar one appends Δ to its column arrays) never rebuilds from
-    scratch on the ``D ∪ Δ`` hot path.
     """
     grouped: dict[str, set[Row]] = {}
     for name, row in facts:
@@ -283,16 +277,6 @@ def extend_unvalidated(instance: Instance,
     if not grouped:
         return instance
     contents: dict[str, frozenset[Row]] = dict(instance._relations)
-    new_rows: dict[str, list[Row]] = {}
     for name, rows in grouped.items():
-        existing = instance.relation(name)
-        contents[name] = existing | rows
-        fresh = [row for row in rows if row not in existing]
-        if fresh:
-            new_rows[name] = fresh
-    extended = Instance(instance.schema, contents, validate=False)
-    for kind, storage in instance._storages.items():
-        derived = storage.derive(extended, new_rows)
-        if derived is not None:
-            extended._storages[kind] = derived
-    return extended
+        contents[name] = instance.relation(name) | rows
+    return Instance(instance.schema, contents, validate=False)

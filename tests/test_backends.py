@@ -8,12 +8,10 @@ answers, the same verdicts, the same witnesses, and the same
 search-level statistics.  The backtracking ``evaluate_naive`` is the
 shared oracle; these tests pin every backend to it with
 Hypothesis-random queries and instances, then cross-check the deciders
-end to end at worker counts 1 and 2.
-
-Engine-internal counters (cache hits, delta vs full evaluations) are
-deliberately *not* compared across backends — the backends differ in
-how they evaluate, and only search-level statistics (valuations
-examined, constraint checks) are part of the equivalence contract.
+end to end at worker counts 1 and 2.  A storage evaluates whole plans
+only; extensions and constraint checks run the engine's delta plans on
+every backend, and ``tests/test_counting.py::TestBackendInvariance``
+holds the backends' statistics to python's.
 """
 
 import pickle
@@ -140,7 +138,7 @@ class TestEvaluationConformance:
 
 
 # ---------------------------------------------------------------------------
-# Constraint checks: plan_violates ≡ the materialized subset test
+# Constraint checks on every backend ≡ the materialized subset test
 # ---------------------------------------------------------------------------
 
 
@@ -149,8 +147,8 @@ class TestConstraintConformance:
     @given(query=st.one_of(conjunctive_queries(), union_queries()),
            db=instances(), delta=extension_facts())
     def test_extension_check_matches_contextless(self, query, db, delta):
-        """Both projection shapes per draw: the R[b] ⊆ M[c] IND (the
-        allowed-set path) and q ⊆ ∅ (the existence-probe pushdown)."""
+        """Both projection shapes per draw: the R[b] ⊆ M[c] IND (an
+        allowed set) and q ⊆ ∅ (any answer violates)."""
         from repro.constraints.containment import ContainmentConstraint
 
         empty_target = ContainmentConstraint(
@@ -294,23 +292,6 @@ class TestStorageEdges:
             assert EvaluationContext(backend=backend).evaluate(
                 query, inst) == expected, backend
 
-    def test_derive_keeps_columnar_overlay_consistent(self):
-        inst = Instance(SCHEMA, {"R": {(0, 1)}, "T": {(0, 1, 2)}})
-        storage = inst.storage("columnar")
-        extended = extend_unvalidated(inst, [("R", (1, 2))])
-        derived = extended._storages.get("columnar")
-        assert derived is not None and derived is not storage
-        assert extended.storage("columnar") is derived
-        from repro.queries.atoms import RelAtom
-        from repro.queries.cq import ConjunctiveQuery
-        from repro.queries.terms import Var
-
-        query = ConjunctiveQuery(
-            [Var("x"), Var("y")], [RelAtom("R", [Var("x"), Var("y")])],
-            name="all_r")
-        assert EvaluationContext(backend="columnar").evaluate(
-            query, extended) == extended["R"]
-
     def test_create_storage_unknown_kind(self):
         inst = Instance(SCHEMA, {})
         with pytest.raises(ReproError):
@@ -318,7 +299,7 @@ class TestStorageEdges:
 
 
 # ---------------------------------------------------------------------------
-# The sqlite violation probe at SQLite's host-parameter limit
+# Checks on sqlite at SQLite's host-parameter limit
 # ---------------------------------------------------------------------------
 
 _WIDE = DatabaseSchema([RelationSchema("W", ["a", "b", "c", "d"])])
@@ -364,9 +345,11 @@ def _sqlite_verdicts(constraint, base, master) -> list[bool]:
 
 
 class TestSQLiteParameterCap:
-    """The ``NOT IN (VALUES …)`` pushdown binds the plan's parameters
-    plus one per selected column of each allowed row; above 999 it falls
-    back to a full evaluation, so no probe exceeds the limit."""
+    """A check on sqlite binds no host parameter per allowed row: SQL
+    evaluates ``q(D)`` with the plan's own parameters, and the allowed
+    set is read in Python.  So under SQLite's smallest default limit
+    (999) every target decides python's verdicts, on both sides of the
+    row counts where an allowed set would pass 999 parameters."""
 
     @pytest.mark.parametrize("rows", [499, 500])
     def test_two_columns_at_the_limit(self, rows):
