@@ -8,9 +8,9 @@ shows all three §2.3 outcomes on one schema, plus the completeness
 Run:  python examples/supply_chain.py
 """
 
+from repro.analysis import analyze_boundedness
 from repro.core import (decide_rcdp, enumerate_missing_answers,
                         make_complete)
-from repro.core.analysis import analyze_boundedness
 from repro.core.results import RCDPStatus
 from repro.mdm.scm import SCMScenario
 

@@ -576,11 +576,13 @@ def _cmd_audit(args: argparse.Namespace) -> int:
                           on_exhausted=args.on_exhausted)
     wall_s = time.perf_counter() - started
     print(report.summary())
-    statistics = report.rcdp.statistics
-    if report.rcqp is not None:
-        statistics = statistics.merged(report.rcqp.statistics)
-    if report.completion is not None:
-        statistics = statistics.merged(report.completion.statistics)
+    stages = [stage for stage in (report.rcdp, report.rcqp,
+                                  report.completion) if stage is not None]
+    statistics = stages[0].statistics
+    for stage in stages[1:]:
+        statistics = statistics.merged(stage.statistics)
+    interrupted = next((stage.interrupted for stage in stages
+                        if stage.interrupted is not None), None)
     _finish_observability(
         args, governor, procedure="audit", statistics=statistics,
         verdict=report.verdict.value,
@@ -588,7 +590,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     _record_run(args, governor, procedure="audit", bundle=bundle,
                 statistics=statistics, verdict=report.verdict.value,
                 exhausted=report.verdict is AuditVerdict.INCONCLUSIVE,
-                wall_s=wall_s)
+                wall_s=wall_s, interrupted=interrupted)
     if report.verdict is AuditVerdict.INCONCLUSIVE:
         return EXIT_EXHAUSTED
     return 0 if report.verdict.value == "trustworthy" else 1

@@ -189,9 +189,8 @@ class ContainmentConstraint:
         With a context, the check is delegated to
         :meth:`~repro.engine.context.EvaluationContext
         .extension_satisfies` — the semi-naive delta rule over the
-        cached ``q(base)`` on the python backend, a pushed-down
-        violation probe on the others; without one the union is
-        materialized.  Same verdict every way.
+        cached ``q(base)``, on every backend; without one the union is
+        materialized.  Same verdict both ways.
         """
         if context is None:
             from repro.relational.instance import extend_unvalidated

@@ -5,8 +5,6 @@ from typing import TYPE_CHECKING
 from repro import _lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.analysis import (BoundednessReport, VariableReport,
-                                     VariableStatus, analyze_boundedness)
     from repro.core.bounded import (brute_force_rcdp, brute_force_rcqp,
                                     candidate_fact_pool, default_value_pool)
     from repro.core.rcdp import (assert_decidable_configuration, decide_rcdp,
@@ -25,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "ActiveDomain",
-    "BoundednessReport",
     "CompletionOutcome",
     "IncompletenessCertificate",
     "MissingAnswersReport",
@@ -34,9 +31,6 @@ __all__ = [
     "RCQPResult",
     "RCQPStatus",
     "SearchStatistics",
-    "VariableReport",
-    "VariableStatus",
-    "analyze_boundedness",
     "assert_decidable_configuration",
     "brute_force_rcdp",
     "brute_force_rcqp",
@@ -55,8 +49,6 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
-    "repro.core.analysis": ("BoundednessReport", "VariableReport",
-                            "VariableStatus", "analyze_boundedness"),
     "repro.core.bounded": ("brute_force_rcdp", "brute_force_rcqp",
                            "candidate_fact_pool", "default_value_pool"),
     "repro.core.rcdp": ("assert_decidable_configuration", "decide_rcdp",

@@ -23,8 +23,7 @@ from typing import Any, Iterable, Sequence
 
 from repro.constraints.containment import (ContainmentConstraint,
                                            satisfies_all_extension)
-from repro.core.rcdp import (_extend_unvalidated,
-                             assert_decidable_configuration, decide_rcdp,
+from repro.core.rcdp import (assert_decidable_configuration, decide_rcdp,
                              ensure_partially_closed, resolve_context)
 from repro.core.results import (IncompletenessCertificate, RCDPResult,
                                 RCDPStatus, RCQPResult, RCQPStatus,
@@ -36,10 +35,10 @@ from repro.core.search import (SearchRun, ShardOutcome, best_witness,
                                search_checkpoint, subsets,
                                total_statistics)
 from repro.engine import EvaluationContext, decision_key
-from repro.errors import ExecutionInterrupted, UndecidableConfigurationError
+from repro.errors import UndecidableConfigurationError
 from repro.obs import obs_of, obs_span, traced
 from repro.relational.domain import FreshValueSupply
-from repro.relational.instance import Instance
+from repro.relational.instance import Instance, extend_unvalidated
 from repro.relational.schema import DatabaseSchema
 from repro.runtime import (ExecutionGovernor, SearchCheckpoint,
                            resolve_governor, validate_exhaustion_mode)
@@ -107,12 +106,9 @@ def resolve_value_pool(query: Any,
     A caller-supplied *values* sequence wins.  Otherwise the default pool
     is built from *instances* and the query/constraint constants, and
     memoized on *context* under a
-    :func:`~repro.engine.keys.decision_key`.  Content-based keys make the
-    memo entry independent of object identity, so the key is picklable
-    and stays valid across process boundaries (the parallel workers
-    rebuild their own contexts from pickled inputs; an ``id()``-based key
-    would silently never hit there, and could collide after the pinned
-    objects are collected).
+    :func:`~repro.engine.keys.decision_key`.  A content-based key makes
+    the memo entry independent of object identity (an ``id()``-based key
+    could collide after the pinned objects are collected).
     """
     if values is not None:
         return values
@@ -134,38 +130,33 @@ def _brute_rcdp_kernel(run: SearchRun, payload: dict[str, Any],
     ``(position,)`` in the flat smallest-first stream."""
     query, database = payload["query"], payload["database"]
     master, constraints = payload["master"], payload["constraints"]
+    baseline = payload["baseline"]
     context, governor = run.context, run.governor
-    obs = obs_of(governor)
-    with obs_span(obs, "evaluate_Q"):
-        baseline = context.evaluate(query, database)
     beacon, beat = run.beacon, run.beat
-    try:
-        with run.governed(), obs_span(obs, "enumerate_extensions"):
-            for position, combo in owned(run.shard, subsets(
-                    payload["pool"], 1, payload["max_extra_facts"])):
-                if beat is not None and beat.due:
-                    run.heartbeat((position,))
-                if beacon is not None and beacon.superseded((position,)):
-                    return run.outcome("superseded")
-                if governor is not None:
-                    governor.tick("extensions")
-                run.examined += 1
-                delta = list(combo)
-                run.checks += 1
-                # Evaluate Q(D ∪ Δ) at most once per candidate; the !=
-                # test (not ⊋) also catches FO answer *loss*.
-                compatible = satisfies_all_extension(
-                    database, delta, master, constraints, context=context)
-                extended_answers = (
-                    context.evaluate_extension(query, database, delta)
-                    if compatible else None)
-                if compatible and extended_answers != baseline:
-                    new_answers = extended_answers - baseline
-                    answer = next(iter(new_answers)) if new_answers else ()
-                    return run.witness((position,), (combo, answer))
-                run.consumed += 1
-    except ExecutionInterrupted as interrupt:
-        return run.outcome("exhausted", reason=interrupt.reason)
+    with run.governed(), obs_span(obs_of(governor), "enumerate_extensions"):
+        for position, combo in owned(run.shard, subsets(
+                payload["pool"], 1, payload["max_extra_facts"])):
+            if beat is not None and beat.due:
+                run.heartbeat((position,))
+            if beacon is not None and beacon.superseded((position,)):
+                return run.outcome("superseded")
+            if governor is not None:
+                governor.tick("extensions")
+            run.examined += 1
+            delta = list(combo)
+            run.checks += 1
+            # Evaluate Q(D ∪ Δ) at most once per candidate; the != test
+            # (not ⊋) also catches FO answer *loss*.
+            compatible = satisfies_all_extension(
+                database, delta, master, constraints, context=context)
+            extended_answers = (
+                context.evaluate_extension(query, database, delta)
+                if compatible else None)
+            if compatible and extended_answers != baseline:
+                new_answers = extended_answers - baseline
+                answer = next(iter(new_answers)) if new_answers else ()
+                return run.witness((position,), (combo, answer))
+            run.consumed += 1
     return run.outcome("complete")
 
 
@@ -223,8 +214,10 @@ def brute_force_rcdp(query: Any, database: Instance, master: Instance,
     if resume_from is not None:
         _, shards, _ = resume_point(resume_from, "brute-rcdp", count)
         stats = resume_from.base_statistics()
+    with obs_span(obs, "evaluate_Q"):
+        baseline = context.evaluate(query, database)
     payload = dict(query=query, database=database, master=master,
-                   constraints=tuple(constraints),
+                   constraints=tuple(constraints), baseline=baseline,
                    max_extra_facts=max_extra_facts, pool=pool)
     outcomes = run_search("brute_force_rcdp_parallel", "brute-rcdp",
                           _brute_rcdp_kernel, payload, shards, count=count,
@@ -278,43 +271,39 @@ def _brute_rcqp_kernel(run: SearchRun, payload: dict[str, Any],
     context, governor = run.context, run.governor
     beacon, beat = run.beacon, run.beat
     run.examined_as = "candidate_sets_examined"
-    try:
-        with run.governed(), obs_span(obs_of(governor),
-                                      "enumerate_candidates"):
-            for position, combo in owned(run.shard, subsets(
-                    payload["pool"], 0, payload["max_database_size"])):
-                if beat is not None and beat.due:
-                    run.heartbeat((position,))
-                if beacon is not None and beacon.superseded((position,)):
-                    return run.outcome("superseded")
-                if governor is not None:
-                    governor.tick("candidates")
-                run.examined += 1
-                facts = list(combo)
-                if not satisfies_all_extension(empty, facts, master,
-                                               constraints, context=context):
-                    run.consumed += 1
-                    continue
-                candidate = _extend_unvalidated(empty, facts)
-                if payload["decidable"]:
-                    verdict = decide_rcdp(
-                        query, candidate, master, constraints,
-                        check_partially_closed=False, governor=governor,
-                        context=context)
-                    sound = verdict.status is RCDPStatus.COMPLETE
-                else:
-                    verdict = brute_force_rcdp(
-                        query, candidate, master, constraints,
-                        max_extra_facts=payload["completeness_bound"],
-                        values=payload["values"],
-                        check_partially_closed=False, governor=governor,
-                        context=context)
-                    sound = verdict.status is RCDPStatus.COMPLETE_UP_TO_BOUND
-                if sound:
-                    return run.witness((position,), candidate)
+    with run.governed(), obs_span(obs_of(governor), "enumerate_candidates"):
+        for position, combo in owned(run.shard, subsets(
+                payload["pool"], 0, payload["max_database_size"])):
+            if beat is not None and beat.due:
+                run.heartbeat((position,))
+            if beacon is not None and beacon.superseded((position,)):
+                return run.outcome("superseded")
+            if governor is not None:
+                governor.tick("candidates")
+            run.examined += 1
+            facts = list(combo)
+            if not satisfies_all_extension(empty, facts, master,
+                                           constraints, context=context):
                 run.consumed += 1
-    except ExecutionInterrupted as interrupt:
-        return run.outcome("exhausted", reason=interrupt.reason)
+                continue
+            candidate = extend_unvalidated(empty, facts)
+            if payload["decidable"]:
+                verdict = decide_rcdp(
+                    query, candidate, master, constraints,
+                    check_partially_closed=False, governor=governor,
+                    context=context)
+                sound = verdict.status is RCDPStatus.COMPLETE
+            else:
+                verdict = brute_force_rcdp(
+                    query, candidate, master, constraints,
+                    max_extra_facts=payload["completeness_bound"],
+                    values=payload["values"],
+                    check_partially_closed=False, governor=governor,
+                    context=context)
+                sound = verdict.status is RCDPStatus.COMPLETE_UP_TO_BOUND
+            if sound:
+                return run.witness((position,), candidate)
+            run.consumed += 1
     return run.outcome("complete")
 
 

@@ -57,11 +57,10 @@ from repro.core.search import (SearchRun, ShardOutcome, best_witness,
 from repro.core.valuations import (ActiveDomain, ProjectionFilter,
                                    TableauTemplates, iter_valid_valuations)
 from repro.engine import EvaluationContext, decision_key
-from repro.errors import (ExecutionInterrupted, NotPartiallyClosedError,
-                          UndecidableConfigurationError)
+from repro.errors import NotPartiallyClosedError, UndecidableConfigurationError
 from repro.obs import obs_of, obs_span, traced
 from repro.queries.tableau import Tableau
-from repro.relational.instance import Instance, extend_unvalidated
+from repro.relational.instance import Instance
 from repro.runtime import (ExecutionGovernor, SearchCheckpoint,
                            resolve_governor, validate_exhaustion_mode)
 
@@ -148,12 +147,6 @@ def ensure_partially_closed(
             f"database is not partially closed: violates {names}")
 
 
-#: ``D ∪ Δ`` without re-validating domains (Δ may hold fresh values).
-#: Lives in :mod:`repro.relational.instance` now; re-exported here under
-#: its historical name for the other core modules that import it.
-_extend_unvalidated = extend_unvalidated
-
-
 def split_ind_constraints(
         constraints: Sequence[ContainmentConstraint], master: Instance,
         *, use_ind_pruning: bool = True,
@@ -205,22 +198,21 @@ def _prepare_search(query: Any, database: Instance, master: Instance,
             tableaux=[t for t in tableaux if t.satisfiable])
         return tableaux, adom
 
-    # Content-based key: identical across processes, so parallel workers
-    # that rebuild the search space from pickled inputs hit the same memo
-    # entry a resumed or repeated run would.
+    # Content-based key: a repeated or resumed decision on equal inputs
+    # hits it whichever objects carry them.
     key = decision_key("rcdp-search", query, database, master, *constraints)
     return context.memo(key, build,
                         pin=(query, database, master, *constraints))
 
 
-def _prepare_kernel(run: SearchRun, payload: dict[str, Any],
-                    use_ind_pruning: bool = True) -> tuple:
-    """The C1–C4 search space: ``(tableaux, adom, Q(D), row_filter,
-    non-IND constraints)``, built on the run's context."""
-    query, database = payload["query"], payload["database"]
-    master, constraints = payload["master"], payload["constraints"]
-    context = run.context
-    obs = obs_of(run.governor)
+def _search_space(query: Any, database: Instance, master: Instance,
+                  constraints: Sequence[ContainmentConstraint],
+                  context: EvaluationContext, obs: Any,
+                  use_ind_pruning: bool = True) -> tuple:
+    """The C1–C4 search space of one decision, built once on the
+    decider's context: ``(tableaux, adom, Q(D), row_filter, non-IND
+    constraints)``.  The search kernels and the completion count walk
+    it; a sharded search ships it to its workers in the payload."""
     with obs_span(obs, "compile_plans"):
         tableaux, adom = _prepare_search(query, database, master,
                                          constraints, context)
@@ -236,50 +228,45 @@ def _rcdp_kernel(run: SearchRun, payload: dict[str, Any]) -> ShardOutcome:
     """Steps 1–5 over one shard: stop at the first valuation whose
     instantiation adds an answer while keeping ``V`` satisfied.  Ranks
     are ``(tableau_index, prefix_index, position)``."""
-    tableaux, adom, answers, row_filter, other_constraints = \
-        _prepare_kernel(run, payload, payload["use_ind_pruning"])
+    tableaux, adom, answers, row_filter, other_constraints = payload["space"]
     database, master = payload["database"], payload["master"]
     context, governor = run.context, run.governor
     beacon, beat, skip = run.beacon, run.beat, run.shard.skip
-    try:
-        with run.governed(), obs_span(obs_of(governor),
-                                      "enumerate_valuations"):
-            for tableau_index, tableau in enumerate(tableaux):
-                if not tableau.satisfiable:
+    with run.governed(), obs_span(obs_of(governor), "enumerate_valuations"):
+        for tableau_index, tableau in enumerate(tableaux):
+            if not tableau.satisfiable:
+                continue
+            templates = TableauTemplates(tableau)
+            summary_of = templates.summary
+            check = None
+            for prefix, position, values in iter_valid_valuations(
+                    tableau, adom, fresh="own", row_filter=row_filter,
+                    shard=run.shard, outer=(tableau_index,),
+                    meter=run.meter):
+                if skip:
+                    skip -= 1
                     continue
-                templates = TableauTemplates(tableau)
-                summary_of = templates.summary
-                check = None
-                for prefix, position, values in iter_valid_valuations(
-                        tableau, adom, fresh="own", row_filter=row_filter,
-                        shard=run.shard, outer=(tableau_index,),
-                        meter=run.meter):
-                    if skip:
-                        skip -= 1
-                        continue
-                    if beat is not None and beat.due:
-                        run.heartbeat((tableau_index, prefix), position)
-                    rank = (tableau_index, prefix, position)
-                    if beacon is not None and beacon.superseded(rank):
-                        return run.outcome("superseded")
-                    if governor is not None:
-                        governor.tick("valuations")
-                    run.examined += 1
-                    summary = summary_of(values)
-                    if summary in answers:
-                        run.consumed += 1
-                        continue
-                    run.checks += 1
-                    if other_constraints and check is None:
-                        check = context.check_program(
-                            templates, database, master, other_constraints)
-                    if not other_constraints or check(values):
-                        return run.witness(rank, (
-                            tuple(templates.facts(values)), summary,
-                            tableau.query.name))
+                if beat is not None and beat.due:
+                    run.heartbeat((tableau_index, prefix), position)
+                rank = (tableau_index, prefix, position)
+                if beacon is not None and beacon.superseded(rank):
+                    return run.outcome("superseded")
+                if governor is not None:
+                    governor.tick("valuations")
+                run.examined += 1
+                summary = summary_of(values)
+                if summary in answers:
                     run.consumed += 1
-    except ExecutionInterrupted as interrupt:
-        return run.outcome("exhausted", reason=interrupt.reason)
+                    continue
+                run.checks += 1
+                if other_constraints and check is None:
+                    check = context.check_program(
+                        templates, database, master, other_constraints)
+                if not other_constraints or check(values):
+                    return run.witness(rank, (
+                        tuple(templates.facts(values)), summary,
+                        tableau.query.name))
+                run.consumed += 1
     return run.outcome("complete")
 
 
@@ -288,53 +275,47 @@ def _missing_kernel(run: SearchRun, payload: dict[str, Any],
     """The C1–C4 enumeration over one shard without the early exit:
     every constraint-consistent new answer, keyed to the rank of its
     first occurrence in :attr:`SearchRun.found`."""
-    tableaux, adom, answers, row_filter, other_constraints = \
-        _prepare_kernel(run, payload)
+    tableaux, adom, answers, row_filter, other_constraints = payload["space"]
     database, master = payload["database"], payload["master"]
     limit = payload["limit"]
     context, governor = run.context, run.governor
     beat, skip, found = run.beat, run.shard.skip, run.found
-    try:
-        with run.governed(), obs_span(obs_of(governor),
-                                      "enumerate_valuations"):
-            for tableau_index, tableau in enumerate(tableaux):
-                if not tableau.satisfiable:
+    with run.governed(), obs_span(obs_of(governor), "enumerate_valuations"):
+        for tableau_index, tableau in enumerate(tableaux):
+            if not tableau.satisfiable:
+                continue
+            templates = TableauTemplates(tableau)
+            summary_of = templates.summary
+            check = None
+            for prefix, position, values in iter_valid_valuations(
+                    tableau, adom, fresh="own", row_filter=row_filter,
+                    shard=run.shard, outer=(tableau_index,),
+                    meter=run.meter):
+                if skip:
+                    skip -= 1
                     continue
-                templates = TableauTemplates(tableau)
-                summary_of = templates.summary
-                check = None
-                for prefix, position, values in iter_valid_valuations(
-                        tableau, adom, fresh="own", row_filter=row_filter,
-                        shard=run.shard, outer=(tableau_index,),
-                        meter=run.meter):
-                    if skip:
-                        skip -= 1
+                if beat is not None and beat.due:
+                    run.heartbeat((tableau_index, prefix), position)
+                if governor is not None:
+                    governor.tick("valuations")
+                run.examined += 1
+                run.consumed += 1
+                summary = summary_of(values)
+                if summary in answers or summary in found:
+                    continue
+                if other_constraints:
+                    run.checks += 1
+                    if check is None:
+                        check = context.check_program(
+                            templates, database, master, other_constraints)
+                    if not check(values):
                         continue
-                    if beat is not None and beat.due:
-                        run.heartbeat((tableau_index, prefix), position)
-                    if governor is not None:
-                        governor.tick("valuations")
-                    run.examined += 1
-                    run.consumed += 1
-                    summary = summary_of(values)
-                    if summary in answers or summary in found:
-                        continue
-                    if other_constraints:
-                        run.checks += 1
-                        if check is None:
-                            check = context.check_program(
-                                templates, database, master, other_constraints)
-                        if not check(values):
-                            continue
-                    found[summary] = ((tableau_index, prefix, position),
-                                      summary)
-                    if limit is not None and len(found) >= limit:
-                        # Any later find in this slice ranks after all of
-                        # these, so none can enter the rank-ordered
-                        # first `limit` answers.
-                        return run.outcome("complete")
-    except ExecutionInterrupted as interrupt:
-        return run.outcome("exhausted", reason=interrupt.reason)
+                found[summary] = ((tableau_index, prefix, position), summary)
+                if limit is not None and len(found) >= limit:
+                    # Any later find in this slice ranks after all of
+                    # these, so none can enter the rank-ordered first
+                    # `limit` answers.
+                    return run.outcome("complete")
     return run.outcome("complete")
 
 
@@ -484,9 +465,9 @@ def decide_rcdp(query: Any, database: Instance, master: Instance,
     if resume_from is not None:
         _, shards, _ = resume_point(resume_from, "rcdp", count)
         stats = stats.merged(resume_from.base_statistics())
-    payload = dict(query=query, database=database, master=master,
-                   constraints=tuple(constraints),
-                   use_ind_pruning=use_ind_pruning)
+    payload = dict(database=database, master=master, space=_search_space(
+        query, database, master, constraints, context, obs,
+        use_ind_pruning))
     outcomes = run_search("decide_rcdp_parallel", "rcdp", _rcdp_kernel,
                           payload, shards, count=count, governor=governor,
                           context=context)
@@ -588,8 +569,9 @@ def missing_answers_report(query: Any, database: Instance,
     if resume_from is not None:
         _, shards, _ = resume_point(resume_from, "missing", count)
         stats = stats.merged(resume_from.base_statistics())
-    payload = dict(query=query, database=database, master=master,
-                   constraints=tuple(constraints), limit=limit)
+    payload = dict(database=database, master=master, limit=limit,
+                   space=_search_space(query, database, master,
+                                       constraints, context, obs))
     outcomes = run_search("missing_answers_parallel", "missing",
                           _missing_kernel, payload, shards, count=count,
                           governor=governor, context=context,

@@ -50,8 +50,7 @@ from repro.analysis.driver import validate_for_decision
 from repro.constraints.containment import (ContainmentConstraint,
                                            satisfies_all,
                                            satisfies_all_extension)
-from repro.core.rcdp import (_extend_unvalidated,
-                             assert_decidable_configuration, decide_rcdp,
+from repro.core.rcdp import (assert_decidable_configuration, decide_rcdp,
                              resolve_context)
 from repro.core.results import (RCDPStatus, RCQPResult, RCQPStatus,
                                 SearchStatistics)
@@ -65,12 +64,12 @@ from repro.engine import EvaluationContext
 from repro.core.valuations import (ActiveDomain, TableauTemplates,
                                    iter_valid_valuations)
 from repro.core.witness import make_complete
-from repro.errors import (ConstraintError, ExecutionInterrupted, ReproError)
+from repro.errors import ConstraintError, ExecutionInterrupted, ReproError
 from repro.obs import obs_of, obs_span, traced
 from repro.queries.tableau import Tableau
 from repro.queries.terms import Const
 from repro.relational.domain import is_fresh
-from repro.relational.instance import Instance
+from repro.relational.instance import Instance, extend_unvalidated
 from repro.relational.schema import DatabaseSchema
 from repro.runtime import (ExecutionGovernor, SearchCheckpoint,
                            resolve_governor, validate_exhaustion_mode)
@@ -88,24 +87,12 @@ def _query_tableaux(query: Any, schema: DatabaseSchema) -> list[Tableau]:
 
 def _facts_instance(schema: DatabaseSchema,
                     facts: Iterable[Fact]) -> Instance:
-    return _extend_unvalidated(Instance.empty(schema), list(facts))
+    return extend_unvalidated(Instance.empty(schema), list(facts))
 
 
 # ---------------------------------------------------------------------------
 # INDs: the coNP algorithm (Theorem 4.5(1), Proposition 4.3)
 # ---------------------------------------------------------------------------
-
-
-def _inds_search_space(payload: dict[str, Any],
-                       ) -> tuple[Tableau, ActiveDomain]:
-    """The tableau one E3/E4 scan enumerates, and the active domain."""
-    query, constraints = payload["query"], payload["constraints"]
-    tableaux = _query_tableaux(query, payload["schema"])
-    adom = ActiveDomain.build(
-        instances=(payload["master"],),
-        queries=[query] + [c.query for c in constraints],
-        tableaux=tableaux)
-    return tableaux[payload["tableau_index"]], adom
 
 
 def _inds_scan_kernel(run: SearchRun, payload: dict[str, Any],
@@ -114,37 +101,34 @@ def _inds_scan_kernel(run: SearchRun, payload: dict[str, Any],
     constraint-compatible valid valuation?  Relevance is existential,
     so the first one found settles it.  Ranks are ``(prefix_index,
     position)``."""
-    tableau, adom = _inds_search_space(payload)
+    tableau = payload["tableau"]
     templates = TableauTemplates(tableau)
     master, constraints = payload["master"], payload["constraints"]
     empty_base = payload["empty_base"]
     context, governor = run.context, run.governor
     beacon, beat, skip = run.beacon, run.beat, run.shard.skip
     check = None
-    try:
-        with run.governed():
-            for prefix, position, values in iter_valid_valuations(
-                    tableau, adom, fresh="own", shard=run.shard,
-                    meter=run.meter):
-                if skip:
-                    skip -= 1
-                    continue
-                if beat is not None and beat.due:
-                    run.heartbeat((prefix,), position)
-                rank = (prefix, position)
-                if beacon is not None and beacon.superseded(rank):
-                    return run.outcome("superseded")
-                if governor is not None:
-                    governor.tick("valuations")
-                run.examined += 1
-                if check is None:
-                    check = context.check_program(templates, empty_base,
-                                                  master, constraints)
-                if check(values):
-                    return run.witness(rank, True)
-                run.consumed += 1
-    except ExecutionInterrupted as interrupt:
-        return run.outcome("exhausted", reason=interrupt.reason)
+    with run.governed():
+        for prefix, position, values in iter_valid_valuations(
+                tableau, payload["adom"], fresh="own", shard=run.shard,
+                meter=run.meter):
+            if skip:
+                skip -= 1
+                continue
+            if beat is not None and beat.due:
+                run.heartbeat((prefix,), position)
+            rank = (prefix, position)
+            if beacon is not None and beacon.superseded(rank):
+                return run.outcome("superseded")
+            if governor is not None:
+                governor.tick("valuations")
+            run.examined += 1
+            if check is None:
+                check = context.check_program(templates, empty_base,
+                                              master, constraints)
+            if check(values):
+                return run.witness(rank, True)
+            run.consumed += 1
     return run.outcome("complete")
 
 
@@ -154,37 +138,34 @@ def _inds_build_kernel(run: SearchRun, payload: dict[str, Any],
     the first constraint-compatible instantiation of the tableau, kept
     in :attr:`SearchRun.found` as ``(rank, summary, Δ)``.  A full scan;
     incompatible occurrences leave their summary open."""
-    tableau, adom = _inds_search_space(payload)
+    tableau = payload["tableau"]
     templates = TableauTemplates(tableau)
     master, constraints = payload["master"], payload["constraints"]
     empty_base = payload["empty_base"]
     context, governor = run.context, run.governor
     beat, skip, found = run.beat, run.shard.skip, run.found
     check = None
-    try:
-        with run.governed():
-            for prefix, position, values in iter_valid_valuations(
-                    tableau, adom, fresh="own", shard=run.shard,
-                    meter=run.meter):
-                if skip:
-                    skip -= 1
-                    continue
-                if beat is not None and beat.due:
-                    run.heartbeat((prefix,), position)
-                if governor is not None:
-                    governor.tick("valuations")
-                run.examined += 1
-                summary = templates.summary(values)
-                if summary not in found:
-                    if check is None:
-                        check = context.check_program(templates, empty_base,
-                                                      master, constraints)
-                    if check(values):
-                        found[summary] = ((prefix, position), summary,
-                                          tuple(templates.facts(values)))
-                run.consumed += 1
-    except ExecutionInterrupted as interrupt:
-        return run.outcome("exhausted", reason=interrupt.reason)
+    with run.governed():
+        for prefix, position, values in iter_valid_valuations(
+                tableau, payload["adom"], fresh="own", shard=run.shard,
+                meter=run.meter):
+            if skip:
+                skip -= 1
+                continue
+            if beat is not None and beat.due:
+                run.heartbeat((prefix,), position)
+            if governor is not None:
+                governor.tick("valuations")
+            run.examined += 1
+            summary = templates.summary(values)
+            if summary not in found:
+                if check is None:
+                    check = context.check_program(templates, empty_base,
+                                                  master, constraints)
+                if check(values):
+                    found[summary] = ((prefix, position), summary,
+                                      tuple(templates.facts(values)))
+            run.consumed += 1
     return run.outcome("complete")
 
 
@@ -267,16 +248,20 @@ def decide_rcqp_with_inds(query: Any, master: Instance,
                 extra=(tuple(relevant), tuple(witness_facts))),
             interrupted=reason), on_exhausted)
 
-    # Every per-valuation Δ extends this one empty base, so the
-    # constraint checks run on the delta path against it.
-    payload = dict(query=query, master=master,
-                   constraints=tuple(constraints), schema=schema,
-                   empty_base=Instance.empty(schema))
+    # Both scans enumerate each tableau over one Adom(Dm, Q, V), and
+    # every per-valuation Δ extends one empty base, so the constraint
+    # checks run on the delta path against it.
+    payload = dict(master=master, constraints=tuple(constraints),
+                   empty_base=Instance.empty(schema),
+                   adom=ActiveDomain.build(
+                       instances=(master,),
+                       queries=[query] + [c.query for c in constraints],
+                       tableaux=tableaux))
 
     def _scan(kind: str, kernel: Any, tableau_index: int,
               shards: list, use_beacon: bool) -> list[ShardOutcome]:
         return run_search("decide_rcqp_with_inds_parallel", kind, kernel,
-                          dict(payload, tableau_index=tableau_index),
+                          dict(payload, tableau=tableaux[tableau_index]),
                           shards, count=count, governor=governor,
                           context=context, use_beacon=use_beacon)
 
@@ -495,9 +480,7 @@ def _rcqp_search_space(query: Any, master: Instance,
                        schema: DatabaseSchema,
                        ) -> tuple[list[Tableau], list[Tableau], ActiveDomain]:
     """``(query tableaux, constraint tableaux, Adom)`` of the general
-    search.  The construction is deterministic, so a kernel rebuilding it
-    in a worker reproduces the decider's fresh-value labels and pickled
-    :class:`ValuationUnit` facts compare equal to its own valuations."""
+    search."""
     q_tableaux = _query_tableaux(query, schema)
     cc_tableaux = _constraint_tableaux(constraints, schema)
     adom = ActiveDomain.build(
@@ -508,9 +491,7 @@ def _rcqp_search_space(query: Any, master: Instance,
 
 
 def _verified_witness(payload: dict[str, Any], combo: Sequence[ValuationUnit],
-                      q_tableaux: Sequence[Tableau], adom: ActiveDomain,
-                      ground_rows: list[Fact], governor: Any,
-                      context: EvaluationContext, obs: Any,
+                      governor: Any, context: EvaluationContext, obs: Any,
                       ) -> Instance | None:
     """The witness database of one candidate set, or None: ``D_V`` must
     bound the query (E2/E6) and satisfy ``V`` with the ground tableau
@@ -521,11 +502,13 @@ def _verified_witness(payload: dict[str, Any], combo: Sequence[ValuationUnit],
     dv_facts = frozenset().union(*(unit.facts for unit in combo))
     bound_values = frozenset().union(*(unit.summary_values
                                        for unit in combo))
-    if not _candidate_is_bounding(schema, master, constraints, q_tableaux,
-                                  adom, dv_facts, bound_values,
+    if not _candidate_is_bounding(schema, master, constraints,
+                                  payload["q_tableaux"], payload["adom"],
+                                  dv_facts, bound_values,
                                   governor=governor, context=context):
         return None
-    witness = _facts_instance(schema, list(dv_facts) + ground_rows)
+    witness = _facts_instance(schema,
+                              list(dv_facts) + payload["ground_rows"])
     if not satisfies_all(witness, master, constraints, context=context):
         return None
     outcome = make_complete(
@@ -552,35 +535,25 @@ def _rcqp_sets_kernel(run: SearchRun, payload: dict[str, Any],
     """E2/E6 over one shard of the candidate sets (smallest first): stop
     at the first bounding set whose completed witness verifies.  Ranks
     are ``(position,)`` in the flat candidate-set stream."""
-    q_tableaux, _, adom = _rcqp_search_space(
-        payload["query"], payload["master"], payload["constraints"],
-        payload["schema"])
-    ground_rows: list[Fact] = [
-        (row.relation, row.instantiate({}))
-        for tableau in q_tableaux for row in tableau.ground_rows()]
     context, governor = run.context, run.governor
     obs = obs_of(governor)
     beacon, beat = run.beacon, run.beat
     run.examined_as = "candidate_sets_examined"
-    try:
-        with run.governed(), obs_span(obs, "enumerate_candidate_sets"):
-            for position, combo in owned(run.shard, subsets(
-                    payload["units"], 0, payload["max_size"])):
-                if beat is not None and beat.due:
-                    run.heartbeat((position,))
-                if beacon is not None and beacon.superseded((position,)):
-                    return run.outcome("superseded")
-                if governor is not None:
-                    governor.tick("candidate_sets")
-                run.examined += 1
-                witness = _verified_witness(payload, combo, q_tableaux,
-                                            adom, ground_rows, governor,
-                                            context, obs)
-                if witness is not None:
-                    return run.witness((position,), (witness, len(combo)))
-                run.consumed += 1
-    except ExecutionInterrupted as interrupt:
-        return run.outcome("exhausted", reason=interrupt.reason)
+    with run.governed(), obs_span(obs, "enumerate_candidate_sets"):
+        for position, combo in owned(run.shard, subsets(
+                payload["units"], 0, payload["max_size"])):
+            if beat is not None and beat.due:
+                run.heartbeat((position,))
+            if beacon is not None and beacon.superseded((position,)):
+                return run.outcome("superseded")
+            if governor is not None:
+                governor.tick("candidate_sets")
+            run.examined += 1
+            witness = _verified_witness(payload, combo, governor, context,
+                                        obs)
+            if witness is not None:
+                return run.witness((position,), (witness, len(combo)))
+            run.consumed += 1
     return run.outcome("complete")
 
 
@@ -738,6 +711,11 @@ def decide_rcqp(query: Any, master: Instance,
                                              max_rows_per_unit)
             payload = dict(query=query, master=master,
                            constraints=tuple(constraints), schema=schema,
+                           q_tableaux=q_tableaux, adom=adom,
+                           ground_rows=[
+                               (row.relation, row.instantiate({}))
+                               for tableau in q_tableaux
+                               for row in tableau.ground_rows()],
                            units=tuple(units),
                            max_size=min(max_valuation_set_size, len(units)),
                            max_completion_rounds=max_completion_rounds,

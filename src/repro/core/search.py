@@ -7,21 +7,24 @@ handles the candidates one :class:`ShardSpec` owns: shard ``i`` of ``n``
 owns the stream positions ``p`` with ``p % n == i``, so shard 0 of 1 is
 the whole serial stream.
 
-A decider validates and prepares its search once, then hands its kernel
-to :func:`run_search`.  When ``workers`` resolves to 1 the kernel runs
-in-process as shard 0 of 1 (:func:`run_inline`, on the caller's governor
-and evaluation context).  At ``workers=n > 1`` it first runs in-process
-the same way, as the *head*, over the n-shard prefix layout, until it
-has spent :data:`HEAD_START` work units (:class:`HeadStart`); only a
-search still running then fans the rest of its stream out to
-:mod:`repro.parallel`, as n shards that start where the head stopped.
-Every head rank precedes every tail rank, so the decider gets one
-:class:`ShardOutcome` per shard and reconciles them with one code path:
+A decider validates its inputs and builds its search space once, on its
+own context, then hands its kernel to :func:`run_search` with that space
+in the payload, so a kernel only walks its candidates.  When
+``workers`` resolves to 1 the kernel runs in-process as shard 0 of 1
+(:func:`run_inline`, on the caller's governor and evaluation context).
+At ``workers=n > 1`` it first runs in-process the same way, as the
+*head*, over the n-shard prefix layout, until it has spent
+:data:`HEAD_START` work units (:class:`HeadStart`); only a search still
+running then fans the rest of its stream out to :mod:`repro.parallel`,
+as n shards that start where the head stopped.  Every head rank
+precedes every tail rank, so the decider gets one :class:`ShardOutcome`
+per shard and reconciles them with one code path:
 
 * the minimum-rank witness is the one the serial stream meets first
   (:func:`best_witness`);
 * partial answers merge by per-key minimum rank (:func:`merged_finds`);
-* the first exhausted shard names the interruption
+* the first exhausted shard (:func:`run_kernel` is where an
+  interruption becomes one) names the interruption
   (:func:`first_exhausted`), and :func:`search_checkpoint` records every
   shard's resume point under one layout per procedure, with the shard
   count as the cursor's first entry: 1 until the search fans out.
@@ -43,7 +46,7 @@ from repro.runtime import SearchCheckpoint
 
 __all__ = ["HEAD_START", "resolve_workers", "ShardSpec", "ShardOutcome",
            "SearchRun", "Kernel", "HeadStart", "FanOut", "run_search",
-           "run_inline", "owned", "subsets", "fresh_shards",
+           "run_kernel", "run_inline", "owned", "subsets", "fresh_shards",
            "best_witness", "first_exhausted", "total_statistics",
            "merged_finds", "resume_shards", "search_checkpoint",
            "resume_point", "exhausted_result"]
@@ -259,7 +262,8 @@ class SearchRun:
 
 
 #: A kernel: one procedure's search loop over the slice a
-#: :class:`SearchRun` owns, driven by a picklable payload dict.
+#: :class:`SearchRun` owns, driven by a picklable payload dict that holds
+#: the decider's prepared search space; :func:`run_kernel` runs it.
 Kernel = Callable[[SearchRun, dict], ShardOutcome]
 
 
@@ -274,7 +278,7 @@ class HeadStart:
     enumerator between prefixes, and once the allowance is spent the
     kernel's :meth:`SearchRun.heartbeat` (or the enumerator's
     :meth:`stop`) records where the stream hands over and unwinds the
-    kernel with an interruption :func:`run_search` takes back.
+    kernel with an interruption :func:`run_kernel` takes back.
     """
 
     __slots__ = ("allowance", "extensions", "run", "handover")
@@ -372,7 +376,7 @@ def run_search(entry: str, kind: str, kernel: Kernel, payload: dict,
         run = SearchRun(replace(shards[0], layout=count), governor, context,
                         beat=meter)
         meter.run = run
-        head = kernel(run, payload)
+        head = run_kernel(kernel, run, payload)
         if head.kind != "exhausted" or head.reason != _HANDOVER:
             _note_fan_out(governor, meter.units, "ended in head")
             return [head]
@@ -395,6 +399,18 @@ def run_search(entry: str, kind: str, kernel: Kernel, payload: dict,
     return outcomes
 
 
+def run_kernel(kernel: Kernel, run: SearchRun, payload: dict,
+               ) -> ShardOutcome:
+    """Run *kernel* over *run*'s slice.  An interruption (the governor
+    tripped, or a head spent its allowance) unwinds the kernel and
+    becomes an ``"exhausted"`` outcome with the counters of the
+    candidates consumed so far."""
+    try:
+        return kernel(run, payload)
+    except ExecutionInterrupted as interrupt:
+        return run.outcome("exhausted", reason=interrupt.reason)
+
+
 def run_inline(kernel: Kernel, payload: dict, shard: ShardSpec,
                governor: Any, context: Any) -> ShardOutcome:
     """Run *kernel* in this process on the caller's governor and
@@ -403,7 +419,7 @@ def run_inline(kernel: Kernel, payload: dict, shard: ShardSpec,
         return ShardOutcome(index=shard.index, kind="complete",
                             consumed=shard.skip, data=shard.carried,
                             start=shard.start)
-    return kernel(SearchRun(shard, governor, context), payload)
+    return run_kernel(kernel, SearchRun(shard, governor, context), payload)
 
 
 def owned(shard: ShardSpec, candidates: Iterable[Any],

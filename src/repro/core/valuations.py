@@ -19,9 +19,11 @@ are preserved under homomorphisms, and a CC answer containing a fresh value
 can never be inside ``p(Dm)``, so constraint satisfaction transfers, while a
 summary containing a fresh value is never in ``Q(D)``.)  The RCDP
 enumeration therefore gives each variable only *its own* fresh value
-(``fresh="own"``); the RCQP valuation-set search, where fresh values of the
-query tableau must be reachable by constraint-tableau valuations, uses the
-full pool (``fresh="all"``).
+(``fresh="own"``), and so does the RCQP valuation-set search: its units
+draw each constraint-tableau variable from ``"own"``, and its bounding
+test enumerates the query tableau under ``"own"`` plus, through *extra*,
+the fresh values the candidate set's units pinned down.  The whole pool
+(``fresh="all"``) is kept for the fresh-policy ablation.
 
 **Positional valuations.**  The deciders' guess-and-check visits every
 valid valuation, so its cost per valuation is the whole constant of the
@@ -121,11 +123,6 @@ class ActiveDomain:
     def fresh_pool(self) -> tuple[FreshValue, ...]:
         """All fresh values registered so far, in registration order."""
         return tuple(self._fresh_by_name.values())
-
-    @property
-    def all_values(self) -> frozenset[Any]:
-        """Constants plus the whole fresh pool."""
-        return self.constants | frozenset(self._fresh_by_name.values())
 
     # ------------------------------------------------------------------
     # Candidates

@@ -19,13 +19,12 @@ from typing import Any, Sequence
 from repro.analysis.diagnostics import Report
 from repro.constraints.containment import (ContainmentConstraint,
                                            satisfies_all)
-from repro.core.rcdp import (_extend_unvalidated, decide_rcdp,
-                             resolve_analysis, resolve_context)
+from repro.core.rcdp import decide_rcdp, resolve_analysis, resolve_context
 from repro.core.results import RCDPResult, RCDPStatus, SearchStatistics
 from repro.engine import EvaluationContext
 from repro.errors import ExecutionInterrupted, ReproError
 from repro.obs import obs_of, obs_span, traced
-from repro.relational.instance import Instance
+from repro.relational.instance import Instance, extend_unvalidated
 from repro.runtime import ExecutionGovernor, validate_exhaustion_mode
 
 __all__ = ["CompletionOutcome", "make_complete", "minimize_witness"]
@@ -148,7 +147,7 @@ def make_complete(query: Any, database: Instance, master: Instance,
             if not new_facts:  # pragma: no cover - certificate always adds
                 break
             added.extend(new_facts)
-            current = _extend_unvalidated(current, new_facts)
+            current = extend_unvalidated(current, new_facts)
         verdict = decide_rcdp(query, current, master, constraints,
                               check_partially_closed=False,
                               governor=governor, context=context,

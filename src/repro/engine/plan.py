@@ -77,14 +77,6 @@ class PlanStep:
         """True when the step probes no index: every row is examined."""
         return not self.key_positions
 
-    @property
-    def constant_key_positions(self) -> tuple[int, ...]:
-        """The key positions supplied by constants (always available)."""
-        return tuple(position
-                     for position, term in zip(self.key_positions,
-                                               self.key_terms)
-                     if isinstance(term, Const))
-
 
 class SlotStep(NamedTuple):
     """One plan step in positional form: every entry is a slot index.
@@ -136,14 +128,6 @@ class CompiledPlan:
     @property
     def is_boolean(self) -> bool:
         return not self.head
-
-    def scan_steps(self) -> tuple[PlanStep, ...]:
-        """The steps that rescan their whole relation (no index key).
-
-        The first step is a scan by construction unless the atom carries
-        constants; later scans are cross products — the plan linter's
-        RC401 (see :mod:`repro.analysis.planlint`)."""
-        return tuple(step for step in self.steps if step.is_scan)
 
     def join_components(self) -> tuple[frozenset[int], ...]:
         """Connected components of the body's join graph (atom indices).

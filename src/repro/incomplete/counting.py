@@ -27,28 +27,29 @@ from typing import Any, Sequence
 
 from repro.constraints.containment import (ContainmentConstraint,
                                            satisfies_all_extension)
-from repro.core.rcdp import (assert_decidable_configuration,
+from repro.core.rcdp import (_search_space, _validate_rcdp,
                              ensure_partially_closed,
                              missing_answers_report, resolve_context,
                              split_ind_constraints)
 from repro.core.results import SearchStatistics
 from repro.core.search import ShardSpec
-from repro.core.valuations import (ActiveDomain, TableauTemplates,
-                                   iter_valid_valuations)
+from repro.core.valuations import TableauTemplates, iter_valid_valuations
 from repro.engine import EvaluationContext
 from repro.errors import ExecutionInterrupted
 from repro.obs import obs_of, obs_span, traced
-from repro.queries.tableau import Tableau
 from repro.relational.instance import Instance
 from repro.runtime import (ExecutionGovernor, resolve_governor,
                            validate_exhaustion_mode)
 
 __all__ = ["CountReport", "count_missing_answers",
            "count_completing_extensions",
-           # Re-exported: the benchmark's traced mode (perfbench/layers.py)
-           # patches this name here; the count checks through the
-           # context's check programs instead.
-           "satisfies_all_extension"]
+           # Module attributes the benchmark's traced mode
+           # (perfbench/layers.py) patches here.  The count enumerates
+           # with iter_valid_valuations, checks through the context's
+           # check programs, and validates and prepares through
+           # repro.core.rcdp, where the other three are patched too.
+           "iter_valid_valuations", "split_ind_constraints",
+           "ensure_partially_closed", "satisfies_all_extension"]
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,9 @@ def count_completing_extensions(
     answers.
 
     Exact counting is #P-hard in general (Arenas, Barceló and Monet), so
-    this is an enumeration, and each candidate costs one test.  Per
-    tableau, the context's check program
+    this is an enumeration over the decider's own search space (one
+    helper builds both, with the same validation), and each candidate
+    costs one test.  Per tableau, the context's check program
     (:meth:`~repro.engine.context.EvaluationContext.check_program`) is
     built at the first valuation whose summary is not in ``Q(D)``; its
     compiled ``Δ \\ D`` (:attr:`~repro.engine.checks.CheckProgram.delta`)
@@ -146,24 +148,10 @@ def count_completing_extensions(
     obs = obs_of(governor)
     context = resolve_context(context, backend)
     engine_base = context.statistics.copy()
-    assert_decidable_configuration(query, constraints)
-    query.validate(database.schema)
-    if check_partially_closed:
-        with obs_span(obs, "check_ccs"):
-            ensure_partially_closed(database, master, constraints, context)
-
-    with obs_span(obs, "compile_plans"):
-        tableaux = [Tableau(d, database.schema)
-                    for d in query.to_cq_disjuncts()]
-        adom = ActiveDomain.build(
-            instances=(database, master),
-            queries=[query] + [c.query for c in constraints],
-            tableaux=[t for t in tableaux if t.satisfiable])
-    with obs_span(obs, "evaluate_Q"):
-        answers = context.evaluate(query, database)
-
-    row_filter, other_constraints = split_ind_constraints(
-        constraints, master, context=context)
+    _validate_rcdp(query, database, master, constraints, obs, context,
+                   check_partially_closed, analysis=None, analyze=False)
+    tableaux, adom, answers, row_filter, other_constraints = _search_space(
+        query, database, master, constraints, context, obs)
 
     # The accepted fresh-fact sets, by canonical key (see above).
     extensions: set[Any] = set()

@@ -105,14 +105,6 @@ class IncompleteDatabase:
         """True when no nulls occur (a single possible world)."""
         return not self.nulls()
 
-    def known_constants(self) -> frozenset[Any]:
-        """The non-null constants occurring in the tables."""
-        values: set[Any] = set()
-        for rows in self._tables.values():
-            for row in rows:
-                values.update(v for v in row.row if not is_null(v))
-        return frozenset(values)
-
     # ------------------------------------------------------------------
     # Possible worlds
     # ------------------------------------------------------------------

@@ -17,9 +17,10 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from repro.analysis.boundedness import (BoundednessReport,
+                                        analyze_boundedness)
 from repro.analysis.diagnostics import Report
 from repro.constraints.containment import ContainmentConstraint
-from repro.core.analysis import BoundednessReport, analyze_boundedness
 from repro.core.rcdp import decide_rcdp, resolve_analysis
 from repro.core.rcqp import decide_rcqp
 from repro.core.results import (RCDPResult, RCDPStatus, RCQPResult,

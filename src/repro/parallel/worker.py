@@ -6,11 +6,13 @@ slice its :class:`~repro.core.search.ShardSpec` owns, on a private
 evaluation context and a governor materialized from the task's
 picklable :class:`~repro.parallel.partition.GovernorSpec`.
 
-A kernel returns a :class:`~repro.core.search.ShardOutcome` and never
-raises :class:`~repro.errors.ExecutionInterrupted` (it becomes an
-``"exhausted"`` outcome carrying the shard's resume cursor); any other
-exception is caught by :func:`shard_entry` and shipped back as an
-``"error"`` outcome with the formatted traceback.
+The kernel walks the search space its payload carries, prepared once
+by the decider, and runs through
+:func:`~repro.core.search.run_kernel`, which turns an
+:class:`~repro.errors.ExecutionInterrupted` into an ``"exhausted"``
+outcome carrying the shard's resume cursor; any other exception is
+caught by :func:`shard_entry` and shipped back as an ``"error"``
+outcome with the formatted traceback.
 
 Under supervision (:mod:`repro.parallel.supervise`) a worker also
 publishes periodic ``"progress"`` outcomes: full snapshots (consumed
@@ -30,7 +32,8 @@ import traceback
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.search import Kernel, SearchRun, ShardOutcome, ShardSpec
+from repro.core.search import (Kernel, SearchRun, ShardOutcome, ShardSpec,
+                               run_kernel)
 from repro.engine import EvaluationContext
 from repro.obs import obs_of, obs_span
 from repro.parallel.beacon import WitnessBeacon
@@ -101,7 +104,7 @@ def run_task(task: ShardTask, beacon: WitnessBeacon | None, governor: Any,
     run = SearchRun(task.shard, governor,
                     EvaluationContext(backend=task.backend), beacon=beacon,
                     beat=beat, owns_context=True)
-    return task.kernel(run, task.payload)
+    return run_kernel(task.kernel, run, task.payload)
 
 
 def shard_entry(task: ShardTask, beacon: WitnessBeacon | None,

@@ -34,12 +34,6 @@ class PythonRowStorage(StorageBackend):
         super().__init__(instance)
         self._indexes = InstanceIndexes(instance)
 
-    @property
-    def indexes(self) -> InstanceIndexes:
-        """The underlying index set (shared with the evaluation context
-        when it routes through this storage)."""
-        return self._indexes
-
     def plan_rows(self, plan: "CompiledPlan", *,
                   on_build: OnBuild | None = None) -> frozenset[tuple]:
         # on_build is per-call state (each context charges its own

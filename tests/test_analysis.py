@@ -4,7 +4,7 @@ import pytest
 
 from repro.constraints.cfd import FunctionalDependency
 from repro.constraints.ind import InclusionDependency
-from repro.core.analysis import (VariableStatus, analyze_boundedness)
+from repro.analysis import VariableStatus, analyze_boundedness
 from repro.core.rcqp import decide_rcqp_with_inds
 from repro.core.results import RCQPStatus
 from repro.queries.atoms import eq, rel

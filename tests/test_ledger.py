@@ -17,6 +17,7 @@ import io
 import json
 import multiprocessing
 import os
+from pathlib import Path
 
 import pytest
 
@@ -483,6 +484,23 @@ class TestLedgerDifferential:
         capsys.readouterr()
         first, second = read_ledger(ledger)
         assert first.key == second.key != ""
+
+    def test_interrupted_audit_records_why_it_stopped(self, tmp_path,
+                                                      capsys):
+        """q0's RCDP stage finds the database incomplete within the
+        budget and RCQP's unit enumeration runs out of it: the record
+        names the interruption, as the single-procedure verbs' do."""
+        bundle = (Path(__file__).resolve().parent.parent / "examples"
+                  / "bundles" / "crm_q0_area_code.json")
+        ledger = str(tmp_path / "ledger.jsonl")
+        assert main(["audit", str(bundle), "--budget", "5",
+                     "--on-exhausted", "partial",
+                     "--ledger", ledger]) == 3
+        assert "RCQP interrupted by: budget" in capsys.readouterr().out
+        (record,) = read_ledger(ledger)
+        assert record.procedure == "audit"
+        assert record.verdict == "inconclusive" and record.exhausted
+        assert record.interrupted == "budget"
 
 
 # ---------------------------------------------------------------------

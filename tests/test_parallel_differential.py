@@ -19,6 +19,7 @@ from pathlib import Path
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.constraints.cfd import FunctionalDependency
 from repro.constraints.containment import satisfies_all
 from repro.constraints.ind import InclusionDependency
 from repro.core.bounded import brute_force_rcdp, brute_force_rcqp
@@ -28,9 +29,9 @@ from repro.core.results import RCDPStatus, RCQPStatus
 from repro.core.witness import make_complete
 from repro.errors import ReproError
 from repro.parallel import resolve_workers
-from repro.queries.atoms import RelAtom
-from repro.queries.cq import ConjunctiveQuery
-from repro.queries.terms import Var
+from repro.queries.atoms import RelAtom, eq, rel
+from repro.queries.cq import ConjunctiveQuery, cq
+from repro.queries.terms import Var, var
 from repro.relational.instance import Instance
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.runtime import ExecutionGovernor, FaultInjector
@@ -186,6 +187,16 @@ WITNESS_QUERY = ConjunctiveQuery(
     (_X,), [RelAtom("R", (_X, _Y))], name="qproj")
 WITNESS_DB = Instance(SCHEMA, {"R": {(0, 0)}})
 
+# Example 4.1's Q2 under eid -> (dept, cid): not INDs, so decide_rcqp
+# runs the general E2/E6 candidate-set search (the rcqp-sets kernel).
+SUPT = DatabaseSchema([RelationSchema("Supt", ["eid", "dept", "cid"])])
+SUPT_MASTER = Instance(DatabaseSchema([RelationSchema("DCust", ["cid"])]))
+Q2 = cq([var("e"), var("d"), var("c")],
+        [rel("Supt", var("e"), var("d"), var("c")), eq(var("e"), "e0")],
+        name="Q2")
+FD = FunctionalDependency("Supt", ["eid"],
+                          ["dept", "cid"]).to_containment_constraints(SUPT)
+
 
 class TestFixedScenarioWorkerLadder:
     @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -243,6 +254,15 @@ class TestFixedScenarioWorkerLadder:
                              [IND], SCHEMA, max_valuation_set_size=1,
                              max_rows_per_unit=1, workers=workers)
         assert result.status is serial.status
+        assert result.witness == serial.witness
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_rcqp_candidate_sets_match_serial(self, workers):
+        serial = decide_rcqp(Q2, SUPT_MASTER, FD, SUPT)
+        assert serial.status is RCQPStatus.NONEMPTY
+        result = decide_rcqp(Q2, SUPT_MASTER, FD, SUPT, workers=workers)
+        assert result.status is serial.status
+        assert result.explanation == serial.explanation
         assert result.witness == serial.witness
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -365,6 +385,46 @@ class TestStartMethods:
         serial = decide_rcdp(WITNESS_QUERY, WITNESS_DB, DM, [IND])
         _assert_same_rcdp(serial, decide_rcdp(
             WITNESS_QUERY, WITNESS_DB, DM, [IND], workers=2))
+
+    def test_workers_never_rebuild_the_search_space(self, monkeypatch):
+        """Each decider builds its search space once and ships it to the
+        workers: under fork they inherit an ``ActiveDomain.build`` that
+        fails outside this process, and still reach the serial result
+        (a worker that rebuilt the space would fail its shard)."""
+        import multiprocessing
+        import os
+
+        from repro.core.rcqp import decide_rcqp_with_inds
+        from repro.core.valuations import ActiveDomain
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("start method 'fork' unavailable")
+        monkeypatch.setenv("REPRO_PARALLEL_START_METHOD", "fork")
+        parent, build = os.getpid(), ActiveDomain.build.__func__
+
+        def build_in_parent_only(cls, *args, **kwargs):
+            assert os.getpid() == parent, "a worker rebuilt the Adom"
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(ActiveDomain, "build",
+                            classmethod(build_in_parent_only))
+        for query, db in ((COMPLETE_QUERY, COMPLETE_DB),
+                          (WITNESS_QUERY, WITNESS_DB)):
+            _assert_same_rcdp(
+                decide_rcdp(query, db, DM, [IND]),
+                decide_rcdp(query, db, DM, [IND], workers=2))
+        serial = missing_answers_report(WITNESS_QUERY, WITNESS_DB, DM,
+                                        [IND])
+        parallel = missing_answers_report(WITNESS_QUERY, WITNESS_DB, DM,
+                                          [IND], workers=2)
+        assert serial.answers and parallel.answers == serial.answers
+        assert parallel.exhaustive and serial.exhaustive
+        serial = decide_rcqp_with_inds(WITNESS_QUERY, DM, [_RCQP_IND],
+                                       SCHEMA)
+        parallel = decide_rcqp_with_inds(WITNESS_QUERY, DM, [_RCQP_IND],
+                                         SCHEMA, workers=2)
+        assert parallel.status is serial.status is RCQPStatus.NONEMPTY
+        assert parallel.witness == serial.witness
 
     def test_unknown_start_method_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_START_METHOD", "bogus")

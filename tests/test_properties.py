@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constraints.ind import InclusionDependency
-from repro.core.rcdp import decide_rcdp, _extend_unvalidated
+from repro.core.rcdp import decide_rcdp
 from repro.core.results import RCDPStatus
 from repro.core.valuations import ActiveDomain, iter_valid_valuations
 from repro.constraints.containment import satisfies_all
@@ -27,7 +27,7 @@ from repro.queries.folding import Folding
 from repro.queries.tableau import Tableau
 from repro.queries.terms import var
 from repro.queries.ucq import ucq
-from repro.relational.instance import Instance
+from repro.relational.instance import Instance, extend_unvalidated
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
 SCHEMA = DatabaseSchema([
@@ -109,7 +109,7 @@ class TestTableauLemma:
                                   tableaux=(tableau,))
         count = 0
         for valuation in iter_valid_valuations(tableau, adom):
-            frozen = _extend_unvalidated(
+            frozen = extend_unvalidated(
                 Instance.empty(SCHEMA), tableau.instantiate(valuation))
             assert tableau.summary_under(valuation) in q.evaluate(frozen)
             count += 1
@@ -146,7 +146,7 @@ class TestCertificateActionability:
         result = decide_rcdp(q, db, DM, [IND])
         if result.status is RCDPStatus.INCOMPLETE:
             cert = result.certificate
-            extended = _extend_unvalidated(
+            extended = extend_unvalidated(
                 db, list(cert.extension_facts))
             assert satisfies_all(extended, DM, [IND])
             assert cert.new_answer in q.evaluate(extended)

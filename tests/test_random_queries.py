@@ -8,14 +8,13 @@ tests miss.
 
 from hypothesis import given, settings
 
-from repro.core.rcdp import _extend_unvalidated
 from repro.core.valuations import ActiveDomain, iter_valid_valuations
 from repro.queries.atoms import Neq
 from repro.queries.containment import (is_contained_in,
                                        is_ucq_contained_in, minimize)
 from repro.queries.folding import Folding
 from repro.queries.tableau import Tableau
-from repro.relational.instance import Instance
+from repro.relational.instance import Instance, extend_unvalidated
 
 from tests.strategies import (SCHEMA, conjunctive_queries, instances,
                               union_queries)
@@ -60,7 +59,7 @@ class TestTableauInvariants:
                                   tableaux=(tableau,))
         for count, valuation in enumerate(
                 iter_valid_valuations(tableau, adom)):
-            frozen = _extend_unvalidated(
+            frozen = extend_unvalidated(
                 Instance.empty(SCHEMA), tableau.instantiate(valuation))
             assert tableau.summary_under(valuation) in \
                 query.evaluate(frozen)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.constraints.containment import satisfies_all
-from repro.core.analysis import analyze_boundedness
+from repro.analysis import analyze_boundedness
 from repro.core.rcdp import decide_rcdp, enumerate_missing_answers
 from repro.core.rcqp import decide_rcqp
 from repro.core.results import RCDPStatus, RCQPStatus
