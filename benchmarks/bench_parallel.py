@@ -10,10 +10,10 @@ run's exactly).
 For each size the decider runs serially and at each ``--workers`` count;
 verdicts, explanations, and ``valuations_examined`` are cross-checked
 for worker-count invariance, and the speedup over serial is reported.
-Both modes gate on the largest rung, n=8 (769 valuations, ~673,000 work
+Both modes gate on the largest rung, n=8 (769 valuations, ~67,000 work
 units): at ``workers > 1`` a search first spends
-``repro.core.search.HEAD_START`` units in-process, and n=5 (~7,200
-units) ends there without reaching the pool.
+``repro.core.search.HEAD_START`` units in-process, and n=5 (~1,800
+units) and n=6 (~6,000) end there without reaching the pool.
 
 Run from the repository root::
 

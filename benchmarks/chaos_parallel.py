@@ -9,8 +9,8 @@ and asserts the supervised pool's contract on each run:
   equal the serial run's (full differential equality);
 * the supervision counters account for what happened (a crash was
   either retried or quarantined, never dropped), and the traced seed
-  saw at least one crash and one retry: the workload (n=6 by default,
-  ~33,000 work units) is large enough to leave the in-process head
+  saw at least one crash and one retry: the workload (n=7 by default,
+  ~20,000 work units) is large enough to leave the in-process head
   start (``repro.core.search.HEAD_START``) and reach the pool;
 * the final seed's run is traced, and the trace passes the full
   ``check_trace`` accounting (span tree, per-lane overlap, root tick
@@ -73,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, default=3)
     parser.add_argument("--workers", type=int, default=3)
     parser.add_argument("--crash-probability", type=float, default=0.2)
-    parser.add_argument("--size", type=int, default=6, metavar="N",
+    parser.add_argument("--size", type=int, default=7, metavar="N",
                         help="universal variables in the workload (the "
                              "search must outlast the head start to "
                              "reach the pool)")

@@ -51,7 +51,6 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from repro.constraints.containment import ContainmentConstraint
-from repro.queries.cq import ConjunctiveQuery
 from repro.queries.terms import Var
 from repro.relational.instance import Instance
 from repro.relational.schema import DatabaseSchema

@@ -117,21 +117,23 @@ def resolve_analysis(query: Any,
                      constraints: Sequence[ContainmentConstraint],
                      database: Instance, master: Instance,
                      analysis: Report | None,
-                     analyze: bool) -> Report | None:
+                     analyze: bool, obs: Any = None) -> Report | None:
     """Normalize a decider's ``(analysis, analyze)`` pair.
 
     A caller-supplied report (audits, completion loops — one pass shared
     across many decisions) wins; otherwise the cheap decider rules run
-    here.  ``analyze=False`` disables the pass entirely (for ablation
-    and for inner loops that already validated).  Error-severity
-    findings raise :class:`~repro.errors.AnalysisError` from inside
+    here, in an ``analyze`` span of *obs*.  ``analyze=False`` disables
+    the pass entirely (for ablation and for inner loops that already
+    validated), and with it the span.  Error-severity findings raise
+    :class:`~repro.errors.AnalysisError` from inside
     :func:`~repro.analysis.driver.validate_for_decision`.
     """
     if analysis is not None or not analyze:
         return analysis
-    return validate_for_decision(
-        query, constraints, schema=database.schema,
-        master_schema=master.schema, database=database, master=master)
+    with obs_span(obs, "analyze"):
+        return validate_for_decision(
+            query, constraints, schema=database.schema,
+            master_schema=master.schema, database=database, master=master)
 
 
 def ensure_partially_closed(
@@ -326,9 +328,8 @@ def _validate_rcdp(query: Any, database: Instance, master: Instance,
                    analyze: bool) -> Report | None:
     """The checks every RCDP-style decision makes before it searches."""
     assert_decidable_configuration(query, constraints)
-    with obs_span(obs, "analyze"):
-        analysis = resolve_analysis(query, constraints, database, master,
-                                    analysis, analyze)
+    analysis = resolve_analysis(query, constraints, database, master,
+                                analysis, analyze, obs)
     query.validate(database.schema)
     if check_partially_closed:
         with obs_span(obs, "check_ccs"):

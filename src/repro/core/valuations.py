@@ -39,13 +39,21 @@ so binding a variable runs no Python code: per valuation, the Python-level
 work is the checks that fall due and the generator handing it out.  The
 IND filter (:class:`ProjectionFilter`) compiles to set membership on its
 projected columns and is attached only to rows of the relations it
-constrains; any other ``(relation, row) → bool`` predicate is tested on
-every row, instantiated through its template.
+constrains.  A projection reading k ≥ 2 distinct variables is tested
+at every prefix of them in slot order, not only once the last is bound:
+the j-th prefix must lie in the allowed set projected onto its j
+variables, or the partial valuation has no valid completion, so the
+plan drops it before binding the rest (Corollary 3.4 applied to partial
+valuations).  A prefix test that every combination of its variables'
+candidates passes is left out of the plan.  Any other ``(relation, row)
+→ bool`` predicate is tested on every row once the row is bound,
+instantiated through its template.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import partial
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
@@ -261,7 +269,7 @@ class TableauTemplates:
         if all(isinstance(t, Const) for t in terms):
             inside = tuple(t.value for t in terms) in allowed
             return lambda values: inside
-        return _membership_check(terms, allowed, self.position)[1]
+        return _membership_checks(terms, allowed, self.position)[-1][1]
 
 
 def _inequality_check(left: Term, right: Term,
@@ -277,15 +285,35 @@ def _inequality_check(left: Term, right: Term,
     return lambda values: constant != values[j]
 
 
-def _membership_check(terms: Sequence[Term], allowed: frozenset,
-                      position: dict[Var, int]) -> tuple[int, Check]:
-    """``μ(terms) ∈ allowed`` as ``(pruning point, check)``, for *terms*
-    holding at least one variable.
+def _reads(slots: Sequence[int], allowed: frozenset) -> Check:
+    """``values[slots] ∈ allowed``: a scalar test for one slot, else a
+    tuple test."""
+    if len(slots) == 1:
+        slot = slots[0]
+        return lambda values: values[slot] in allowed
+    get = itemgetter(*slots)
+    return lambda values: get(values) in allowed
+
+
+def _membership_checks(terms: Sequence[Term], allowed: frozenset,
+                       position: dict[Var, int],
+                       candidates: Sequence[tuple] | None = None,
+                       ) -> list[tuple[int, Check]]:
+    """``μ(terms) ∈ allowed`` as ``(pruning point, check)`` pairs, for
+    *terms* holding at least one variable: one per prefix of the
+    distinct variables in slot order, the last one being the test
+    itself.
 
     Unless *terms* are two or more distinct variables, *allowed* is
     rebuilt up front: it keeps the tuples that agree with the constants
     and repeated variables, projected onto the distinct variables, so the
-    check reads only those (one variable: a scalar membership test)."""
+    check reads only those (one variable: a scalar membership test).
+    Given the plan's *candidates*, each proper prefix of k ≥ 2 variables
+    adds a necessary condition at its last slot, *allowed* projected
+    onto the prefix: a partial valuation failing it has no valid
+    completion.  A prefix test that every combination of its slots'
+    candidates passes is left out; without *candidates*, only the test
+    itself is returned."""
     distinct = list(dict.fromkeys(t for t in terms if isinstance(t, Var)))
     if len(distinct) == 1 or len(distinct) < len(terms):
         first = {v: terms.index(v) for v in distinct}
@@ -299,23 +327,39 @@ def _membership_check(terms: Sequence[Term], allowed: frozenset,
             if all(row[k] == value for k, value in pinned)
             and all(row[k] == row[m] for k, m in repeated))
     slots = [position[v] for v in distinct]
-    if len(slots) == 1:
-        slot = slots[0]
-        return slot, lambda values: values[slot] in allowed
-    get = itemgetter(*slots)
-    return max(slots), lambda values: get(values) in allowed
+    checks = [(max(slots), _reads(slots, allowed))]
+    if candidates is not None:
+        # When every combination of a prefix's candidates passes, so does
+        # every combination of a shorter prefix's (an empty candidate
+        # list leaves the plan nothing to yield either way): longest
+        # first, the first such prefix ends the scan.
+        order = sorted(range(len(slots)), key=slots.__getitem__)
+        for size in range(len(slots) - 1, 0, -1):
+            prefix = [slots[k] for k in order[:size]]
+            projected = frozenset(map(itemgetter(*order[:size]), allowed))
+            lists = [candidates[slot] for slot in prefix]
+            if (math.prod(map(len, lists)) <= len(projected)
+                    and projected.issuperset(
+                        lists[0] if size == 1 else itertools.product(*lists))):
+                break
+            checks.append((prefix[-1], _reads(prefix, projected)))
+    return checks[::-1]
 
 
 def _row_checks(row: TableauRow, position: dict[Var, int],
                 row_filter: Callable[[str, tuple], bool],
+                candidates: Sequence[tuple],
                 ) -> list[tuple[int, Check]] | None:
     """*row_filter* on *row* as ``(pruning point, check)`` pairs, or None
     when the row can never pass it.
 
-    A :class:`ProjectionFilter` becomes one membership check per
-    projection of the row's relation (none for other relations); any
-    other predicate is called on the row instantiated through its
-    template once the row's last variable is bound."""
+    A :class:`ProjectionFilter` becomes, per projection of the row's
+    relation (none for other relations), a membership test at the last
+    slot of the variables it reads and, when it reads several, the
+    necessary conditions of their prefixes that some combination of
+    *candidates* fails (:func:`_membership_checks`); any other predicate
+    is called on the row instantiated through its template once the
+    row's last variable is bound."""
     variables = [t for t in row.terms if isinstance(t, Var)]
     if not variables:
         ground = tuple(t.value for t in row.terms)
@@ -326,7 +370,8 @@ def _row_checks(row: TableauRow, position: dict[Var, int],
                                                             ()):
             terms = [row.terms[c] for c in columns]
             if any(isinstance(t, Var) for t in terms):
-                checks.append(_membership_check(terms, allowed, position))
+                checks += _membership_checks(terms, allowed, position,
+                                             candidates)
             elif tuple(t.value for t in terms) not in allowed:
                 return None
         return checks
@@ -338,17 +383,20 @@ def _row_checks(row: TableauRow, position: dict[Var, int],
 
 def _pruning_checks(tableau: Tableau, position: dict[Var, int],
                     row_filter: Callable[[str, tuple], bool] | None,
+                    candidates: Sequence[tuple],
                     ) -> list[list[Check]] | None:
     """Per variable position, the checks that become decidable once it
-    is bound: its ``≠`` atoms, then its row tests in row order.  None
-    when some row can never pass *row_filter*."""
+    is bound: its ``≠`` atoms, then its row tests in row order (an IND
+    test's prefix conditions at their own slots, read against the
+    variables' *candidates*).  None when some row can never pass
+    *row_filter*."""
     checks: list[list[Check]] = [[] for _ in position]
     for left, right in tableau.inequalities:
         point = max(position[t] for t in (left, right) if isinstance(t, Var))
         checks[point].append(_inequality_check(left, right, position))
     if row_filter is not None:
         for row in tableau.rows:
-            row_checks = _row_checks(row, position, row_filter)
+            row_checks = _row_checks(row, position, row_filter, candidates)
             if row_checks is None:
                 return None
             for point, check in row_checks:
@@ -434,7 +482,11 @@ def iter_valid_valuations(tableau: Tableau, adom: ActiveDomain,
     projection can never be part of a constraint-satisfying extension.
     A :class:`ProjectionFilter` is tested by set membership on the rows
     of the relations it constrains, as soon as their projected columns
-    are bound; any other predicate on every row, once the row is bound.
+    are bound, and at each earlier bound prefix of those columns'
+    variables against the allowed set projected onto it; any other
+    predicate on every row, once the row is bound.  Prefix tests prune
+    only partial valuations without a valid completion, so the stream,
+    its order and its prefix numbers are those of the full tests alone.
 
     Without a *shard*, each valuation is a dict from variable to value.
     With a *shard* (a :class:`~repro.core.search.ShardSpec`), only that
@@ -482,7 +534,7 @@ def iter_valid_valuations(tableau: Tableau, adom: ActiveDomain,
                                             extra=extra))
                   for v in variables]
     position = {v: i for i, v in enumerate(variables)}
-    checks = _pruning_checks(tableau, position, row_filter)
+    checks = _pruning_checks(tableau, position, row_filter, candidates)
     if checks is None:
         return
     width = len(variables)

@@ -107,9 +107,8 @@ def make_complete(query: Any, database: Instance, master: Instance,
     validate_exhaustion_mode(on_exhausted)
     obs = obs_of(governor)
     context = resolve_context(context, backend)
-    with obs_span(obs, "analyze"):
-        analysis = resolve_analysis(query, constraints, database, master,
-                                    analysis, analyze)
+    analysis = resolve_analysis(query, constraints, database, master,
+                                analysis, analyze, obs)
     analysis_stats = SearchStatistics(
         analysis_warnings=len(analysis.warnings)
         if analysis is not None else 0)
@@ -187,7 +186,7 @@ def minimize_witness(query: Any, database: Instance, master: Instance,
     context = resolve_context(context, backend)
     obs = obs_of(governor)
     analysis = resolve_analysis(query, constraints, database, master,
-                                None, True)
+                                None, True, obs)
     verdict = decide_rcdp(query, database, master, constraints,
                           context=context, analysis=analysis,
                           analyze=False, governor=governor)

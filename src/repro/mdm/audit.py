@@ -146,9 +146,8 @@ class CompletenessAudit:
         context = self.context
         # One analysis pass for the whole cascade; error findings raise
         # AnalysisError here, before any search runs.
-        with obs_span(obs, "analyze"):
-            analysis = resolve_analysis(query, list(self.constraints),
-                                        database, self.master, None, True)
+        analysis = resolve_analysis(query, list(self.constraints),
+                                    database, self.master, None, True, obs)
         with obs_span(obs, "audit_rcdp"):
             rcdp = decide_rcdp(query, database, self.master,
                                list(self.constraints), governor=governor,

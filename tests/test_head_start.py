@@ -153,10 +153,10 @@ class TestHandover:
     @pytest.mark.parametrize("allowance", [0, 1, 500, 3000])
     def test_full_scan_statistics_are_exact(self, monkeypatch, workers,
                                             allowance):
-        """The true family at n=5 (97 valuations, ~7,200 units) hands
+        """The true family at n=6 (193 valuations, ~6,000 units) hands
         over mid-stream, mid-prefix for most allowances; the verdict and
         the examined and checked counts are the serial run's."""
-        args = _true_family(5)
+        args = _true_family(6)
         serial = decide_rcdp(*args)
         monkeypatch.setattr(search, "HEAD_START", allowance)
         governor = ExecutionGovernor()
@@ -197,6 +197,21 @@ class TestHandover:
         assert governor.fan_out.fanned_out
         assert result.status is serial.status
         assert result.certificate == serial.certificate
+
+    def test_true_family_head_units_are_pinned(self, monkeypatch):
+        """The true family at n=5, run whole in the head: 97 valuations
+        and 1,719 plan extensions.  Each IND row test also refutes the
+        partial valuations at every bound prefix of its variables; a plan
+        testing a row only once its last variable is bound spent 7,210
+        units."""
+        monkeypatch.setattr(search, "HEAD_START", 10 ** 9)
+        governor = ExecutionGovernor()
+        result = decide_rcdp(*_true_family(5), workers=2,
+                             governor=governor)
+        assert result.status is RCDPStatus.COMPLETE
+        assert result.statistics.valuations_examined == 97
+        assert governor.fan_out.fanned_out is False
+        assert governor.fan_out.head_units == 1816
 
 
 class TestCheckpointsAcrossWorkerCounts:

@@ -28,6 +28,7 @@ from repro.core.rcqp import decide_rcqp
 from repro.core.results import RCDPStatus, SearchStatistics
 from repro.core.witness import make_complete
 from repro.errors import ReproError
+from repro.incomplete.counting import count_completing_extensions
 from repro.io.json_io import load_bundle
 from repro.obs import (MetricsRegistry, Observation, Tracer, check_trace,
                        merged_span_ticks, obs_of, obs_span, profile_rows,
@@ -520,6 +521,19 @@ def test_corpus_worker_spans_carry_lanes(path):
 # ---------------------------------------------------------------------
 
 class TestObservation:
+    @pytest.mark.parametrize("run, spans", [
+        (count_completing_extensions, 0), (decide_rcdp, 1)],
+        ids=["count", "decide"])
+    def test_analyze_span_wraps_an_analysis_pass(self, run, spans):
+        """The count validates with ``analyze=False``: no pass runs, so
+        no ``analyze`` span opens; a decision runs one pass in one."""
+        bundle = load_bundle(str(BUNDLE_DIR / "crm_q2_supported_ind.json"))
+        governor = observed_governor()
+        run(bundle["query"], bundle["database"], bundle["master"],
+            bundle["constraints"], governor=governor)
+        names = [span.name for span in obs_of(governor).tracer.spans]
+        assert names.count("analyze") == spans
+
     def test_obs_span_returns_null_context_when_unobserved(self):
         assert obs_span(None, "phase") is obs_span(None, "other")
         governor = ExecutionGovernor(budget=Budget())

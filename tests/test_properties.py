@@ -11,8 +11,6 @@ These target the lemmas the deciders silently rely on:
 * folding (Lemma 3.2) commutes with evaluation on random instances.
 """
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,6 +1,7 @@
 """Tests for active domains and valid-valuation enumeration."""
 
 import itertools
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -143,6 +144,21 @@ IND_ROW_FILTER, _ = split_ind_constraints(
     [InclusionDependency("R", ["b"], "M", ["c"]).to_containment_constraint(
         strategies.SCHEMA, MASTER_SCHEMA)], DM)
 
+# Beside it, T[x, z] ⊆ N[c, d]: N's c column lacks 2 and its d column
+# lacks 0, so whichever of a T row's two variables is bound first, the
+# prefix test rejects some of its values (and every fresh one) before
+# the row's last variable is.
+PAIR_MASTER_SCHEMA = DatabaseSchema([RelationSchema("M", ["c"]),
+                                     RelationSchema("N", ["c", "d"])])
+PREFIX_DM = Instance(PAIR_MASTER_SCHEMA, {
+    "M": {(0,), (1,)}, "N": {(0, 1), (0, 2), (1, 1)}})
+PREFIX_ROW_FILTER, _ = split_ind_constraints([
+    InclusionDependency("R", ["b"], "M", ["c"]).to_containment_constraint(
+        strategies.SCHEMA, PAIR_MASTER_SCHEMA),
+    InclusionDependency("T", ["x", "z"], "N", ["c", "d"])
+    .to_containment_constraint(strategies.SCHEMA, PAIR_MASTER_SCHEMA)],
+    PREFIX_DM)
+
 
 def _product_oracle(tableau, adom, row_filter):
     """Valid valuations by brute force: every combination of the
@@ -169,13 +185,13 @@ def _product_oracle(tableau, adom, row_filter):
 
 @settings(max_examples=80, deadline=None)
 @given(query=strategies.conjunctive_queries(), db=strategies.instances(),
-       use_filter=st.booleans())
-def test_shards_partition_the_valuation_stream(query, db, use_filter):
+       row_filter=st.sampled_from([None, IND_ROW_FILTER,
+                                   PREFIX_ROW_FILTER]))
+def test_shards_partition_the_valuation_stream(query, db, row_filter):
     tableau = Tableau(query, strategies.SCHEMA)
     adom = ActiveDomain.build(
-        instances=(db, DM), queries=[query],
+        instances=(db, PREFIX_DM), queries=[query],
         tableaux=[tableau] if tableau.satisfiable else [])
-    row_filter = IND_ROW_FILTER if use_filter else None
     stream = list(iter_valid_valuations(tableau, adom,
                                         row_filter=row_filter))
     assert stream == _product_oracle(tableau, adom, row_filter)
@@ -200,16 +216,16 @@ def test_shards_partition_the_valuation_stream(query, db, use_filter):
 
 def _assert_compiled_agrees(tableau, adom, row_filters):
     """Over every raw combination of the candidate lists: the compiled
-    summary and facts equal the tableau's, and each compiled row test
-    (fed the value prefix it sees during enumeration) equals the filter
-    on the instantiated row."""
+    summary and facts equal the tableau's, and each row's compiled tests
+    together (each fed the value prefix it sees during enumeration, IND
+    prefix tests included) equal the filter on the instantiated row."""
     templates = TableauTemplates(tableau)
     variables = templates.variables
+    lists = [adom.candidates_for(tableau, v) for v in variables]
     compiled = {
-        row_filter: [_row_checks(row, templates.position, row_filter)
+        row_filter: [_row_checks(row, templates.position, row_filter, lists)
                      for row in tableau.rows]
         for row_filter in row_filters}
-    lists = [adom.candidates_for(tableau, v) for v in variables]
     for values in itertools.product(*lists):
         valuation = dict(zip(variables, values))
         assert templates.summary(values) == tableau.summary_under(valuation)
@@ -231,14 +247,13 @@ def _plain(relation, row):
 @given(query=strategies.conjunctive_queries(), db=strategies.instances())
 def test_compiled_templates_agree_with_the_tableau(query, db):
     tableau = Tableau(query, strategies.SCHEMA)
-    adom = ActiveDomain.build(instances=(db, DM), queries=[query],
+    adom = ActiveDomain.build(instances=(db, PREFIX_DM), queries=[query],
                               tableaux=[tableau])
-    _assert_compiled_agrees(tableau, adom, [IND_ROW_FILTER, _plain])
+    _assert_compiled_agrees(tableau, adom,
+                            [IND_ROW_FILTER, PREFIX_ROW_FILTER, _plain])
 
 
 # T[x, y] ⊆ N[c, d] beside R[b] ⊆ M[c]: a two-column projection.
-PAIR_MASTER_SCHEMA = DatabaseSchema([RelationSchema("M", ["c"]),
-                                     RelationSchema("N", ["c", "d"])])
 PAIR_DM = Instance(PAIR_MASTER_SCHEMA, {
     "M": {(0,), (1,)}, "N": {(0, 1), (1, 1), (2, 0), (0, 2)}})
 PAIR_ROW_FILTER, _ = split_ind_constraints([
@@ -332,6 +347,38 @@ def test_only_pruning_point_is_the_last_variable():
     assert expected and len(expected) < len(adom.candidates_for(
         tableau, Var("v0"))) ** 4
     _assert_partitions(tableau, adom, None, expected)
+
+
+def _two_column_case():
+    """``T(v0, v1, v2)`` under T[x, z] ⊆ N[c, d]: the IND reads v0 and
+    v2; its plan's candidate lists and the compiled row tests."""
+    query = cq([var("v0")], [rel("T", var("v0"), var("v1"), var("v2"))])
+    tableau = Tableau(query, strategies.SCHEMA)
+    adom = ActiveDomain.build(instances=(PREFIX_DM,), queries=[query],
+                              tableaux=[tableau])
+    templates = TableauTemplates(tableau)
+    lists = [tuple(adom.candidates_for(tableau, v))
+             for v in templates.variables]
+    (row,) = tableau.rows
+    return tableau, adom, lists, partial(
+        _row_checks, row, templates.position, PREFIX_ROW_FILTER)
+
+
+def test_two_column_ind_is_refuted_at_its_first_slot():
+    """Besides the full test at v2's slot, v0 alone must lie in N's c
+    column: the plan rejects 2 and v0's fresh value before binding v1."""
+    tableau, adom, lists, row_checks = _two_column_case()
+    checks = row_checks(lists)
+    assert [point for point, _ in checks] == [0, 2]
+    assert [value for value in lists[0] if checks[0][1]((value,))] == [0, 1]
+    _assert_partitions(tableau, adom, PREFIX_ROW_FILTER, _product_oracle(
+        tableau, adom, PREFIX_ROW_FILTER))
+
+
+def test_prefix_test_every_candidate_passes_is_dropped():
+    _, _, lists, row_checks = _two_column_case()
+    checks = row_checks([(0, 1), *lists[1:]])
+    assert [point for point, _ in checks] == [2]
 
 
 # ---------------------------------------------------------------------
