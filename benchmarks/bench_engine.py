@@ -141,20 +141,22 @@ def _time(fn, repeats: int) -> tuple[float, object]:
 
 def bench_rcdp(num_domestic: int, repeats: int) -> dict:
     """The decider against the materializing reference on the naive and
-    the indexed evaluators; verdicts and constraint checks
-    cross-checked."""
+    the indexed evaluators; verdicts, constraint checks and valuations
+    examined cross-checked."""
     inputs = _workload(num_domestic)
     with seed_evaluators():
         naive_s, naive = _time(lambda: reference_rcdp(*inputs), repeats)
     indexed_s, indexed = _time(lambda: reference_rcdp(*inputs), repeats)
     engine_s, engine = _time(lambda: decide_rcdp(*inputs), repeats)
     stats = engine.statistics
-    decided = (engine.status, stats.constraint_checks)
-    for name, (status, _, checks) in (("naive", naive),
-                                      ("indexed", indexed)):
-        assert (status, checks) == decided, (
-            f"{name} reference reads {status} after {checks} checks at "
-            f"n={num_domestic}; the decider {decided}")
+    decided = (engine.status, stats.constraint_checks,
+               stats.valuations_examined)
+    for name, (status, _, checks, examined) in (("naive", naive),
+                                                ("indexed", indexed)):
+        assert (status, checks, examined) == decided, (
+            f"{name} reference reads {status} after {checks} checks of "
+            f"{examined} valuations at n={num_domestic}; the decider "
+            f"{decided}")
     return {
         "num_domestic": num_domestic,
         "k": num_domestic - 1,

@@ -10,10 +10,13 @@ run's exactly).
 For each size the decider runs serially and at each ``--workers`` count;
 verdicts, explanations, and ``valuations_examined`` are cross-checked
 for worker-count invariance, and the speedup over serial is reported.
-Both modes gate on the largest rung, n=8 (769 valuations, ~67,000 work
-units): at ``workers > 1`` a search first spends
-``repro.core.search.HEAD_START`` units in-process, and n=5 (~1,800
-units) and n=6 (~6,000) end there without reaching the pool.
+Both modes gate on the largest rung, n=11 (6,145 valuations, all of
+them decided in blocks, and 1,013,816 work units): at ``workers > 1`` a
+search first spends ``repro.core.search.HEAD_START`` (8,192) units
+in-process, so the gated rung must outlast that head by far for its
+tail to show the pool's scaling.  n=5 (1,782 units) and n=6 (5,989) end
+in the head without reaching the pool; n=8 (67,192 units) fans out a
+tail about seven times the head, too short to gate on.
 
 Run from the repository root::
 
@@ -188,9 +191,9 @@ def main(argv: list[str] | None = None) -> int:
 
     cores = os.cpu_count() or 1
     if args.smoke:
-        sizes, worker_counts, repeats = [5, 6, 8], [2], 1
+        sizes, worker_counts, repeats = [5, 6, 8, 11], [2], 1
     else:
-        sizes, worker_counts, repeats = [6, 7, 8], [2, 4], 2
+        sizes, worker_counts, repeats = [8, 10, 11], [2, 4], 2
 
     rows = []
     for size in sizes:

@@ -229,22 +229,63 @@ def _search_space(query: Any, database: Instance, master: Instance,
 def _rcdp_kernel(run: SearchRun, payload: dict[str, Any]) -> ShardOutcome:
     """Steps 1–5 over one shard: stop at the first valuation whose
     instantiation adds an answer while keeping ``V`` satisfied.  Ranks
-    are ``(tableau_index, prefix_index, position)``."""
+    are ``(tableau_index, prefix_index, position)``.  A tableau whose
+    summary is bound before its last variable comes in groups of one
+    summary each: a group whose summary is in ``Q(D)`` is decided as one
+    block, and the others are walked one valuation at a time."""
     tableaux, adom, answers, row_filter, other_constraints = payload["space"]
     database, master = payload["database"], payload["master"]
     context, governor = run.context, run.governor
     beacon, beat, skip = run.beacon, run.beat, run.shard.skip
-    with run.governed(), obs_span(obs_of(governor), "enumerate_valuations"):
+    with run.governed(), run.enumerating():
         for tableau_index, tableau in enumerate(tableaux):
             if not tableau.satisfiable:
                 continue
             templates = TableauTemplates(tableau)
             summary_of = templates.summary
             check = None
-            for prefix, position, values in iter_valid_valuations(
-                    tableau, adom, fresh="own", row_filter=row_filter,
-                    shard=run.shard, outer=(tableau_index,),
-                    meter=run.meter):
+            stream = iter_valid_valuations(
+                tableau, adom, fresh="own", row_filter=row_filter,
+                shard=run.shard, outer=(tableau_index,), meter=run.meter,
+                groups=True)
+            if templates.grouped:
+                for prefix, position, group in stream:
+                    within = 0
+                    if skip:
+                        within = min(skip, group.size)
+                        skip -= within
+                        if within == group.size:
+                            continue
+                    summary = group.summary
+                    if summary in answers:
+                        at = position + within
+                        if beacon is not None and beacon.superseded(
+                                (tableau_index, prefix, at)):
+                            return run.outcome("superseded")
+                        run.decide(group.size - within,
+                                   (tableau_index, prefix), at)
+                        continue
+                    for _, at, values in group.walk(within):
+                        if beat is not None and beat.due:
+                            run.heartbeat((tableau_index, prefix), at)
+                        rank = (tableau_index, prefix, at)
+                        if beacon is not None and beacon.superseded(rank):
+                            return run.outcome("superseded")
+                        if governor is not None:
+                            governor.tick("valuations")
+                        run.examined += 1
+                        run.checks += 1
+                        if other_constraints and check is None:
+                            check = context.check_program(
+                                templates, database, master,
+                                other_constraints)
+                        if not other_constraints or check(values):
+                            return run.witness(rank, (
+                                tuple(templates.facts(values)), summary,
+                                tableau.query.name))
+                        run.consumed += 1
+                continue
+            for prefix, position, values in stream:
                 if skip:
                     skip -= 1
                     continue
@@ -276,23 +317,65 @@ def _missing_kernel(run: SearchRun, payload: dict[str, Any],
                     ) -> ShardOutcome:
     """The C1–C4 enumeration over one shard without the early exit:
     every constraint-consistent new answer, keyed to the rank of its
-    first occurrence in :attr:`SearchRun.found`."""
+    first occurrence in :attr:`SearchRun.found`.  A group of valuations
+    with one summary (see :func:`_rcdp_kernel`) is decided as one block
+    when its summary is in ``Q(D)`` or found already, and the rest of an
+    open group becomes one once a valuation of it finds its summary."""
     tableaux, adom, answers, row_filter, other_constraints = payload["space"]
     database, master = payload["database"], payload["master"]
     limit = payload["limit"]
     context, governor = run.context, run.governor
     beat, skip, found = run.beat, run.shard.skip, run.found
-    with run.governed(), obs_span(obs_of(governor), "enumerate_valuations"):
+    with run.governed(), run.enumerating():
         for tableau_index, tableau in enumerate(tableaux):
             if not tableau.satisfiable:
                 continue
             templates = TableauTemplates(tableau)
             summary_of = templates.summary
             check = None
-            for prefix, position, values in iter_valid_valuations(
-                    tableau, adom, fresh="own", row_filter=row_filter,
-                    shard=run.shard, outer=(tableau_index,),
-                    meter=run.meter):
+            stream = iter_valid_valuations(
+                tableau, adom, fresh="own", row_filter=row_filter,
+                shard=run.shard, outer=(tableau_index,), meter=run.meter,
+                groups=True)
+            if templates.grouped:
+                for prefix, position, group in stream:
+                    within = 0
+                    if skip:
+                        within = min(skip, group.size)
+                        skip -= within
+                        if within == group.size:
+                            continue
+                    summary = group.summary
+                    if summary in answers or summary in found:
+                        run.decide(group.size - within,
+                                   (tableau_index, prefix), position + within)
+                        continue
+                    for _, at, values in group.walk(within):
+                        if beat is not None and beat.due:
+                            run.heartbeat((tableau_index, prefix), at)
+                        if governor is not None:
+                            governor.tick("valuations")
+                        run.examined += 1
+                        run.consumed += 1
+                        if other_constraints:
+                            run.checks += 1
+                            if check is None:
+                                check = context.check_program(
+                                    templates, database, master,
+                                    other_constraints)
+                            if not check(values):
+                                continue
+                        found[summary] = ((tableau_index, prefix, at),
+                                          summary)
+                        if limit is not None and len(found) >= limit:
+                            return run.outcome("complete")
+                        # The group's summary is known now: the rest of
+                        # the group is one block.
+                        run.decide(position + group.size - at - 1,
+                                   (tableau_index, prefix), at + 1)
+                        break
+                continue
+            for prefix, position, values in stream:
                 if skip:
                     skip -= 1
                     continue

@@ -137,7 +137,11 @@ def _inds_build_kernel(run: SearchRun, payload: dict[str, Any],
     """E4 witness construction over one shard: for every output tuple,
     the first constraint-compatible instantiation of the tableau, kept
     in :attr:`SearchRun.found` as ``(rank, summary, Δ)``.  A full scan;
-    incompatible occurrences leave their summary open."""
+    incompatible occurrences leave their summary open.  When the summary
+    is bound before the tableau's last variable, the valuations come in
+    groups of one summary each: a group whose summary is found already
+    is decided as one block, and so is the rest of a group once a
+    valuation of it finds its summary."""
     tableau = payload["tableau"]
     templates = TableauTemplates(tableau)
     master, constraints = payload["master"], payload["constraints"]
@@ -145,10 +149,42 @@ def _inds_build_kernel(run: SearchRun, payload: dict[str, Any],
     context, governor = run.context, run.governor
     beat, skip, found = run.beat, run.shard.skip, run.found
     check = None
+    stream = iter_valid_valuations(tableau, payload["adom"], fresh="own",
+                                   shard=run.shard, meter=run.meter,
+                                   groups=True)
     with run.governed():
-        for prefix, position, values in iter_valid_valuations(
-                tableau, payload["adom"], fresh="own", shard=run.shard,
-                meter=run.meter):
+        if templates.grouped:
+            for prefix, position, group in stream:
+                within = 0
+                if skip:
+                    within = min(skip, group.size)
+                    skip -= within
+                    if within == group.size:
+                        continue
+                summary = group.summary
+                if summary in found:
+                    run.decide(group.size - within, (prefix,),
+                               position + within)
+                    continue
+                for _, at, values in group.walk(within):
+                    if beat is not None and beat.due:
+                        run.heartbeat((prefix,), at)
+                    if governor is not None:
+                        governor.tick("valuations")
+                    run.examined += 1
+                    if check is None:
+                        check = context.check_program(templates, empty_base,
+                                                      master, constraints)
+                    compatible = check(values)
+                    run.consumed += 1
+                    if compatible:
+                        found[summary] = ((prefix, at), summary,
+                                          tuple(templates.facts(values)))
+                        run.decide(position + group.size - at - 1,
+                                   (prefix,), at + 1)
+                        break
+            return run.outcome("complete")
+        for prefix, position, values in stream:
             if skip:
                 skip -= 1
                 continue

@@ -101,6 +101,10 @@ class SearchStatistics:
     to report cumulative totals across interruptions.
     """
 
+    #: Valid valuations the valuation searches decided, whether one by
+    #: one or in a block (a group of valuations whose summary the search
+    #: already knew, :meth:`repro.core.search.SearchRun.decide`); each is
+    #: one ``valuations`` governor tick.
     valuations_examined: int = 0
     constraint_checks: int = 0
     candidate_sets_examined: int = 0

@@ -35,6 +35,7 @@ a search that ends in its head never loads the worker pool.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 from dataclasses import dataclass, field, replace
@@ -42,6 +43,7 @@ from typing import Any, Callable, ContextManager, Iterable, Iterator
 
 from repro.core.results import SearchStatistics
 from repro.errors import ExecutionInterrupted, ReproError
+from repro.obs import obs_of, obs_span
 from repro.runtime import SearchCheckpoint
 
 __all__ = ["HEAD_START", "resolve_workers", "ShardSpec", "ShardOutcome",
@@ -185,6 +187,10 @@ class SearchRun:
     * counts it in :attr:`examined` (and its constraint checks in
       :attr:`checks`), and in :attr:`consumed` once fully processed.
 
+    A block of valuations the kernel decides at once, because it already
+    knows their summary, goes through :meth:`decide`, which does the same
+    for all of them and counts them in :attr:`blocked` too.
+
     Kernels that collect partial answers keep them in :attr:`found`, a
     dict from answer to an entry tuple ``(rank, answer, ...)`` seeded
     from the slice's carried answers.
@@ -197,7 +203,7 @@ class SearchRun:
 
     __slots__ = ("shard", "governor", "context", "beacon", "beat",
                  "consumed", "examined", "checks", "examined_as", "found",
-                 "_engine_base")
+                 "blocked", "blocks", "_engine_base")
 
     def __init__(self, shard: ShardSpec, governor: Any, context: Any, *,
                  beacon: Any = None, beat: Any = None,
@@ -210,6 +216,10 @@ class SearchRun:
         self.consumed = shard.skip
         self.examined = 0
         self.checks = 0
+        #: Valuations decided in blocks (part of :attr:`examined`), and
+        #: how many blocks.
+        self.blocked = 0
+        self.blocks = 0
         #: The ``SearchStatistics`` field :attr:`examined` is reported in.
         self.examined_as = "valuations_examined"
         self.found: dict = {entry[1]: entry for entry in shard.carried}
@@ -226,6 +236,59 @@ class SearchRun:
         """Attach the governor to the context for the search loop, so
         index builds inside it tick the budget."""
         return self.context.governed(self.governor)
+
+    @contextlib.contextmanager
+    def enumerating(self) -> Iterator[None]:
+        """The kernel's ``enumerate_valuations`` span, which records on
+        exit how many valuations the run decided in blocks and how many
+        it visited one by one."""
+        with obs_span(obs_of(self.governor),
+                      "enumerate_valuations") as span:
+            try:
+                yield
+            finally:
+                if span is not None:
+                    span.attributes.update(
+                        blocks=self.blocks,
+                        valuations_in_blocks=self.blocked,
+                        valuations_visited=self.examined - self.blocked)
+
+    def decide(self, count: int, start: tuple[int, ...],
+               within: int) -> None:
+        """Decide *count* valuations at once, from candidate number
+        *within* of the stream unit *start* on: a block whose summary the
+        kernel already knows, each of its valuations ticked, examined and
+        consumed.  A heartbeat may fall due only before the block.  The
+        ticks go in one call when nothing can trip inside the block
+        (:meth:`~repro.runtime.ExecutionGovernor.admits`), else one per
+        valuation, so that a limit, a scheduled fault or a deadline or
+        cancellation already due stops the run on the same valuation, and
+        with the same ticks, as one by one.  A deadline or cancellation
+        is otherwise seen once a block, at its single tick."""
+        if not count:
+            return
+        if self.beat is not None and self.beat.due:
+            self.heartbeat(start, within)
+        governor = self.governor
+        admitted = 0
+        try:
+            if governor is None:
+                admitted = count
+            elif governor.admits("valuations", count):
+                governor.tick("valuations", count)
+                admitted = count
+            else:
+                # A tick that trips leaves *admitted* at the valuations
+                # before it.
+                while admitted < count:
+                    governor.tick("valuations")
+                    admitted += 1
+        finally:
+            if admitted:
+                self.examined += admitted
+                self.consumed += admitted
+                self.blocked += admitted
+                self.blocks += 1
 
     def statistics(self) -> SearchStatistics:
         stats = SearchStatistics(constraint_checks=self.checks,
@@ -273,9 +336,12 @@ class HeadStart:
     One unit is one candidate the kernel ticks (:attr:`SearchRun.
     examined`) or one partial valuation the positional plan extends,
     which :func:`~repro.core.valuations.iter_valid_valuations` counts
-    into :attr:`extensions`.  The meter stands in for a worker's
-    heartbeat: the kernel reads :attr:`due` between candidates and the
-    enumerator between prefixes, and once the allowance is spent the
+    into :attr:`extensions`.  A block the kernel decides at once
+    (:meth:`SearchRun.decide`) is one unit, whatever its size; the plan
+    extensions that counted it are units of their own.  The meter
+    stands in for a worker's heartbeat: the kernel reads :attr:`due`
+    between candidates and blocks and the enumerator between prefixes,
+    and once the allowance is spent the
     kernel's :meth:`SearchRun.heartbeat` (or the enumerator's
     :meth:`stop`) records where the stream hands over and unwinds the
     kernel with an interruption :func:`run_kernel` takes back.
@@ -293,16 +359,16 @@ class HeadStart:
 
     @property
     def units(self) -> int:
-        return self.run.examined + self.extensions
+        run = self.run
+        return run.examined - run.blocked + run.blocks + self.extensions
 
     @property
     def due(self) -> bool:
         # A resumed head hands over only past its skip prefix (once it
         # has examined a candidate): a skipped stretch that spans several
         # prefixes has no one shard to resume it.
-        run = self.run
-        return (run.examined + self.extensions >= self.allowance
-                and (run.examined > 0 or not run.shard.skip))
+        return (self.units >= self.allowance
+                and (self.run.examined > 0 or not self.run.shard.skip))
 
     def publish(self, outcome: ShardOutcome, start: tuple[int, ...],
                 within: int = 0) -> None:

@@ -48,10 +48,27 @@ valuations).  A prefix test that every combination of its variables'
 candidates passes is left out of the plan.  Any other ``(relation, row)
 → bool`` predicate is tested on every row once the row is bound,
 instantiated through its template.
+
+**Summary groups.**  The searches' first test of a valuation, whether
+its summary ``μ(u_Q)`` is in ``Q(D)`` (or, for the missing-answer and
+E4 scans, found already), reads only the summary variables, so it falls
+due once the last of them is bound: its pruning point, like a ``≠``
+atom's or an IND test's.  A *grouped* enumeration hands out the
+valuations below each binding of the variables up to there (or up to
+the prefix depth, if deeper) as one :class:`ValuationGroup`, and a
+kernel that already knows the group's summary decides all of it at
+once, by its size, instead of walking it.  The size is the product of
+the remaining candidate lists when no pruning point lies below the
+group, and is counted through the plan otherwise, but only when a
+kernel reads it: a group walked to an early witness is never counted.
+A tableau whose
+summary point is its last variable is not grouped: each group would be
+one valuation.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from functools import partial
@@ -68,7 +85,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.search import HeadStart, ShardSpec
 
 __all__ = ["ActiveDomain", "ProjectionFilter", "TableauTemplates",
-           "iter_valid_valuations"]
+           "ValuationGroup", "iter_valid_valuations"]
 
 #: A compiled check on a (partial) value tuple.
 Check = Callable[[tuple], bool]
@@ -226,9 +243,15 @@ class TableauTemplates:
     :meth:`Tableau.instantiate` on that valuation.  The check program
     (:mod:`repro.engine.checks`) compiles tests on the instantiated rows
     through :meth:`condition` and :meth:`membership`.
+
+    *grouped* says whether the summary is bound before the last
+    variable, so that a grouped enumeration hands the tableau's
+    valuations over in :class:`ValuationGroup` items rather than one by
+    one.
     """
 
-    __slots__ = ("tableau", "variables", "position", "summary", "rows")
+    __slots__ = ("tableau", "variables", "position", "summary", "rows",
+                 "grouped")
 
     def __init__(self, tableau: Tableau) -> None:
         self.tableau = tableau
@@ -239,6 +262,7 @@ class TableauTemplates:
         self.rows = tuple(
             (row.relation, _template(row.terms, self.position, width))
             for row in tableau.rows)
+        self.grouped = _summary_depth(tableau, self.position) < width
 
     def facts(self, values: tuple) -> list[tuple[str, tuple]]:
         """``μ(T_Q)`` as ``(relation, tuple)`` pairs."""
@@ -404,6 +428,13 @@ def _pruning_checks(tableau: Tableau, position: dict[Var, int],
     return checks
 
 
+def _summary_depth(tableau: Tableau, position: dict[Var, int]) -> int:
+    """How many leading slots bind every summary variable: one past the
+    summary point, 0 when the summary holds no variable."""
+    return max((position[t] + 1 for t in tableau.summary
+                if isinstance(t, Var)), default=0)
+
+
 def _extend(lists: Sequence[tuple], checks: Sequence[Check],
             prefix: tuple) -> Iterator[tuple]:
     """*prefix* extended by every combination of *lists*, kept when each
@@ -427,25 +458,146 @@ def _metered(extend: Callable[[tuple], Iterator[tuple]],
     return counted
 
 
-def _completions(candidates: Sequence[tuple], checks: Sequence[list[Check]],
-                 start: int, stop: int, prefix: tuple = (),
-                 meter: "HeadStart | None" = None) -> Iterator[tuple]:
-    """Valid extensions of *prefix* (binding variables ``< start``) to
-    the variables ``< stop``, in lexicographic order: one product per run
-    of variables ending at a pruning point (or at *stop*), chained.  A
-    *meter* counts every partial valuation a run extends."""
-    stream: Iterator[tuple] | None = None
+def _runs(candidates: Sequence[tuple], checks: Sequence[list[Check]],
+          start: int, stop: int, meter: "HeadStart | None" = None,
+          ) -> list[Callable[[tuple], Iterator[tuple]]]:
+    """The plan from the variables ``< start`` to those ``< stop``: one
+    product per run of variables ending at a pruning point (or at
+    *stop*), each extending a partial valuation by its run.  A *meter*
+    counts every partial valuation a run extends."""
+    runs = []
     begin = start
     for index in range(start, stop):
         if not checks[index] and index < stop - 1:
             continue
         extend = partial(_extend, candidates[begin:index + 1], checks[index])
-        if meter is not None:
-            extend = _metered(extend, meter)
+        runs.append(extend if meter is None else _metered(extend, meter))
+        begin = index + 1
+    return runs
+
+
+def _chain(runs: Sequence[Callable[[tuple], Iterator[tuple]]],
+           prefix: tuple = ()) -> Iterator[tuple]:
+    """Valid extensions of *prefix* through *runs*, in lexicographic
+    order."""
+    stream: Iterator[tuple] | None = None
+    for extend in runs:
         stream = (extend(prefix) if stream is None
                   else itertools.chain.from_iterable(map(extend, stream)))
-        begin = index + 1
     return iter((prefix,)) if stream is None else stream
+
+
+def _completions(candidates: Sequence[tuple], checks: Sequence[list[Check]],
+                 start: int, stop: int, prefix: tuple = (),
+                 meter: "HeadStart | None" = None) -> Iterator[tuple]:
+    """Valid extensions of *prefix* (binding variables ``< start``) to
+    the variables ``< stop``, in lexicographic order."""
+    return _chain(_runs(candidates, checks, start, stop, meter), prefix)
+
+
+def _length(stream: Iterator[Any]) -> int:
+    """How many items *stream* has left (consuming them)."""
+    counter = itertools.count()
+    collections.deque(zip(stream, counter), maxlen=0)
+    return next(counter)
+
+
+class _GroupPlan:
+    """The summary groups of one grouped enumeration: below each shard
+    prefix, the valid partial valuations of the variables from the
+    prefix depth *depth* to slot *start* (exclusive) that have a valid
+    completion, one per group (:meth:`groups`), and the plan extending
+    one to the group's valuations (:meth:`walk`).
+
+    With no pruning point at or below *start* (or an empty candidate
+    list below the last one), every group has the same :attr:`size`,
+    the product of the remaining candidate lists.  Otherwise the plan
+    runs down to the last pruning point, and its partial valuations
+    there are grouped by their first *start* values: they are a group's
+    *members*, and its size is their number times the product of the
+    lists below (:meth:`count`), counted only when a kernel reads it.
+    Both go through the metered plan, so a head's meter counts the
+    partial valuations they extend."""
+
+    __slots__ = ("runs", "size", "bounds", "bound_of", "tail")
+
+    def __init__(self, candidates: Sequence[tuple],
+                 checks: Sequence[list[Check]], depth: int, start: int,
+                 width: int, meter: "HeadStart | None") -> None:
+        self.runs = _runs(candidates, checks, start, width, meter)
+        last = max((index for index in range(start, width)
+                    if checks[index]), default=start - 1)
+        self.tail = math.prod(map(len, candidates[last + 1:width]))
+        self.bounds = _runs(candidates, checks, depth, max(start, last + 1),
+                            meter)
+        self.size = self.tail if last < start or not self.tail else None
+        self.bound_of = itemgetter(slice(0, start))
+
+    def groups(self, prefix: tuple,
+               ) -> Iterator[tuple[tuple, Iterator[tuple] | None]]:
+        """``(bound, members)`` for the nonempty groups below the shard
+        prefix *prefix*, in stream order; *members* is None when the
+        groups' size is known.  A group's members are valid only until
+        the next group is drawn."""
+        if self.size is not None:
+            if not self.size:
+                return iter(())
+            return zip(_chain(self.bounds, prefix), itertools.repeat(None))
+        return itertools.groupby(_chain(self.bounds, prefix), self.bound_of)
+
+    def count(self, members: Iterator[tuple]) -> int:
+        """The size of the group whose *members* these are (consuming
+        them)."""
+        return _length(members) * self.tail
+
+    def walk(self, prefix: tuple) -> Iterator[tuple]:
+        return _chain(self.runs, prefix)
+
+
+class ValuationGroup:
+    """The valid valuations below one summary prefix: one item of a
+    grouped enumeration (``iter_valid_valuations(..., groups=True)``).
+
+    *bound* holds the values of the variables up to the group's depth,
+    every summary variable among them, so all of the group's
+    :attr:`size` valuations extend it and share one :attr:`summary`;
+    they lie below the shard prefix numbered *number*, from
+    :attr:`position` on.  A kernel that already knows the summary
+    decides the whole group by its size; otherwise it walks the
+    valuations (:meth:`walk`), and may stop at any of them.  A size the
+    product of candidate lists does not give is counted through the plan
+    when first read, so a walk stopped early costs no count.
+    """
+
+    __slots__ = ("summary", "position", "bound", "_number", "_plan",
+                 "_size", "_members")
+
+    def __init__(self, summary: tuple, number: int, position: int,
+                 bound: tuple, plan: _GroupPlan,
+                 members: Iterator[tuple] | None) -> None:
+        self.summary = summary
+        self.position = position
+        self.bound = bound
+        self._number = number
+        self._plan = plan
+        self._size = plan.size
+        self._members = members
+
+    @property
+    def size(self) -> int:
+        """How many valid valuations the group holds."""
+        if self._size is None:
+            self._size = self._plan.count(self._members)
+        return self._size
+
+    def walk(self, skip: int = 0) -> Iterator[tuple[int, int, tuple]]:
+        """The group's valuations from its *skip*-th on, as the items of
+        the plain stream: ``(prefix_index, position, values)``."""
+        stream = self._plan.walk(self.bound)
+        if skip:
+            next(itertools.islice(stream, skip - 1, None), None)
+        return zip(itertools.repeat(self._number),
+                   itertools.count(self.position + skip), stream)
 
 
 #: Prefix-space oversubscription of a sharded enumeration: the prefix
@@ -462,6 +614,7 @@ def iter_valid_valuations(tableau: Tableau, adom: ActiveDomain,
                           shard: "ShardSpec | None" = None,
                           outer: tuple[int, ...] = (),
                           meter: "HeadStart | None" = None,
+                          groups: bool = False,
                           ) -> Iterator[Any]:
     """Enumerate the *valid* valuations of *tableau* over *adom*.
 
@@ -524,6 +677,21 @@ def iter_valid_valuations(tableau: Tableau, adom: ActiveDomain,
     valuations the plan extends, and the enumerator hands over at the
     next owned prefix once the meter is due.
 
+    With *groups* (and a *shard*), a tableau whose summary is bound
+    before its last variable (:attr:`TableauTemplates.grouped`) yields
+    its valuations in groups: one ``(prefix_index, position, group)``
+    item per valid partial valuation of its first ``g`` variables that
+    has a valid completion, ``g`` being the larger of the prefix depth
+    and one past the summary point, *group* a :class:`ValuationGroup` of
+    the valuations below it and *position* that of its first one.  So
+    each group lies inside one prefix, and expanded, the groups are the
+    plain stream.  A group's size is the product of the remaining
+    candidate lists when no pruning point lies at or below slot ``g``;
+    otherwise it is counted through the plan when the kernel (or the
+    enumerator, moving on to the next group) reads it, so a kernel that
+    walks an open group and stops early pays for no count.  Other
+    tableaux yield value tuples as without *groups*.
+
     Unsatisfiable tableaux yield nothing; a ground tableau yields the
     empty valuation (from shard 0).
     """
@@ -553,6 +721,12 @@ def iter_valid_valuations(tableau: Tableau, adom: ActiveDomain,
     while depth < width and space < target:
         space *= len(candidates[depth])
         depth += 1
+    plan = None
+    point = _summary_depth(tableau, position)
+    if groups and point < width:
+        point = max(point, depth)
+        plan = _GroupPlan(candidates, checks, depth, point, width, meter)
+        summary = _template(tableau.summary, position, point)
     # A prefix's number in the raw product: mixed radix, one digit per
     # prefix variable (its candidate's list position).
     digits = [{value: i for i, value in enumerate(values)}
@@ -565,6 +739,14 @@ def iter_valid_valuations(tableau: Tableau, adom: ActiveDomain,
             continue
         if meter is not None and meter.due:
             meter.stop((*outer, number))
-        yield from zip(itertools.repeat(number), itertools.count(),
-                       _completions(candidates, checks, depth, width,
-                                    prefix, meter))
+        if plan is None:
+            yield from zip(itertools.repeat(number), itertools.count(),
+                           _completions(candidates, checks, depth, width,
+                                        prefix, meter))
+            continue
+        at = 0
+        for bound, members in plan.groups(prefix):
+            group = ValuationGroup(summary(bound), number, at, bound, plan,
+                                   members)
+            yield number, at, group
+            at += group.size

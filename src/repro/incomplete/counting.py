@@ -22,8 +22,9 @@ count with ``exhaustive=False``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.constraints.containment import (ContainmentConstraint,
                                            satisfies_all_extension)
@@ -32,11 +33,11 @@ from repro.core.rcdp import (_search_space, _validate_rcdp,
                              missing_answers_report, resolve_context,
                              split_ind_constraints)
 from repro.core.results import SearchStatistics
-from repro.core.search import ShardSpec
+from repro.core.search import SearchRun, ShardSpec
 from repro.core.valuations import TableauTemplates, iter_valid_valuations
 from repro.engine import EvaluationContext
 from repro.errors import ExecutionInterrupted
-from repro.obs import obs_of, obs_span, traced
+from repro.obs import obs_of, traced
 from repro.relational.instance import Instance
 from repro.runtime import (ExecutionGovernor, resolve_governor,
                            validate_exhaustion_mode)
@@ -101,6 +102,22 @@ def count_missing_answers(query: Any, database: Instance,
                        interrupted=report.interrupted)
 
 
+def _open_valuations(run: SearchRun, groups: Iterator[tuple],
+                     answers: Any) -> Iterator[tuple]:
+    """The valuations of a grouped stream whose summary is not in
+    ``Q(D)``, as plain items; a group whose summary is in ``Q(D)`` is
+    decided as one block instead.  Chained, not yielded, so that an
+    open group's valuations pass through no Python frame."""
+    def walk(item: tuple) -> Iterator[tuple]:
+        prefix, position, group = item
+        if group.summary in answers:
+            run.decide(group.size, (prefix,), position)
+            return iter(())
+        return group.walk()
+
+    return itertools.chain.from_iterable(map(walk, groups))
+
+
 @traced("count_completing_extensions")
 def count_completing_extensions(
         query: Any, database: Instance, master: Instance,
@@ -138,7 +155,12 @@ def count_completing_extensions(
     compare equal, so equal keys mean equal fresh-fact sets.  When the
     key is new, the same list goes to the program's ``(D ∪ Δ, Dm) ⊨ V``
     test: a candidate costs one template call and one base membership
-    test per tableau row and one set lookup before its check.
+    test per tableau row and one set lookup before its check.  A tableau
+    whose summary is bound before its last variable comes in summary
+    groups (:mod:`repro.core.valuations`): a group whose summary is in
+    ``Q(D)`` adds nothing and is decided at once, its valuations still
+    counted as examined; every other group is walked whole, since the
+    count keeps extensions by Δ, not by summary.
 
     *max_extensions* truncates the count (``exhaustive=False``); the
     governor interrupts at valuation boundaries like the deciders.
@@ -155,54 +177,67 @@ def count_completing_extensions(
 
     # The accepted fresh-fact sets, by canonical key (see above).
     extensions: set[Any] = set()
-    examined = 0
-    constraint_checks = 0
+    # Shard 0 of 1: the whole stream, as value tuples.  A block counts
+    # into the run; the valuations visited one by one, and their checks,
+    # into locals, which join the run's counters when the walk ends.
+    run = SearchRun(ShardSpec(), governor, context)
+    examined = constraint_checks = 0
 
     def _stats() -> SearchStatistics:
         return SearchStatistics(
             valuations_examined=examined,
             constraint_checks=constraint_checks).merged(
-            context.statistics.since(engine_base))
+            run.statistics()).merged(context.statistics.since(engine_base))
 
     try:
-        with context.governed(governor), obs_span(obs,
-                                                  "enumerate_valuations"):
-            for tableau in tableaux:
-                if not tableau.satisfiable:
-                    continue
-                templates = TableauTemplates(tableau)
-                summary_of = templates.summary
-                check = None
-                # Shard 0 of 1: the whole stream, as value tuples.
-                for _, _, values in iter_valid_valuations(
+        with run.governed(), run.enumerating():
+            try:
+                for tableau in tableaux:
+                    if not tableau.satisfiable:
+                        continue
+                    templates = TableauTemplates(tableau)
+                    summary_of = templates.summary
+                    check = None
+                    stream = iter_valid_valuations(
                         tableau, adom, fresh="own", row_filter=row_filter,
-                        shard=ShardSpec()):
-                    if governor is not None:
-                        governor.tick("valuations")
-                    examined += 1
-                    summary = summary_of(values)
-                    if summary in answers:
-                        continue
-                    if check is None:
-                        check = context.check_program(
-                            templates, database, master, other_constraints)
-                        delta = check.delta
-                    facts = delta(values)
-                    # A valuation landing entirely inside D would have
-                    # summary ∈ Q(D); surviving deltas add ≥ 1 fact.
-                    key = facts[0] if len(facts) == 1 else frozenset(facts)
-                    if key in extensions:
-                        continue
-                    if other_constraints:
-                        constraint_checks += 1
-                        if not check(values, facts):
+                        shard=run.shard, groups=True)
+                    if templates.grouped:
+                        # Open groups are walked whole: the key is Δ, not
+                        # the summary, so a find closes nothing.
+                        stream = _open_valuations(run, stream, answers)
+                    for _, _, values in stream:
+                        if governor is not None:
+                            governor.tick("valuations")
+                        examined += 1
+                        summary = summary_of(values)
+                        if summary in answers:
                             continue
-                    extensions.add(key)
-                    if (max_extensions is not None
-                            and len(extensions) >= max_extensions):
-                        return CountReport(count=len(extensions),
-                                           exhaustive=False,
-                                           statistics=_stats())
+                        if check is None:
+                            check = context.check_program(
+                                templates, database, master,
+                                other_constraints)
+                            delta = check.delta
+                        facts = delta(values)
+                        # A valuation landing entirely inside D would have
+                        # summary ∈ Q(D); surviving deltas add ≥ 1 fact.
+                        key = (facts[0] if len(facts) == 1
+                               else frozenset(facts))
+                        if key in extensions:
+                            continue
+                        if other_constraints:
+                            constraint_checks += 1
+                            if not check(values, facts):
+                                continue
+                        extensions.add(key)
+                        if (max_extensions is not None
+                                and len(extensions) >= max_extensions):
+                            return CountReport(count=len(extensions),
+                                               exhaustive=False,
+                                               statistics=_stats())
+            finally:
+                run.examined += examined
+                run.checks += constraint_checks
+                examined = constraint_checks = 0
     except ExecutionInterrupted as interrupt:
         report = CountReport(count=len(extensions), exhaustive=False,
                              statistics=_stats(),

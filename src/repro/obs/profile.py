@@ -3,19 +3,29 @@
 Aggregates span records by phase name into a fixed-width text table in
 the spirit of ``cProfile``'s output — one row per phase, sorted by
 total time — with *own* time (total minus time attributed to child
-spans) and the per-kind governor ticks charged inside the phase.  See
-``docs/OBSERVABILITY.md`` for a reading guide.
+spans) and the per-kind governor ticks charged inside the phase.  A
+phase whose spans say how many valuations they decided in blocks and
+how many they visited one by one (the search kernels' enumeration) gets
+a line under the table with the totals.  See ``docs/OBSERVABILITY.md``
+for a reading guide.
 """
 
 from __future__ import annotations
 
 __all__ = ["profile_rows", "render_profile"]
 
+#: The span attributes a search kernel's ``enumerate_valuations`` span
+#: records (:meth:`repro.core.search.SearchRun.enumerating`), summed per
+#: phase into its row's ``valuations``.
+_VALUATION_ATTRIBUTES = ("blocks", "valuations_in_blocks",
+                         "valuations_visited")
+
 
 def profile_rows(records: list[dict]) -> list[dict]:
     """Aggregate span *records* (wire form) into per-phase rows:
-    ``{"name", "calls", "total_s", "own_s", "ticks"}``, sorted by
-    ``total_s`` descending."""
+    ``{"name", "calls", "total_s", "own_s", "ticks", "valuations"}``,
+    sorted by ``total_s`` descending; ``valuations`` sums the phase's
+    block attributes (empty for a phase that records none)."""
     child_time: dict[int, float] = {}
     spans = [r for r in records if r.get("type") == "span"]
     for record in spans:
@@ -27,13 +37,18 @@ def profile_rows(records: list[dict]) -> list[dict]:
     for record in spans:
         row = phases.setdefault(record["name"], {
             "name": record["name"], "calls": 0,
-            "total_s": 0.0, "own_s": 0.0, "ticks": {}})
+            "total_s": 0.0, "own_s": 0.0, "ticks": {}, "valuations": {}})
         row["calls"] += 1
         row["total_s"] += record["dur"]
         row["own_s"] += max(
             0.0, record["dur"] - child_time.get(record["id"], 0.0))
         for kind, amount in (record.get("ticks") or {}).items():
             row["ticks"][kind] = row["ticks"].get(kind, 0) + amount
+        attributes = record.get("attrs") or {}
+        for name in _VALUATION_ATTRIBUTES:
+            if name in attributes:
+                row["valuations"][name] = (row["valuations"].get(name, 0)
+                                           + attributes[name])
     return sorted(phases.values(),
                   key=lambda row: (-row["total_s"], row["name"]))
 
@@ -62,4 +77,13 @@ def render_profile(records: list[dict]) -> str:
             f"{row['name']:<{name_width}}  {row['calls']:>6}  "
             f"{row['total_s']:>10.6f}  {row['own_s']:>10.6f}  "
             f"{_format_ticks(row['ticks'])}")
+    for row in rows:
+        counts = row["valuations"]
+        if counts:
+            lines.append(
+                f"{row['name']}: "
+                f"{counts.get('valuations_in_blocks', 0):,} valuation(s) "
+                f"decided in {counts.get('blocks', 0):,} block(s), "
+                f"{counts.get('valuations_visited', 0):,} visited one by "
+                f"one")
     return "\n".join(lines)

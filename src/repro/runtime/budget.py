@@ -79,6 +79,14 @@ class Budget:
         return any(self._by_kind.get(kind, 0) > cap
                    for kind, cap in self.kind_limits.items())
 
+    def admits(self, kind: str, amount: int) -> bool:
+        """Whether *amount* more ticks of *kind* stay within every
+        limit."""
+        if self.limit is not None and self.spent + amount > self.limit:
+            return False
+        cap = self.kind_limits.get(kind)
+        return cap is None or self.spent_for(kind) + amount <= cap
+
     @property
     def remaining(self) -> int | None:
         """Ticks left under the total limit (``None`` when unlimited)."""

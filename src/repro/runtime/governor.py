@@ -132,6 +132,20 @@ class ExecutionGovernor:
                 f"deadline expired after {self.ticks - amount} tick(s)",
                 reason="deadline")
 
+    def admits(self, kind: str, amount: int) -> bool:
+        """Whether one :meth:`tick` of *amount* units of *kind* is the
+        same as *amount* ticks of one unit: no fault injector is
+        attached, whose schedule counts single ticks; no cancellation or
+        deadline is due already, which the first of them would trip on;
+        and the budget has room for all of them, so no limit trips part
+        way."""
+        return (self.faults is None
+                and (self.cancellation is None
+                     or not self.cancellation.cancelled)
+                and (self.deadline is None or not self.deadline.expired())
+                and (self.budget is None
+                     or self.budget.admits(kind, amount)))
+
     def absorb(self, counts: "dict[str, int] | None") -> None:
         """Record work that *workers* performed against split-off budget
         slices, without re-checking any limit.

@@ -174,7 +174,7 @@ class TestFixedCases:
                                      [(1, 1), (0, 0), (3, 2)])
         assert verdicts == [False, False, False]
         query = cq([_X], [rel("R", _X, _Y)], name="Q")
-        status, _, checks = reference_rcdp(query, base, _MASTER, [ban_t])
+        status, _, checks, _ = reference_rcdp(query, base, _MASTER, [ban_t])
         for backend in BACKEND_NAMES:
             result = decide_rcdp(query, base, _MASTER, [ban_t],
                                  check_partially_closed=False,

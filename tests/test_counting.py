@@ -285,17 +285,20 @@ def _constraints(draw):
     return drawn
 
 
-def _count_and_checks(*inputs, **options):
+def _count_and_counters(*inputs, **options):
     report = count_completing_extensions(*inputs, **options)
-    return report.count, report.statistics.constraint_checks
+    return (report.count, report.statistics.constraint_checks,
+            report.statistics.valuations_examined)
 
 
 class TestCountMatchesReference:
     """``count_completing_extensions`` against
     :func:`~benchmarks.reference_rcdp.reference_count`, which checks
     every candidate on the materialized ``D ∪ Δ`` and deduplicates the
-    accepted Δs by ``frozenset``: the same count and the same
-    ``constraint_checks`` on every backend."""
+    accepted Δs by ``frozenset``: the same count, the same
+    ``constraint_checks`` and the same ``valuations_examined`` (the
+    reference visits every valuation the count decides in a block) on
+    every backend."""
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     @settings(max_examples=40, deadline=None)
@@ -304,7 +307,7 @@ class TestCountMatchesReference:
     def test_random_queries(self, backend, query, db, constraints):
         # D need not satisfy V: then no Δ is accepted, on either side.
         try:
-            ours = _count_and_checks(query, db, DM, constraints,
+            ours = _count_and_counters(query, db, DM, constraints,
                                      check_partially_closed=False,
                                      backend=backend)
         except ReproError:
@@ -318,8 +321,8 @@ class TestCountMatchesReference:
         # rejected; R(0, 0) is accepted.
         db = Instance(SCHEMA, {"R": {(2, 0)}, "T": set()})
         inputs = (_SYMMETRIC, db, DM, [IND, _BAN_ONE])
-        assert _count_and_checks(*inputs, backend=backend) == \
-            reference_count(*inputs) == (2, 3)
+        assert _count_and_counters(*inputs, backend=backend) == \
+            reference_count(*inputs) == (2, 3, 4)
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_ucq_disjuncts_reaching_one_fact(self, backend):
@@ -330,8 +333,8 @@ class TestCountMatchesReference:
             [_SYMMETRIC, cq([_X], [rel("R", _X, _X)])], name="Qucq")
         db = Instance(SCHEMA, {"R": {(2, 0)}, "T": set()})
         inputs = (query, db, DM, [IND, _BAN_ONE])
-        assert _count_and_checks(*inputs, backend=backend) == \
-            reference_count(*inputs) == (2, 4)
+        assert _count_and_counters(*inputs, backend=backend) == \
+            reference_count(*inputs) == (2, 4, 6)
 
     @pytest.mark.parametrize("path", _BUNDLES, ids=lambda path: path.stem)
     def test_shipped_bundles(self, path):
@@ -340,6 +343,6 @@ class TestCountMatchesReference:
                   bundle["constraints"])
         expected = reference_count(*inputs, max_extensions=_BUNDLE_CAP)
         for backend in BACKEND_NAMES:
-            assert _count_and_checks(
+            assert _count_and_counters(
                 *inputs, max_extensions=_BUNDLE_CAP,
                 backend=backend) == expected, backend

@@ -220,9 +220,12 @@ class TestDeciderAblation:
         if not satisfies_all(db, _DM, constraints):
             return
         engine = decide_rcdp(_Q, db, _DM, constraints)
-        status, certificate, _ = reference_rcdp(_Q, db, _DM, constraints)
+        status, certificate, checks, examined = reference_rcdp(
+            _Q, db, _DM, constraints)
         assert engine.status is status
         assert (engine.certificate is None) == (certificate is None)
+        assert engine.statistics.constraint_checks == checks
+        assert engine.statistics.valuations_examined == examined
 
     @settings(max_examples=40, deadline=None)
     @given(rows=_s_rows)
@@ -248,7 +251,7 @@ class TestDeciderAblation:
         inputs = (bundle["query"], bundle["database"], bundle["master"],
                   bundle["constraints"])
         result = decide_rcdp(*inputs)
-        status, certificate, checks = reference_rcdp(*inputs)
+        status, certificate, checks, examined = reference_rcdp(*inputs)
         assert result.status is status
         if result.certificate is None:
             assert certificate is None
@@ -256,6 +259,7 @@ class TestDeciderAblation:
             assert certificate == (result.certificate.extension_facts,
                                    result.certificate.new_answer)
         assert result.statistics.constraint_checks == checks
+        assert result.statistics.valuations_examined == examined
 
     def test_engine_statistics_populated(self):
         db = Instance(_SCHEMA, {"S": {("e0", "c1")}})

@@ -191,7 +191,7 @@ class TestDeltaExtensionConsistency:
             engine = decide_rcdp(query, db, DM, [IND])
         except ReproError:
             assume(False)
-        status, certificate, _ = reference_rcdp(query, db, DM, [IND])
+        status, certificate, _, _ = reference_rcdp(query, db, DM, [IND])
         assert status is engine.status
         if engine.certificate is None:
             assert certificate is None

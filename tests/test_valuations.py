@@ -13,7 +13,9 @@ from repro.core.rcdp import decide_rcdp, split_ind_constraints
 from repro.core.results import RCDPStatus
 from repro.core.search import ShardSpec
 from repro.core.valuations import (ActiveDomain, TableauTemplates,
-                                   _row_checks, iter_valid_valuations)
+                                   ValuationGroup, _GroupPlan, _row_checks,
+                                   _summary_depth, _template,
+                                   iter_valid_valuations)
 from repro.queries.atoms import eq, neq, rel
 from repro.queries.cq import cq
 from repro.queries.tableau import Tableau
@@ -211,16 +213,146 @@ def test_shards_partition_the_valuation_stream(query, db, row_filter):
 
 
 # ---------------------------------------------------------------------
+# Grouped streams: the valuations below each summary prefix as one item
+# ---------------------------------------------------------------------
+
+#: Every shard of 1, 2, 3 and 5, and a head (shard 0 of 1) in the
+#: layout of 2, 3 and 5 shards.
+LAYOUTS = [ShardSpec(index, count) for count in (1, 2, 3, 5)
+           for index in range(count)] + [
+               ShardSpec(0, 1, layout=count) for count in (2, 3, 5)]
+
+
+def _assert_groups_expand(tableau, adom, row_filter):
+    """At every layout the grouped stream, expanded, is the plain stream:
+    values, prefix numbers and positions.  Each group's size is the
+    brute-force count of the valid valuations extending its bound, and
+    they all share its summary; a walk from any valuation on is the
+    rest of the whole walk.  Returns the number of groups seen."""
+    templates = TableauTemplates(tableau)
+    oracle = [tuple(valuation[v] for v in templates.variables)
+              for valuation in _product_oracle(tableau, adom, row_filter)]
+    groups = 0
+    for shard in LAYOUTS:
+        expanded = []
+        for prefix, position, item in iter_valid_valuations(
+                tableau, adom, row_filter=row_filter, shard=shard,
+                groups=True):
+            if not templates.grouped:
+                assert type(item) is tuple
+                expanded.append((prefix, position, item))
+                continue
+            groups += 1
+            assert isinstance(item, ValuationGroup)
+            assert item.position == position
+            depth = len(item.bound)
+            walked = list(item.walk())
+            assert len(walked) == item.size == sum(
+                1 for values in oracle if values[:depth] == item.bound)
+            assert all(values[:depth] == item.bound
+                       and templates.summary(values) == item.summary
+                       for _, _, values in walked)
+            skip = item.size // 2
+            assert list(item.walk(skip)) == walked[skip:]
+            expanded.extend(walked)
+        assert expanded == list(iter_valid_valuations(
+            tableau, adom, row_filter=row_filter, shard=shard))
+    return groups
+
+
+@settings(max_examples=60, deadline=None)
+@given(query=strategies.conjunctive_queries(), db=strategies.instances(),
+       row_filter=st.sampled_from([None, IND_ROW_FILTER,
+                                   PREFIX_ROW_FILTER]))
+def test_groups_expand_to_the_plain_stream(query, db, row_filter):
+    tableau = Tableau(query, strategies.SCHEMA)
+    adom = ActiveDomain.build(
+        instances=(db, PREFIX_DM), queries=[query],
+        tableaux=[tableau] if tableau.satisfiable else [])
+    _assert_groups_expand(tableau, adom, row_filter)
+
+
+def _grouped_case(query):
+    tableau = Tableau(query, strategies.SCHEMA)
+    adom = ActiveDomain.build(instances=(PREFIX_DM,), queries=[query],
+                              tableaux=[tableau])
+    return tableau, adom
+
+
+def test_groups_counted_through_ind_prefix_tests_and_inequalities():
+    """The summary v0 is bound first; T[x, z] ⊆ N[c, d] tests v0 and
+    then v2, R[b] ⊆ M[c] tests v3, and v3 ≠ v1 falls due at v3: every
+    group below v0 is counted through the plan."""
+    tableau, adom = _grouped_case(cq(
+        [var("v0")], [rel("T", var("v0"), var("v1"), var("v2")),
+                      rel("R", var("v2"), var("v3")),
+                      neq(var("v3"), var("v1"))]))
+    assert TableauTemplates(tableau).grouped
+    assert _assert_groups_expand(tableau, adom, PREFIX_ROW_FILTER) > 0
+    assert _assert_groups_expand(tableau, adom, None) > 0
+
+
+def test_boolean_query_is_one_group_per_prefix():
+    tableau, adom = _grouped_case(
+        cq([], [rel("R", var("v0"), var("v1")), neq(var("v0"), var("v1"))]))
+    assert _assert_groups_expand(tableau, adom, IND_ROW_FILTER) > 0
+    (item,) = iter_valid_valuations(tableau, adom, row_filter=IND_ROW_FILTER,
+                                    shard=ShardSpec(), groups=True)
+    prefix, position, group = item
+    assert (prefix, position, group.summary, group.bound) == (0, 0, (), ())
+    assert group.size == len(_product_oracle(tableau, adom, IND_ROW_FILTER))
+
+
+def test_summary_bound_by_the_last_variable_yields_no_groups():
+    tableau, adom = _grouped_case(
+        cq([var("v1")], [rel("R", var("v0"), var("v1"))]))
+    assert not TableauTemplates(tableau).grouped
+    assert _assert_groups_expand(tableau, adom, IND_ROW_FILTER) == 0
+
+
+def test_a_counted_group_is_counted_only_when_its_size_is_read(
+        monkeypatch):
+    """With v0 ≠ v1 below it, the Boolean query's one group is counted
+    through the plan, but only when its size is read: a walk stopped
+    early counts nothing, so a witness found there costs no count."""
+    tableau, adom = _grouped_case(
+        cq([], [rel("R", var("v0"), var("v1")), neq(var("v0"), var("v1"))]))
+    counted = []
+    count = _GroupPlan.count
+    monkeypatch.setattr(_GroupPlan, "count", lambda plan, members: (
+        counted.append(1) or count(plan, members)))
+    variables = TableauTemplates(tableau).variables
+    oracle = [tuple(valuation[v] for v in variables)
+              for valuation in _product_oracle(tableau, adom, None)]
+
+    stream = iter_valid_valuations(tableau, adom, shard=ShardSpec(),
+                                   groups=True)
+    _, _, group = next(stream)
+    assert next(group.walk())[2] == oracle[0]
+    assert counted == []
+    assert group.size == len(oracle) and counted == [1]
+    assert list(stream) == [] and counted == [1]
+
+
+# ---------------------------------------------------------------------
 # Compiled templates and checks agree with the tableau
 # ---------------------------------------------------------------------
 
 def _assert_compiled_agrees(tableau, adom, row_filters):
     """Over every raw combination of the candidate lists: the compiled
-    summary and facts equal the tableau's, and each row's compiled tests
-    together (each fed the value prefix it sees during enumeration, IND
-    prefix tests included) equal the filter on the instantiated row."""
+    summary and facts equal the tableau's, and so does the summary a
+    grouped enumeration compiles over the values up to each group depth
+    (one past the summary point or deeper); and each row's compiled
+    tests together (each fed the value prefix it sees during
+    enumeration, IND prefix tests included) equal the filter on the
+    instantiated row."""
     templates = TableauTemplates(tableau)
     variables = templates.variables
+    point = _summary_depth(tableau, templates.position)
+    assert templates.grouped == (point < len(variables))
+    bound_summaries = {
+        depth: _template(tableau.summary, templates.position, depth)
+        for depth in range(point, len(variables) + 1)}
     lists = [adom.candidates_for(tableau, v) for v in variables]
     compiled = {
         row_filter: [_row_checks(row, templates.position, row_filter, lists)
@@ -229,6 +361,8 @@ def _assert_compiled_agrees(tableau, adom, row_filters):
     for values in itertools.product(*lists):
         valuation = dict(zip(variables, values))
         assert templates.summary(values) == tableau.summary_under(valuation)
+        for depth, summary in bound_summaries.items():
+            assert summary(values[:depth]) == templates.summary(values)
         assert templates.facts(values) == tableau.instantiate(valuation)
         for row_filter, per_row in compiled.items():
             for row, checks in zip(tableau.rows, per_row):
