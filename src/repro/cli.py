@@ -139,6 +139,14 @@ EXIT_EXHAUSTED = 3
 EXIT_POOL_FAILURE = 4
 
 
+def _non_negative_int(text: str) -> int:
+    """An argparse type: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_governor_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--budget", type=int, default=None, metavar="N",
@@ -881,7 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
     missing = subparsers.add_parser(
         "missing", help="enumerate answers the query could still gain")
     missing.add_argument("bundle", help="JSON problem bundle")
-    missing.add_argument("--limit", type=int, default=None,
+    missing.add_argument("--limit", type=_non_negative_int, default=None,
                          help="stop after this many missing answers")
     _add_governor_arguments(missing)
     missing.set_defaults(func=_cmd_missing)

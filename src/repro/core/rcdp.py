@@ -243,7 +243,7 @@ def _rcdp_kernel(run: SearchRun, payload: dict[str, Any]) -> ShardOutcome:
                 continue
             templates = TableauTemplates(tableau)
             summary_of = templates.summary
-            check = None
+            program = None
             stream = iter_valid_valuations(
                 tableau, adom, fresh="own", row_filter=row_filter,
                 shard=run.shard, outer=(tableau_index,), meter=run.meter,
@@ -275,11 +275,11 @@ def _rcdp_kernel(run: SearchRun, payload: dict[str, Any]) -> ShardOutcome:
                             governor.tick("valuations")
                         run.examined += 1
                         run.checks += 1
-                        if other_constraints and check is None:
-                            check = context.check_program(
+                        if other_constraints and program is None:
+                            program = context.check_program(
                                 templates, database, master,
                                 other_constraints)
-                        if not other_constraints or check(values):
+                        if not other_constraints or program.check(values):
                             return run.witness(rank, (
                                 tuple(templates.facts(values)), summary,
                                 tableau.query.name))
@@ -302,10 +302,10 @@ def _rcdp_kernel(run: SearchRun, payload: dict[str, Any]) -> ShardOutcome:
                     run.consumed += 1
                     continue
                 run.checks += 1
-                if other_constraints and check is None:
-                    check = context.check_program(
+                if other_constraints and program is None:
+                    program = context.check_program(
                         templates, database, master, other_constraints)
-                if not other_constraints or check(values):
+                if not other_constraints or program.check(values):
                     return run.witness(rank, (
                         tuple(templates.facts(values)), summary,
                         tableau.query.name))
@@ -332,7 +332,7 @@ def _missing_kernel(run: SearchRun, payload: dict[str, Any],
                 continue
             templates = TableauTemplates(tableau)
             summary_of = templates.summary
-            check = None
+            program = None
             stream = iter_valid_valuations(
                 tableau, adom, fresh="own", row_filter=row_filter,
                 shard=run.shard, outer=(tableau_index,), meter=run.meter,
@@ -359,11 +359,11 @@ def _missing_kernel(run: SearchRun, payload: dict[str, Any],
                         run.consumed += 1
                         if other_constraints:
                             run.checks += 1
-                            if check is None:
-                                check = context.check_program(
+                            if program is None:
+                                program = context.check_program(
                                     templates, database, master,
                                     other_constraints)
-                            if not check(values):
+                            if not program.check(values):
                                 continue
                         found[summary] = ((tableau_index, prefix, at),
                                           summary)
@@ -390,10 +390,10 @@ def _missing_kernel(run: SearchRun, payload: dict[str, Any],
                     continue
                 if other_constraints:
                     run.checks += 1
-                    if check is None:
-                        check = context.check_program(
+                    if program is None:
+                        program = context.check_program(
                             templates, database, master, other_constraints)
-                    if not check(values):
+                    if not program.check(values):
                         continue
                 found[summary] = ((tableau_index, prefix, position), summary)
                 if limit is not None and len(found) >= limit:
@@ -402,6 +402,12 @@ def _missing_kernel(run: SearchRun, payload: dict[str, Any],
                     # `limit` answers.
                     return run.outcome("complete")
     return run.outcome("complete")
+
+
+def validate_limit(name: str, limit: int | None) -> None:
+    """Reject a negative truncation limit (None means no limit)."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"{name} must be at least 0, got {limit}")
 
 
 def _validate_rcdp(query: Any, database: Instance, master: Instance,
@@ -621,7 +627,9 @@ def missing_answers_report(query: Any, database: Instance,
     without the early exit).
 
     *limit* truncates the enumeration once that many missing answers have
-    been found; a *budget*/*governor* interrupts it mid-search.  In both
+    been found (``limit == 0`` reports the one find that trips it; a
+    negative *limit* is a ``ValueError``); a *budget*/*governor*
+    interrupts it mid-search.  In both
     cases ``exhaustive`` is False and the answer set is a lower bound; an
     interrupted report additionally carries a resumable checkpoint (cursor
     ``(shards,)``) whose per-shard resume points preserve the answers
@@ -633,6 +641,7 @@ def missing_answers_report(query: Any, database: Instance,
     """
     count = resolve_workers(workers)
     validate_exhaustion_mode(on_exhausted)
+    validate_limit("limit", limit)
     governor = resolve_governor(governor, budget)
     obs = obs_of(governor)
     context = resolve_context(context, backend)

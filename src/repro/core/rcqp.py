@@ -107,7 +107,7 @@ def _inds_scan_kernel(run: SearchRun, payload: dict[str, Any],
     empty_base = payload["empty_base"]
     context, governor = run.context, run.governor
     beacon, beat, skip = run.beacon, run.beat, run.shard.skip
-    check = None
+    program = None
     with run.governed():
         for prefix, position, values in iter_valid_valuations(
                 tableau, payload["adom"], fresh="own", shard=run.shard,
@@ -123,10 +123,10 @@ def _inds_scan_kernel(run: SearchRun, payload: dict[str, Any],
             if governor is not None:
                 governor.tick("valuations")
             run.examined += 1
-            if check is None:
-                check = context.check_program(templates, empty_base,
-                                              master, constraints)
-            if check(values):
+            if program is None:
+                program = context.check_program(templates, empty_base,
+                                                master, constraints)
+            if program.check(values):
                 return run.witness(rank, True)
             run.consumed += 1
     return run.outcome("complete")
@@ -148,7 +148,7 @@ def _inds_build_kernel(run: SearchRun, payload: dict[str, Any],
     empty_base = payload["empty_base"]
     context, governor = run.context, run.governor
     beat, skip, found = run.beat, run.shard.skip, run.found
-    check = None
+    program = None
     stream = iter_valid_valuations(tableau, payload["adom"], fresh="own",
                                    shard=run.shard, meter=run.meter,
                                    groups=True)
@@ -172,10 +172,10 @@ def _inds_build_kernel(run: SearchRun, payload: dict[str, Any],
                     if governor is not None:
                         governor.tick("valuations")
                     run.examined += 1
-                    if check is None:
-                        check = context.check_program(templates, empty_base,
-                                                      master, constraints)
-                    compatible = check(values)
+                    if program is None:
+                        program = context.check_program(templates, empty_base,
+                                                        master, constraints)
+                    compatible = program.check(values)
                     run.consumed += 1
                     if compatible:
                         found[summary] = ((prefix, at), summary,
@@ -195,10 +195,10 @@ def _inds_build_kernel(run: SearchRun, payload: dict[str, Any],
             run.examined += 1
             summary = templates.summary(values)
             if summary not in found:
-                if check is None:
-                    check = context.check_program(templates, empty_base,
-                                                  master, constraints)
-                if check(values):
+                if program is None:
+                    program = context.check_program(templates, empty_base,
+                                                    master, constraints)
+                if program.check(values):
                     found[summary] = ((prefix, position), summary,
                                       tuple(templates.facts(values)))
             run.consumed += 1

@@ -241,8 +241,8 @@ class TableauTemplates:
     valuation the enumerator yields through it: ``summary(values)`` is
     :meth:`Tableau.summary_under` and ``facts(values)`` is
     :meth:`Tableau.instantiate` on that valuation.  The check program
-    (:mod:`repro.engine.checks`) compiles tests on the instantiated rows
-    through :meth:`condition` and :meth:`membership`.
+    (:mod:`repro.engine.checks`) generates its tests on the instantiated
+    rows from :attr:`tableau` and :attr:`position`.
 
     *grouped* says whether the summary is bound before the last
     variable, so that a grouped enumeration hands the tableau's
@@ -267,33 +267,6 @@ class TableauTemplates:
     def facts(self, values: tuple) -> list[tuple[str, tuple]]:
         """``μ(T_Q)`` as ``(relation, tuple)`` pairs."""
         return [(relation, row(values)) for relation, row in self.rows]
-
-    def condition(self, left: Term, right: Term,
-                  equal: bool) -> "bool | Check":
-        """``μ(left) = μ(right)`` (``≠`` unless *equal*) for terms of the
-        tableau: a bool when it holds or fails for every valuation, else
-        a check on the value tuple."""
-        if left == right:
-            return equal
-        if isinstance(left, Const) and isinstance(right, Const):
-            return (left.value == right.value) == equal
-        if not equal:
-            return _inequality_check(left, right, self.position)
-        if isinstance(left, Const):
-            left, right = right, left
-        i = self.position[left]
-        if isinstance(right, Var):
-            j = self.position[right]
-            return lambda values: values[i] == values[j]
-        constant = right.value
-        return lambda values: values[i] == constant
-
-    def membership(self, terms: Sequence[Term], allowed: frozenset) -> Check:
-        """``μ(terms) ∈ allowed`` as a check on the value tuple."""
-        if all(isinstance(t, Const) for t in terms):
-            inside = tuple(t.value for t in terms) in allowed
-            return lambda values: inside
-        return _membership_checks(terms, allowed, self.position)[-1][1]
 
 
 def _inequality_check(left: Term, right: Term,

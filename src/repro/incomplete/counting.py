@@ -31,7 +31,7 @@ from repro.constraints.containment import (ContainmentConstraint,
 from repro.core.rcdp import (_search_space, _validate_rcdp,
                              ensure_partially_closed,
                              missing_answers_report, resolve_context,
-                             split_ind_constraints)
+                             split_ind_constraints, validate_limit)
 from repro.core.results import SearchStatistics
 from repro.core.search import SearchRun, ShardSpec
 from repro.core.valuations import TableauTemplates, iter_valid_valuations
@@ -162,10 +162,14 @@ def count_completing_extensions(
     counted as examined; every other group is walked whole, since the
     count keeps extensions by Δ, not by summary.
 
-    *max_extensions* truncates the count (``exhaustive=False``); the
-    governor interrupts at valuation boundaries like the deciders.
+    *max_extensions* truncates the count (``exhaustive=False``) once
+    that many extensions have been found (``max_extensions == 0``
+    reports the one find that trips it; a negative value is a
+    ``ValueError``); the governor interrupts at valuation boundaries
+    like the deciders.
     """
     validate_exhaustion_mode(on_exhausted)
+    validate_limit("max_extensions", max_extensions)
     governor = resolve_governor(governor, budget)
     obs = obs_of(governor)
     context = resolve_context(context, backend)
@@ -196,8 +200,10 @@ def count_completing_extensions(
                     if not tableau.satisfiable:
                         continue
                     templates = TableauTemplates(tableau)
-                    summary_of = templates.summary
-                    check = None
+                    # A grouped stream hands over only the valuations of
+                    # open groups, whose summary is outside Q(D) already.
+                    summary_of = None
+                    program = None
                     stream = iter_valid_valuations(
                         tableau, adom, fresh="own", row_filter=row_filter,
                         shard=run.shard, groups=True)
@@ -205,18 +211,20 @@ def count_completing_extensions(
                         # Open groups are walked whole: the key is Δ, not
                         # the summary, so a find closes nothing.
                         stream = _open_valuations(run, stream, answers)
+                    else:
+                        summary_of = templates.summary
                     for _, _, values in stream:
                         if governor is not None:
                             governor.tick("valuations")
                         examined += 1
-                        summary = summary_of(values)
-                        if summary in answers:
+                        if (summary_of is not None
+                                and summary_of(values) in answers):
                             continue
-                        if check is None:
-                            check = context.check_program(
+                        if program is None:
+                            program = context.check_program(
                                 templates, database, master,
                                 other_constraints)
-                            delta = check.delta
+                            delta = program.delta
                         facts = delta(values)
                         # A valuation landing entirely inside D would have
                         # summary ∈ Q(D); surviving deltas add ≥ 1 fact.
@@ -226,7 +234,7 @@ def count_completing_extensions(
                             continue
                         if other_constraints:
                             constraint_checks += 1
-                            if not check(values, facts):
+                            if not program.check(values, facts):
                                 continue
                         extensions.add(key)
                         if (max_extensions is not None

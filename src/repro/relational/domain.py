@@ -33,16 +33,45 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+#: The one :class:`FreshValue` of each label.
+_FRESH: dict[str, "FreshValue"] = {}
+
+
 class FreshValue:
     """A value guaranteed distinct from every user-supplied constant.
 
     Fresh values implement the paper's set ``New``: "a set of distinct values
     not in D, Dm, Q and V, one for each variable" (Section 3.2).  Two fresh
-    values are equal iff their labels are equal.
+    values are equal iff their labels are equal: there is one object per
+    label (interned with ``dict.setdefault``, so two threads cannot make
+    two), and equality and hashing are the object's identity, which a set
+    or dict lookup tests in C.  Unpickling and copying re-intern, so a
+    value returned by a spawned worker or copied is the parent's object.
+    Immutable, and never equal to a user constant.
     """
 
+    __slots__ = ("label",)
+
     label: str
+
+    def __new__(cls, label: str) -> "FreshValue":
+        value = _FRESH.get(label)
+        if value is None:
+            value = object.__new__(cls)
+            object.__setattr__(value, "label", label)
+            value = _FRESH.setdefault(label, value)
+        return value
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: "
+                             "fresh values are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: "
+                             "fresh values are immutable")
+
+    def __reduce__(self) -> tuple:
+        return FreshValue, (self.label,)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"⊥{self.label}"

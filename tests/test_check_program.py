@@ -26,6 +26,7 @@ from repro.core.valuations import TableauTemplates
 from repro.engine import EvaluationContext
 from repro.engine import checks as program_module
 from repro.engine.executor import group_delta
+from repro.incomplete import count_completing_extensions
 from repro.queries.atoms import eq, neq, rel
 from repro.queries.cq import cq
 from repro.queries.tableau import Tableau
@@ -35,7 +36,7 @@ from repro.relational.backends import BACKEND_NAMES
 from repro.relational.instance import Instance, extend_unvalidated
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
-from benchmarks.reference_rcdp import reference_rcdp
+from benchmarks.reference_rcdp import reference_count, reference_rcdp
 from tests.strategies import (SCHEMA, conjunctive_queries, instances,
                               union_queries)
 
@@ -319,3 +320,84 @@ class TestGatedDeltaPlans:
         assert self._runs_everywhere(plan_runs, templates, base, [cc],
                                      valuations, verdicts) == [
             "R", "T", "R", "T"]
+
+
+#: Text no generated source may hold: quotes, a backslash, a newline and
+#: a call, in every relation name, constant and master value below.
+_HOSTILE = "'\"\\\n__import__('os')"
+
+
+def _hostile(label):
+    return f"{label}{_HOSTILE}"
+
+
+class TestNoBundleTextInGeneratedCode:
+    """Relation names, constants and master values reach the generated
+    functions as factory arguments only: a scenario made of hostile text
+    decides and counts as the references do, no source in the code cache
+    holds any of it, and programs of one shape share one code object."""
+
+    R, T, M = _hostile("R"), _hostile("T"), _hostile("M")
+    A, B, C = _hostile("a"), _hostile("b"), _hostile("c")
+
+    def _scenario(self, gate=None):
+        schema = DatabaseSchema([RelationSchema(self.R, ["x", "y"]),
+                                 RelationSchema(self.T, ["y", "z"])])
+        master_schema = DatabaseSchema([RelationSchema(self.M, ["x"])])
+        master = Instance(master_schema, {self.M: {(self.A,), (self.B,)}})
+        base = Instance(schema, {self.R: {(self.A, self.B)},
+                                 self.T: {(self.B, self.C)}})
+        # A selection (y = C), a gated two-atom plan (z = gate on the T
+        # atom) and a Boolean constraint against ∅.
+        selection = ContainmentConstraint(
+            cq([_X], [rel(self.R, _X, self.C)]),
+            Projection.on(self.M, [0]), name="selection")
+        gated = ContainmentConstraint(
+            cq([_X], [rel(self.T, _Y, _Z), rel(self.R, _X, _Y),
+                      eq(_Z, gate or self.A)]),
+            Projection.on(self.M, [0]), name="gated")
+        banned = ContainmentConstraint(
+            cq([], [rel(self.R, self.B, _Y)]), Projection.empty(),
+            name="banned")
+        query = cq([_X], [rel(self.R, _X, _Y), rel(self.T, _Y, _W)],
+                   name="Q")
+        return query, base, master, [selection, gated, banned]
+
+    def test_decides_and_counts_as_the_references_do(self):
+        query, base, master, ccs = self._scenario()
+        status, witness, checks, examined = reference_rcdp(
+            query, base, master, ccs)
+        result = decide_rcdp(query, base, master, ccs,
+                             check_partially_closed=False)
+        assert result.status is status
+        assert result.statistics.constraint_checks == checks
+        assert result.statistics.valuations_examined == examined
+        if witness is not None:
+            assert (set(result.certificate.extension_facts)
+                    == set(witness[0]))
+        report = count_completing_extensions(
+            query, base, master, ccs, check_partially_closed=False)
+        assert (report.count, report.statistics.constraint_checks,
+                report.statistics.valuations_examined) == reference_count(
+            query, base, master, ccs)
+        assert report.count > 0
+        for source in program_module._code:
+            assert "__import__" not in source
+            assert not set("'\"\\") & set(source)
+
+    def test_programs_of_one_shape_share_their_code(self):
+        programs = []
+        for gate in (self.A, self.B):
+            query, base, master, ccs = self._scenario(gate)
+            templates = TableauTemplates(Tableau(query, base.schema))
+            program = EvaluationContext().check_program(templates, base,
+                                                        master, ccs)
+            values = tuple(self.A for _ in templates.variables)
+            program(values)
+            programs.append(program)
+        first, second = programs
+        assert first.check is not second.check
+        assert first.check.__code__ is second.check.__code__
+        assert first.delta.__code__ is second.delta.__code__
+        assert first.check.__code__.co_filename == \
+            program_module.FILENAME == "<check program>"

@@ -129,6 +129,19 @@ class TestMissingCommand:
         out = capsys.readouterr().out
         assert "1 answer(s)" in out
 
+    def test_limit_zero_reports_the_find_that_trips_it(self, bundle_path,
+                                                      capsys):
+        path = bundle_path(set())
+        assert main(["missing", path, "--limit", "0"]) == 1
+        assert "at least 1 answer(s)" in capsys.readouterr().out
+
+    def test_negative_limit_is_an_argument_error(self, bundle_path, capsys):
+        path = bundle_path(set())
+        with pytest.raises(SystemExit) as raised:
+            main(["missing", path, "--limit", "-3"])
+        assert raised.value.code == 2
+        assert "--limit: must be at least 0" in capsys.readouterr().err
+
 
 class TestObservabilityFlags:
     def test_decide_alias_with_trace_profile_stats(self, bundle_path,

@@ -8,6 +8,8 @@ completing extensions against the materializing reference
 (``benchmarks/reference_rcdp.py``).
 """
 
+import itertools
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from repro.errors import ExecutionInterrupted, ReproError
 from repro.incomplete import (CountReport, count_completing_extensions,
                               count_missing_answers)
 from repro.io.json_io import load_bundle
+from repro.mdm.generators import GeneratorConfig, generate_scenario
 from repro.mdm.scenario import CRMScenario
 from repro.queries.atoms import eq, rel
 from repro.queries.cq import cq
@@ -189,9 +192,93 @@ class TestLimitAndGovernance:
         assert capped.count == 1
         assert not capped.exhaustive
 
+    def test_negative_limits_are_rejected(self):
+        scenario = CRMScenario.example()
+        args = (scenario.q0_customers_with_area_code(),
+                scenario.database(missing_customers=["c1"]),
+                scenario.master(), scenario.default_constraints())
+        with pytest.raises(ValueError, match="limit must be at least 0"):
+            missing_answers_report(*args, limit=-3)
+        with pytest.raises(ValueError, match="limit must be at least 0"):
+            count_missing_answers(*args, limit=-1)
+        with pytest.raises(ValueError,
+                           match="max_extensions must be at least 0"):
+            count_completing_extensions(*args, max_extensions=-1)
+
+    def test_zero_limits_report_the_find_that_trips_them(self):
+        scenario = CRMScenario.example()
+        args = (scenario.q0_customers_with_area_code(),
+                scenario.database(missing_customers=["c1"]),
+                scenario.master(), scenario.default_constraints())
+        for report in (count_missing_answers(*args, limit=0),
+                       count_completing_extensions(*args,
+                                                   max_extensions=0)):
+            assert report.count == 1
+            assert not report.exhaustive
+
     def test_exhaustive_report_repr_has_no_qualifier(self):
         report = CountReport(count=2, exhaustive=True, statistics=None)
         assert repr(report) == "CountReport[2]"
+
+
+@pytest.fixture(scope="module")
+def general_shape():
+    """The benchmark's ``general`` shape: q0 over one 908-area domestic
+    customer supported by one employee, and one international customer,
+    under the default constraints.  Its 28,561 valuations come in 13
+    summary groups of 2,197, in stream order; the seventh, at positions
+    13,182–15,378, is the domestic customer's, whose summary is in
+    ``Q(D)``, and the rest are walked."""
+    config = GeneratorConfig(num_domestic=1, num_international=1,
+                             num_employees=1, support_probability=1.0,
+                             management_depth=0)
+    for attempt in itertools.count():
+        scenario = generate_scenario(
+            config, random.Random(f"count-stops:{attempt}"))
+        if scenario.domestic[0].ac == "908":
+            return (scenario.q0_customers_with_area_code(),
+                    scenario.database(), scenario.master(),
+                    scenario.default_constraints())
+
+
+class TestCountStopsWhereItStopped:
+    """Where a truncated count of the ``general`` shape stops, and what
+    it has counted there, under budgets that end partway through a walk
+    and before, on and inside the first ``Q(D)`` block, and under
+    ``max_extensions``: values pinned from the closure-based check
+    program the generated one replaced."""
+
+    @staticmethod
+    def _observed(report):
+        statistics = report.statistics
+        return (report.count, report.exhaustive, report.interrupted,
+                statistics.valuations_examined, statistics.constraint_checks)
+
+    def test_unbounded(self, general_shape):
+        assert self._observed(count_completing_extensions(
+            *general_shape)) == (24_336, True, None, 28_561, 26_364)
+
+    @pytest.mark.parametrize("budget, count, examined, checks", [
+        (100, 100, 100, 100),                 # partway through a walk
+        (13_181, 12_166, 13_180, 13_180),     # before the block
+        (13_182, 12_167, 13_181, 13_181),
+        (13_183, 12_168, 13_182, 13_182),     # on its first valuation
+        (14_182, 12_168, 14_181, 13_182),     # inside it
+        (15_379, 12_168, 15_378, 13_182),     # on its last valuation
+        (15_380, 12_168, 15_379, 13_182),     # past it, into a walk
+        (15_429, 12_217, 15_428, 13_231),
+    ])
+    def test_budget(self, general_shape, budget, count, examined, checks):
+        assert self._observed(count_completing_extensions(
+            *general_shape, budget=budget)) == (
+            count, False, "budget", examined, checks)
+
+    @pytest.mark.parametrize("limit, count, examined", [
+        (0, 1, 1), (1, 1, 1), (10_000, 10_000, 10_845)])
+    def test_max_extensions(self, general_shape, limit, count, examined):
+        assert self._observed(count_completing_extensions(
+            *general_shape, max_extensions=limit)) == (
+            count, False, None, examined, examined)
 
 
 def _backend_statistics(statistics: SearchStatistics,

@@ -1,11 +1,21 @@
 """Tests for attribute domains and fresh values."""
 
+import copy
+import multiprocessing
+import pickle
+
 import pytest
 
+from repro.core.rcdp import decide_rcdp
 from repro.errors import DomainError
+from repro.queries.atoms import rel
+from repro.queries.cq import cq
+from repro.queries.terms import var
 from repro.relational.domain import (BOOLEAN, FiniteDomain, FreshValue,
                                      FreshValueSupply, INFINITE,
                                      InfiniteDomain, is_fresh)
+from repro.relational.instance import Instance
+from repro.relational.schema import DatabaseSchema, RelationSchema
 
 
 class TestInfiniteDomain:
@@ -92,3 +102,45 @@ class TestFreshValues:
 
     def test_hashable(self):
         assert len({FreshValue("a"), FreshValue("a"), FreshValue("b")}) == 2
+
+    def test_one_object_per_label(self):
+        assert FreshValue("a") is FreshValue("a")
+        assert hash(FreshValue("a")) == hash(FreshValue("a"))
+
+    def test_immutable(self):
+        value = FreshValue("a")
+        with pytest.raises(AttributeError):
+            value.label = "b"
+        with pytest.raises(AttributeError):
+            del value.label
+        assert value.label == "a"
+
+    def test_pickle_and_copies_reintern(self):
+        value = FreshValue("round-trip")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(value, protocol)) is value
+        row = ("c1", value)
+        assert copy.deepcopy(row)[1] is value
+        assert copy.copy(value) is value
+
+    @pytest.mark.usefixtures("no_head_start")
+    def test_witness_from_a_spawn_worker_is_the_parents_value(
+            self, monkeypatch):
+        """A spawned worker unpickles its payload in a fresh interpreter
+        and pickles its witness back; the parent's copy of each fresh
+        value is the parent's object."""
+        if "spawn" not in multiprocessing.get_all_start_methods():
+            pytest.skip("start method 'spawn' unavailable")
+        monkeypatch.setenv("REPRO_PARALLEL_START_METHOD", "spawn")
+        schema = DatabaseSchema([RelationSchema("R", ["a", "b"])])
+        master = Instance(DatabaseSchema([RelationSchema("M", ["a"])]),
+                          {"M": set()})
+        query = cq([var("x")], [rel("R", var("x"), var("y"))], name="Q")
+        database = Instance(schema, {"R": set()})
+        serial = decide_rcdp(query, database, master, [])
+        pooled = decide_rcdp(query, database, master, [], workers=2)
+        facts = pooled.certificate.extension_facts
+        assert facts == serial.certificate.extension_facts
+        values = [value for _, row in facts for value in row]
+        assert values and all(is_fresh(value) for value in values)
+        assert all(value is FreshValue(value.label) for value in values)
