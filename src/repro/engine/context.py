@@ -16,7 +16,7 @@ candidate extensions.  The context is the object that makes that cheap:
 * **violation checks** ``Q(D ∪ Δ) ⊆ p(Dm)`` that stop at the first
   answer outside ``p(Dm)``;
 * **check programs** deciding ``(D ∪ Δ, Dm) ⊨ V`` for every instance Δ
-  of one tableau, compiled once (:mod:`repro.engine.checks`).
+  of one tableau, generated once (:mod:`repro.engine.checks`).
 
 Instances cannot be weak-referenced (``__slots__`` without
 ``__weakref__``), so caches are keyed by ``id()`` with the instance
@@ -406,12 +406,12 @@ class EvaluationContext:
                       constraints: "Sequence[ContainmentConstraint]",
                       ) -> CheckProgram:
         """``values ↦ (base ∪ templates.facts(values), master) ⊨
-        constraints``, compiled once for the tableau *templates* reads
+        constraints``, generated once for the tableau *templates* reads
         (:class:`~repro.engine.checks.CheckProgram`).  A kernel builds
-        one at its first check of a tableau and calls it on every later
-        value tuple of that tableau.  Verdicts and counters are those of
-        :meth:`extension_satisfies` per constraint, except fewer cache
-        hits."""
+        one at its first check of a tableau and calls its ``check`` on
+        every later value tuple of that tableau.  Verdicts and counters
+        are those of :meth:`extension_satisfies` per constraint, except
+        fewer cache hits."""
         return CheckProgram(self, templates, base, master, constraints)
 
     # ------------------------------------------------------------------

@@ -146,21 +146,24 @@ def count_completing_extensions(
     costs one test.  Per tableau, the context's check program
     (:meth:`~repro.engine.context.EvaluationContext.check_program`) is
     built at the first valuation whose summary is not in ``Q(D)``; its
-    compiled ``Δ \\ D`` (:attr:`~repro.engine.checks.CheckProgram.delta`)
+    generated ``Δ \\ D`` (:attr:`~repro.engine.checks.CheckProgram.delta`)
     lists each valuation's fresh facts, flat.  Extensions are kept by a
     canonical key of that list: the fact itself when Δ has one fact,
     else the ``frozenset`` of its facts (Δ has at least one, since a
     valuation landing inside ``D`` has its summary in ``Q(D)``).  A
     tuple never equals a frozenset, and sets of different sizes never
     compare equal, so equal keys mean equal fresh-fact sets.  When the
-    key is new, the same list goes to the program's ``(D ∪ Δ, Dm) ⊨ V``
-    test: a candidate costs one template call and one base membership
-    test per tableau row and one set lookup before its check.  A tableau
-    whose summary is bound before its last variable comes in summary
-    groups (:mod:`repro.core.valuations`): a group whose summary is in
-    ``Q(D)`` adds nothing and is decided at once, its valuations still
-    counted as examined; every other group is walked whole, since the
-    count keeps extensions by Δ, not by summary.
+    key is new, the same list goes to the program's generated
+    ``(D ∪ Δ, Dm) ⊨ V`` test
+    (:attr:`~repro.engine.checks.CheckProgram.check`): a candidate costs
+    two calls, Δ and the check, and one set lookup between them.  A
+    tableau whose summary is bound before its last variable comes in
+    summary groups (:mod:`repro.core.valuations`): a group whose summary
+    is in ``Q(D)`` adds nothing and is decided at once, its valuations
+    still counted as examined; every other group is walked whole, since
+    the count keeps extensions by Δ, not by summary, and its valuations'
+    summaries are not tested again.  Other tableaux test each
+    valuation's summary against ``Q(D)`` first.
 
     *max_extensions* truncates the count (``exhaustive=False``) once
     that many extensions have been found (``max_extensions == 0``
