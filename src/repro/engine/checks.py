@@ -154,8 +154,8 @@ class CheckProgram:
     def _start(self, values: tuple, facts: Facts | None = None) -> bool:
         """The first check.  The first constraint's reads, and its
         compile of the relations Δ holds, fall due whatever the values
-        are, so they are made here, in the check's order; the check is
-        then generated with them known and run."""
+        are, so they are made here; the check is then generated with
+        them known and run."""
         if facts is None and self._lists:
             facts = self.delta(values)
         if self._checks:
