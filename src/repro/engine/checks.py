@@ -152,21 +152,13 @@ class CheckProgram:
         return self.check(values, facts)
 
     def _start(self, values: tuple, facts: Facts | None = None) -> bool:
-        """The first check.  The first constraint's reads, and its
-        compile of the relations Δ holds, fall due whatever the values
-        are, so they are made here; the check is then generated with
+        """The first check.  Every check starts with the first
+        constraint's read of ``q(D)`` and its verdict of ``q(D) ⊆
+        p(Dm)``, so they are made here; the check is then generated with
         them known and run."""
-        if facts is None and self._lists:
-            facts = self.delta(values)
         if self._checks:
-            first = self._checks[0]
-            first.read_answers()
-            first.base_holds()
-            new = ({relation for relation, _ in facts} if self._lists
-                   else self._relations)
-            if (new and not (first.boolean and first.answers)
-                    and not first.pending.isdisjoint(new)):
-                first.compile(new)
+            self._checks[0].read_answers()
+            self._checks[0].base_holds()
         self._generate()
         return self.check(values, facts)
 
@@ -312,23 +304,14 @@ def _delta_function(rows: list[tuple], position: dict[Var, int],
                              for a, b in zip(terms, other))]
         lines.append((1, f"r{index} = {source.row(terms)}"))
         fact = f"({name}, r{index})"
-        if len(rows) == 1:
-            if tests:
-                lines += [(1, f"if {' and '.join(tests)}:"),
-                          (2, f"return [{fact}]"), (1, "return []")]
-            else:
-                lines.append((1, f"return [{fact}]"))
-            break
         if tests:
             lines += [(1, f"if {' and '.join(tests)}:"),
                       (2, f"f.append({fact})")]
         else:
             lines.append((1, f"f.append({fact})"))
         kept.append((index, relation, terms))
-    else:
-        lines = ([(1, "f = []")] + lines if rows else []) + [
-            (1, "return f" if rows else "return []")]
-    body = [(0, "def delta(v):"), *lines, (0, "return delta")]
+    body = [(0, "def delta(v):"), (1, "f = []"), *lines, (1, "return f"),
+            (0, "return delta")]
     return source.build(body)
 
 

@@ -48,6 +48,12 @@ class FreshValue:
     or dict lookup tests in C.  Unpickling and copying re-intern, so a
     value returned by a spawned worker or copied is the parent's object.
     Immutable, and never equal to a user constant.
+
+    The intern table lives as long as the process and never frees an
+    entry.  It holds one value per label ever made, and a supply's labels
+    repeat from run to run (its prefix, a variable or query name and a
+    counter that starts at 0), so the table grows with the distinct names
+    a process meets, not with the decisions it makes.
     """
 
     __slots__ = ("label",)
